@@ -8,8 +8,8 @@ tunes virtual heaters to hit filtering and modulation-transformation
 targets.
 """
 
-from .blocks import (FrequencyGrid, PhaseShifterState, RingParams,
-                     TransferMatrix2x2, WaveguideParams,
+from .blocks import (BLOCK_KINDS, FrequencyGrid, PhaseShifterState,
+                     RingParams, TransferMatrix2x2, WaveguideParams,
                      amplitude_from_db_loss, critical_coupling_kappa,
                      h_coupler_3db, h_phase_shifter, h_ring_adddrop,
                      h_ring_allpass, h_tunable_coupler, h_waveguide,
@@ -20,7 +20,6 @@ from .csvout import format_number, write_csv
 from .errors import (AnalysisError, ConfigurationError, DomainError,
                      ShaperError, SingularityError, TopologyError)
 from .experiments import ExperimentResult, run_experiment
-from .kernels import backend_name
 from .metrics import extinction_db, notch_depth_db, passband_width_3db, \
     peak_frequency_ghz, q_and_finesse
 from .rflink import (DetectorParams, LinkConfig, ModulatedSpectrum,

@@ -11,15 +11,21 @@ Conventions used throughout the package:
 * Loss figures are power dB, so field amplitudes use a ``/20`` exponent.
 
 All functions are pure and accept either scalar offsets or NumPy arrays.
+
+``BLOCK_KINDS`` at the end of the module is the one place that describes
+each block kind: its ports, parameters, netlist keys, heaters and
+response.  A new kind is added there and nowhere else.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping
 
 import numpy as np
 
+from . import kernels
 from .constants import SPEED_OF_LIGHT_M_PER_S
 from .errors import ConfigurationError, DomainError, SingularityError
 
@@ -146,6 +152,10 @@ class TransferMatrix2x2:
     m01: complex
     m10: complex
     m11: complex
+
+    @property
+    def rows(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+        return ((self.m00, self.m01), (self.m10, self.m11))
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.m00, self.m01], [self.m10, self.m11]])
@@ -313,3 +323,131 @@ def critical_coupling_kappa(round_trip_amplitude: float) -> float:
     if not (0.0 < round_trip_amplitude <= 1.0):
         raise DomainError("round_trip_amplitude must be in (0,1]")
     return 1.0 - round_trip_amplitude ** 2
+
+
+# ---------------------------------------------------------------------------
+# block kinds
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Heater:
+    """A tunable phase of a block kind.
+
+    ``get(params)`` is the phase the params imply; ``set(params, phase)``
+    returns params with the phase (already wrapped to [0, 2*pi)) applied.
+    """
+
+    name: str
+    get: Callable[[object], float]
+    set: Callable[[object, float], object]
+
+
+@dataclass(frozen=True)
+class BlockKind:
+    """Everything the package knows about one kind of block.
+
+    ``keys`` are the netlist keys in write order; they are also the
+    parameter fields they set.  A netlist must give the ``required``
+    keys, and a block's params may not leave them None.
+    ``response(params, offsets)`` gives the transfer-matrix rows over the
+    grid: row i holds the weights of each input port in output port i, as
+    scalars or grid arrays.  ``cli_ports`` name the outputs of a
+    single-block ``rfshaper block`` sweep.
+    """
+
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    params_type: type
+    keys: tuple[str, ...]
+    required: tuple[str, ...]
+    heaters: tuple[Heater, ...]
+    response: Callable[[object, np.ndarray], tuple]
+    cli_ports: tuple[str, ...]
+
+    def make_params(self, values: Mapping[str, float]):
+        """Params from netlist key values; absent keys take their defaults."""
+        if self.params_type is type(None):
+            return None
+        return self.params_type(**values)
+
+    def param_items(self, params) -> list[tuple[str, float]]:
+        """(key, value) pairs in write order, leaving out unset keys."""
+        return [(k, v) for k in self.keys
+                if (v := getattr(params, k)) is not None]
+
+
+_PHASE_HEATER = Heater(
+    "phase", lambda p: p.phase_rad % _TWO_PI,
+    lambda p, phase: PhaseShifterState(phase_rad=phase))
+
+
+# Ring couplers are tunable MZI couplers, so a coupling heater is a phase
+# with ``kappa = sin^2(phase/2)``; the detune heater shifts the resonance
+# by ``fsr * phase / (2*pi)``.
+def _coupling_heater(name: str, key: str) -> Heater:
+    return Heater(
+        name, lambda p: 2.0 * math.asin(math.sqrt(getattr(p, key))),
+        lambda p, phase: replace(p, **{key: math.sin(phase / 2) ** 2}))
+
+
+_DETUNE_HEATER = Heater(
+    "detune", lambda p: (_TWO_PI * (p.detune_ghz / p.fsr_ghz)) % _TWO_PI,
+    lambda p, phase: replace(p, detune_ghz=p.fsr_ghz * phase / _TWO_PI))
+
+
+def _ring_adddrop_rows(p: RingParams, offsets):
+    through_in, drop, through_add = kernels.ring_adddrop_grid(
+        offsets, p.self_coupling, p.self_coupling_drop,
+        p.round_trip_amplitude, p.fsr_ghz, p.detune_ghz)
+    return ((through_in, drop), (drop, through_add))
+
+
+_COUPLER_3DB_ROWS = h_coupler_3db().rows
+_RING_KEYS = ("kappa", "fsr_ghz", "round_trip_amplitude", "detune_ghz")
+_ONE_PORT = {"inputs": ("in",), "outputs": ("out",)}
+_TWO_PORT = {"inputs": ("in0", "in1"), "outputs": ("out0", "out1")}
+
+BLOCK_KINDS: dict[str, BlockKind] = {
+    "waveguide": BlockKind(
+        **_ONE_PORT, params_type=WaveguideParams,
+        keys=("optical_path_length", "loss_db_per_cm", "physical_length_cm"),
+        required=("optical_path_length",), heaters=(),
+        response=lambda p, offsets: ((kernels.waveguide_grid(
+            offsets, p.gamma, p.fsr_equivalent_ghz),),),
+        cli_ports=("out",)),
+    "phase_shifter": BlockKind(
+        **_ONE_PORT, params_type=PhaseShifterState,
+        keys=("phase_rad", "heater_power_mw"), required=("phase_rad",),
+        heaters=(_PHASE_HEATER,),
+        response=lambda p, offsets: ((h_phase_shifter(p.phase_rad),),),
+        cli_ports=("out",)),
+    "ring_allpass": BlockKind(
+        **_ONE_PORT, params_type=RingParams,
+        keys=_RING_KEYS, required=("kappa", "fsr_ghz"),
+        heaters=(_coupling_heater("coupling", "kappa"), _DETUNE_HEATER),
+        response=lambda p, offsets: ((kernels.ring_allpass_grid(
+            offsets, p.self_coupling, p.round_trip_amplitude, p.fsr_ghz,
+            p.detune_ghz),),),
+        cli_ports=("out",)),
+    "coupler_3db": BlockKind(
+        **_TWO_PORT, params_type=type(None), keys=(), required=(), heaters=(),
+        response=lambda p, offsets: _COUPLER_3DB_ROWS,
+        cli_ports=("bar", "cross")),
+    "tunable_coupler": BlockKind(
+        **_TWO_PORT, params_type=PhaseShifterState,
+        keys=("phase_rad", "heater_power_mw"), required=("phase_rad",),
+        heaters=(_PHASE_HEATER,),
+        response=lambda p, offsets: h_tunable_coupler(p.phase_rad).rows,
+        cli_ports=("bar", "cross")),
+    # in0 input bus, in1 add bus, out0 through, out1 drop
+    "ring_adddrop": BlockKind(
+        **_TWO_PORT, params_type=RingParams,
+        keys=("kappa", "kappa_drop") + _RING_KEYS[1:],
+        required=("kappa", "kappa_drop", "fsr_ghz"),
+        heaters=(_coupling_heater("coupling", "kappa"),
+                 _coupling_heater("coupling_drop", "kappa_drop"),
+                 _DETUNE_HEATER),
+        response=_ring_adddrop_rows,
+        cli_ports=("through", "drop")),
+}

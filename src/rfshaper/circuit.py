@@ -2,9 +2,10 @@
 
 A circuit is a feed-forward network of block instances.  All resonant
 feedback lives inside ring blocks, so evaluation is a single pass in
-topological order: scalar blocks multiply the field, 2x2 blocks mix their
-two inputs.  Graphs are immutable after construction and evaluation is
-pure, so concurrent use needs no locking.
+topological order: each block mixes its input fields through the
+transfer-matrix rows that its kind in ``blocks.BLOCK_KINDS`` gives.
+Graphs are immutable after construction and evaluation is pure, so
+concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -16,31 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
-from . import kernels
-from .blocks import (FrequencyGrid, PhaseShifterState, RingParams,
-                     WaveguideParams, h_phase_shifter, h_tunable_coupler)
+from .blocks import BLOCK_KINDS, FrequencyGrid
 from .errors import ConfigurationError, TopologyError
-
-SCALAR_KINDS = ("waveguide", "phase_shifter", "ring_allpass")
-MATRIX_KINDS = ("coupler_3db", "tunable_coupler", "ring_adddrop")
-KINDS = SCALAR_KINDS + MATRIX_KINDS
-
-_PORTS = {
-    "waveguide": (("in",), ("out",)),
-    "phase_shifter": (("in",), ("out",)),
-    "ring_allpass": (("in",), ("out",)),
-    "coupler_3db": (("in0", "in1"), ("out0", "out1")),
-    "tunable_coupler": (("in0", "in1"), ("out0", "out1")),
-    "ring_adddrop": (("in0", "in1"), ("out0", "out1")),
-}
-
-
-def block_ports(kind: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(input ports, output ports) of a block kind."""
-    try:
-        return _PORTS[kind]
-    except KeyError:
-        raise ConfigurationError(f"unknown block kind {kind!r}") from None
 
 
 @dataclass(frozen=True)
@@ -61,71 +39,36 @@ class BlockInstance:
     params: object = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        spec = BLOCK_KINDS.get(self.kind)
+        if spec is None:
             raise ConfigurationError(f"unknown block kind {self.kind!r}")
-        expected = {
-            "waveguide": WaveguideParams,
-            "phase_shifter": PhaseShifterState,
-            "ring_allpass": RingParams,
-            "ring_adddrop": RingParams,
-            "tunable_coupler": PhaseShifterState,
-            "coupler_3db": type(None),
-        }[self.kind]
-        if not isinstance(self.params, expected):
+        if not isinstance(self.params, spec.params_type):
             raise ConfigurationError(
-                f"block {self.id!r} of kind {self.kind} needs {expected.__name__} "
-                f"params, got {type(self.params).__name__}")
-        if self.kind == "ring_adddrop" and self.params.kappa_drop is None:
-            raise ConfigurationError(f"block {self.id!r}: ring_adddrop needs kappa_drop")
+                f"block {self.id!r} of kind {self.kind} needs "
+                f"{spec.params_type.__name__} params, got "
+                f"{type(self.params).__name__}")
+        for key in spec.required:
+            if getattr(self.params, key) is None:
+                raise ConfigurationError(
+                    f"block {self.id!r}: {self.kind} needs {key}")
 
     @property
     def heater_refs(self) -> tuple[str, ...]:
-        """Names of the tunable phases this block exposes.
-
-        Ring couplers are tunable MZI couplers, so their coupling heater is
-        a phase with ``kappa = sin^2(phase/2)``; the detune heater shifts
-        the resonance by ``fsr * phase / (2*pi)``.
-        """
-        if self.kind in ("phase_shifter", "tunable_coupler"):
-            return (f"{self.id}.phase",)
-        if self.kind == "ring_allpass":
-            return (f"{self.id}.coupling", f"{self.id}.detune")
-        if self.kind == "ring_adddrop":
-            return (f"{self.id}.coupling", f"{self.id}.coupling_drop",
-                    f"{self.id}.detune")
-        return ()
+        """Names of the tunable phases this block exposes."""
+        return tuple(f"{self.id}.{h.name}"
+                     for h in BLOCK_KINDS[self.kind].heaters)
 
     def heater_values(self) -> dict[str, float]:
         """Current heater phases implied by the stored parameters."""
-        vals: dict[str, float] = {}
-        if self.kind in ("phase_shifter", "tunable_coupler"):
-            vals[f"{self.id}.phase"] = self.params.phase_rad % (2 * math.pi)
-        elif self.kind in ("ring_allpass", "ring_adddrop"):
-            p: RingParams = self.params
-            vals[f"{self.id}.coupling"] = 2.0 * math.asin(math.sqrt(p.kappa))
-            vals[f"{self.id}.detune"] = (2 * math.pi * (p.detune_ghz / p.fsr_ghz)) % (2 * math.pi)
-            if self.kind == "ring_adddrop":
-                vals[f"{self.id}.coupling_drop"] = 2.0 * math.asin(math.sqrt(p.kappa_drop))
-        return vals
+        return {f"{self.id}.{h.name}": h.get(self.params)
+                for h in BLOCK_KINDS[self.kind].heaters}
 
     def with_heater(self, heater: str, phase: float) -> "BlockInstance":
         """Copy of this block with one heater set to the given phase."""
         phase = phase % (2 * math.pi)
-        if self.kind in ("phase_shifter", "tunable_coupler") and heater == "phase":
-            return dataclasses.replace(
-                self, params=PhaseShifterState(phase_rad=phase))
-        if self.kind in ("ring_allpass", "ring_adddrop"):
-            p: RingParams = self.params
-            if heater == "coupling":
-                return dataclasses.replace(
-                    self, params=dataclasses.replace(p, kappa=math.sin(phase / 2) ** 2))
-            if heater == "coupling_drop" and self.kind == "ring_adddrop":
-                return dataclasses.replace(
-                    self, params=dataclasses.replace(p, kappa_drop=math.sin(phase / 2) ** 2))
-            if heater == "detune":
-                return dataclasses.replace(
-                    self, params=dataclasses.replace(
-                        p, detune_ghz=p.fsr_ghz * phase / (2 * math.pi)))
+        for h in BLOCK_KINDS[self.kind].heaters:
+            if h.name == heater:
+                return dataclasses.replace(self, params=h.set(self.params, phase))
         raise ConfigurationError(f"block {self.id!r} has no heater {heater!r}")
 
 
@@ -183,8 +126,8 @@ class CircuitGraph:
 
     def _check_port(self, port: Port, direction: str) -> None:
         blk = self.block(port.block)
-        ins, outs = block_ports(blk.kind)
-        names = ins if direction == "in" else outs
+        spec = BLOCK_KINDS[blk.kind]
+        names = spec.inputs if direction == "in" else spec.outputs
         if port.name not in names:
             raise TopologyError(
                 f"{port} is not an {direction}put port of kind {blk.kind}")
@@ -217,8 +160,7 @@ class CircuitGraph:
                 raise TopologyError(f"external output {name!r} collides with {port}")
             used_sources.add(port)
         for b in self.blocks:
-            _, outs = block_ports(b.kind)
-            for o in outs:
+            for o in BLOCK_KINDS[b.kind].outputs:
                 if Port(b.id, o) not in used_sources:
                     raise TopologyError(f"dangling output port {b.id}.{o}")
         if self.inputs:
@@ -290,33 +232,6 @@ class CircuitGraph:
                             self.inputs, self.outputs)
 
 
-def _matrix_entries(block: BlockInstance, offsets: np.ndarray):
-    """(m00, m01, m10, m11) of a 2x2 block, scalars or grid arrays."""
-    if block.kind == "coupler_3db":
-        a = math.sqrt(0.5)
-        return a, -1j * a, -1j * a, a
-    if block.kind == "tunable_coupler":
-        m = h_tunable_coupler(block.params.phase_rad)
-        return m.m00, m.m01, m.m10, m.m11
-    p: RingParams = block.params
-    through_in, drop, through_add = kernels.ring_adddrop_grid(
-        offsets, p.self_coupling, p.self_coupling_drop,
-        p.round_trip_amplitude, p.fsr_ghz, p.detune_ghz)
-    return through_in, drop, drop, through_add
-
-
-def _scalar_response(block: BlockInstance, offsets: np.ndarray):
-    if block.kind == "waveguide":
-        p: WaveguideParams = block.params
-        return kernels.waveguide_grid(offsets, p.gamma, p.fsr_equivalent_ghz)
-    if block.kind == "phase_shifter":
-        return h_phase_shifter(block.params.phase_rad)
-    p = block.params
-    return kernels.ring_allpass_grid(offsets, p.self_coupling,
-                                     p.round_trip_amplitude, p.fsr_ghz,
-                                     p.detune_ghz)
-
-
 def evaluate(graph: CircuitGraph, grid: FrequencyGrid,
              input_name: str | None = None,
              heaters: Mapping[str, float] | None = None,
@@ -346,39 +261,31 @@ def evaluate(graph: CircuitGraph, grid: FrequencyGrid,
 
     offsets = grid.offsets_ghz
     n = offsets.size
-    fields: dict[Port, np.ndarray] = {}
-    incoming: dict[Port, Port] = {dst: src for src, dst in graph.connections}
-
-    def port_field(port: Port) -> np.ndarray:
-        if port in fields:
-            return fields[port]
-        return np.zeros(n, dtype=np.complex128)
-
+    zeros = np.zeros(n, dtype=np.complex128)
+    # fields and connections keyed by (block id, port name); an open input
+    # port, or one whose source has no field, reads zero field
     entry = graph.inputs[input_name]
-    fields[entry] = np.full(n, 1.0 + 0.0j)
+    fields = {(entry.block, entry.name): np.full(n, 1.0 + 0.0j)}
+    source = {(dst.block, dst.name): (src.block, src.name)
+              for src, dst in graph.connections}
 
     for block_id in graph._order:
         blk = graph.block(block_id)
         for heater, value in overrides.get(block_id, ()):
             blk = blk.with_heater(heater, value)
-        ins, outs = block_ports(blk.kind)
+        spec = BLOCK_KINDS[blk.kind]
+        ins = []
+        for name in spec.inputs:
+            key = (block_id, name)
+            f = fields.get(key)        # the external input lands here
+            ins.append(f if f is not None
+                       else fields.get(source.get(key), zeros))
+        for out, row in zip(spec.outputs, spec.response(blk.params, offsets)):
+            f = row[0] * ins[0]
+            for m, x in zip(row[1:], ins[1:]):
+                f = f + m * x
+            fields[block_id, out] = f
 
-        def in_field(port_name: str) -> np.ndarray:
-            dst = Port(block_id, port_name)
-            if dst in fields:          # external input lands here
-                return fields[dst]
-            src = incoming.get(dst)
-            return port_field(src) if src is not None else np.zeros(n, dtype=np.complex128)
-
-        if blk.kind in SCALAR_KINDS:
-            resp = _scalar_response(blk, offsets)
-            fields[Port(block_id, outs[0])] = resp * in_field(ins[0])
-        else:
-            m00, m01, m10, m11 = _matrix_entries(blk, offsets)
-            a, b = in_field(ins[0]), in_field(ins[1])
-            fields[Port(block_id, outs[0])] = m00 * a + m01 * b
-            fields[Port(block_id, outs[1])] = m10 * a + m11 * b
-
-    out_fields = {name: amplitude * port_field(port)
+    out_fields = {name: amplitude * fields.get((port.block, port.name), zeros)
                   for name, port in graph.outputs.items()}
     return CircuitResponse(grid, out_fields)

@@ -19,15 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import FrequencyGrid, h_tunable_coupler
-from .circuit import BlockInstance, CircuitGraph, Port, block_ports, evaluate
+from .blocks import BLOCK_KINDS, FrequencyGrid, h_tunable_coupler
+from .circuit import BlockInstance, CircuitGraph, Port, evaluate
 from .csvout import (format_summary_value, write_optical_csv, write_rf_csv,
                      write_summary, write_table_csv)
 from .errors import ConfigurationError, ShaperError, TopologyError
 from .experiments import run_experiment
-from .netlist import (NetlistDocument, _BLOCK_KEYS, _REQUIRED_KEYS,
-                      _make_params, document_to_text, load_experiment_config,
-                      parse_netlist)
+from .netlist import (NetlistDocument, document_to_text,
+                      load_experiment_config, parse_netlist)
 from .topologies import DeinterleaverSpec, build_deinterleaver, build_shaper
 from .tuner import Objective, OptimizerConfig, optimize
 
@@ -83,33 +82,31 @@ def _load_graph(path: str) -> CircuitGraph:
 
 
 def _single_block_graph(kind: str, kv: dict[str, float]) -> CircuitGraph:
+    spec = BLOCK_KINDS[kind]
     try:
-        block = BlockInstance("b", kind, _make_params(kind, kv))
+        block = BlockInstance("b", kind, spec.make_params(kv))
     except ShaperError as exc:
         raise _ParseFailure([exc])
-    ins, outs = block_ports(kind)
-    port_names = {
-        "ring_adddrop": ("through", "drop"),
-        "tunable_coupler": ("bar", "cross"),
-        "coupler_3db": ("bar", "cross"),
-    }.get(kind, ("out",))
-    outputs = {name: Port("b", p) for name, p in zip(port_names, outs)}
-    return CircuitGraph((block,), (), {"in": Port("b", ins[0])}, outputs)
+    outputs = {name: Port("b", p)
+               for name, p in zip(spec.cli_ports, spec.outputs)}
+    return CircuitGraph((block,), (), {"in": Port("b", spec.inputs[0])},
+                        outputs)
 
 
 def cmd_block(args) -> int:
+    spec = BLOCK_KINDS[args.kind]
     kv: dict[str, float] = {}
     errors = []
     for item in args.params:
         key, eq, val = item.partition("=")
-        if not eq or key not in _BLOCK_KEYS[args.kind]:
+        if not eq or key not in spec.keys:
             errors.append(f"bad parameter {item!r} for kind {args.kind}")
             continue
         try:
             kv[key] = float(val)
         except ValueError:
             errors.append(f"invalid number in {item!r}")
-    for key in _REQUIRED_KEYS[args.kind]:
+    for key in spec.required:
         if key not in kv and not (args.kind == "tunable_coupler"
                                   and args.phase_sweep):
             errors.append(f"kind {args.kind} requires {key}")
@@ -251,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("block", help="sweep a single building block")
-    p.add_argument("kind", choices=sorted(_BLOCK_KEYS))
+    p.add_argument("kind", choices=sorted(BLOCK_KINDS))
     p.add_argument("params", nargs="*", metavar="key=value")
     p.add_argument("--sweep", help="offset sweep lo:hi:step (GHz)")
     p.add_argument("--phase-sweep", help="coupler phase sweep lo:hi:step (rad)")

@@ -1,8 +1,8 @@
-"""NumPy reference implementation of the frequency-sweep kernels.
+"""Frequency-sweep kernels: one block response over a whole offset grid.
 
-Each function evaluates one block response over a whole offset grid.
-The compiled extension in ``_core.pyx`` implements the same signatures;
-either backend must produce identical results to float rounding.
+These are the only array implementations of the block responses; the
+scalar ``h_*`` functions in :mod:`rfshaper.blocks` are the closed-form
+reference they are tested against.
 """
 
 from __future__ import annotations

@@ -20,27 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .blocks import PhaseShifterState, RingParams, WaveguideParams
-from .circuit import BlockInstance, CircuitGraph, Port, block_ports
+from .blocks import BLOCK_KINDS
+from .circuit import BlockInstance, CircuitGraph, Port
 from .errors import ShaperError
-
-_BLOCK_KEYS = {
-    "waveguide": ("optical_path_length", "loss_db_per_cm", "physical_length_cm"),
-    "phase_shifter": ("phase_rad", "heater_power_mw"),
-    "tunable_coupler": ("phase_rad",),
-    "coupler_3db": (),
-    "ring_allpass": ("kappa", "fsr_ghz", "round_trip_amplitude", "detune_ghz"),
-    "ring_adddrop": ("kappa", "kappa_drop", "fsr_ghz", "round_trip_amplitude",
-                     "detune_ghz"),
-}
-_REQUIRED_KEYS = {
-    "waveguide": ("optical_path_length",),
-    "phase_shifter": ("phase_rad",),
-    "tunable_coupler": ("phase_rad",),
-    "coupler_3db": (),
-    "ring_allpass": ("kappa", "fsr_ghz"),
-    "ring_adddrop": ("kappa", "kappa_drop", "fsr_ghz"),
-}
 
 
 @dataclass(frozen=True)
@@ -136,8 +118,8 @@ class _Parser:
         if kind is None:
             self.err(ln, col, f"unknown block id {bid!r}", tok)
             return None
-        ins, outs = block_ports(kind)
-        names = ins if direction == "in" else outs
+        spec = BLOCK_KINDS[kind]
+        names = spec.inputs if direction == "in" else spec.outputs
         if pname not in names:
             self.err(ln, col,
                      f"kind {kind} has no {direction}put port {pname!r} "
@@ -155,7 +137,8 @@ class _Parser:
                      f"duplicate block id {bid!r} (first declared on line "
                      f"{self.decl_lines[bid]})", bid)
             return
-        if kind not in _BLOCK_KEYS:
+        spec = BLOCK_KINDS.get(kind)
+        if spec is None:
             self.err(ln, kcol, f"unknown block kind {kind!r}", kind)
             return
         self.kinds[bid] = kind
@@ -169,7 +152,7 @@ class _Parser:
                 ok = False
                 continue
             key, _, val = tok.partition("=")
-            if key not in _BLOCK_KEYS[kind]:
+            if key not in spec.keys:
                 self.err(ln, col, f"kind {kind} has no key {key!r}", tok)
                 ok = False
                 continue
@@ -183,14 +166,14 @@ class _Parser:
             except ValueError:
                 self.err(ln, col, f"invalid number for {key!r}", val)
                 ok = False
-        for key in _REQUIRED_KEYS[kind]:
+        for key in spec.required:
             if key not in seen:
                 self.err(ln, kcol, f"kind {kind} requires key {key!r}", kind)
                 ok = False
         if not ok:
             return
         try:
-            block = BlockInstance(bid, kind, _make_params(kind, kv))
+            block = BlockInstance(bid, kind, spec.make_params(kv))
         except (ShaperError, ValueError) as exc:
             self.err(ln, kcol, str(exc), kind)
             return
@@ -237,20 +220,6 @@ class _Parser:
         table[name] = port
 
 
-def _make_params(kind: str, kv: dict[str, float]):
-    if kind == "waveguide":
-        return WaveguideParams(kv["optical_path_length"],
-                               kv.get("loss_db_per_cm", 0.0),
-                               kv.get("physical_length_cm", 0.0))
-    if kind in ("phase_shifter", "tunable_coupler"):
-        return PhaseShifterState(kv["phase_rad"], kv.get("heater_power_mw"))
-    if kind == "coupler_3db":
-        return None
-    return RingParams(kv["fsr_ghz"], kv["kappa"], kv.get("kappa_drop"),
-                      kv.get("round_trip_amplitude", 1.0),
-                      kv.get("detune_ghz", 0.0))
-
-
 def parse_netlist(text: str) -> tuple[NetlistDocument, list[ParseError]]:
     """Parse netlist text; returns the document and all positioned errors."""
     p = _Parser()
@@ -283,24 +252,9 @@ def _format_value(v: float) -> str:
 
 
 def _block_line(block: BlockInstance) -> str:
-    parts = [f"block {block.id} {block.kind}"]
-    p = block.params
-    if block.kind == "waveguide":
-        parts.append(f"optical_path_length={_format_value(p.optical_path_length)}")
-        parts.append(f"loss_db_per_cm={_format_value(p.loss_db_per_cm)}")
-        parts.append(f"physical_length_cm={_format_value(p.physical_length_cm)}")
-    elif block.kind in ("phase_shifter", "tunable_coupler"):
-        parts.append(f"phase_rad={_format_value(p.phase_rad)}")
-        if p.heater_power_mw is not None:
-            parts.append(f"heater_power_mw={_format_value(p.heater_power_mw)}")
-    elif block.kind in ("ring_allpass", "ring_adddrop"):
-        parts.append(f"kappa={_format_value(p.kappa)}")
-        if block.kind == "ring_adddrop":
-            parts.append(f"kappa_drop={_format_value(p.kappa_drop)}")
-        parts.append(f"fsr_ghz={_format_value(p.fsr_ghz)}")
-        parts.append(f"round_trip_amplitude={_format_value(p.round_trip_amplitude)}")
-        parts.append(f"detune_ghz={_format_value(p.detune_ghz)}")
-    return " ".join(parts)
+    items = BLOCK_KINDS[block.kind].param_items(block.params)
+    return " ".join([f"block {block.id} {block.kind}"]
+                    + [f"{k}={_format_value(v)}" for k, v in items])
 
 
 def document_to_text(doc: NetlistDocument) -> str:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .blocks import FrequencyGrid, h_tunable_coupler
 from .circuit import CircuitGraph, evaluate
-from .errors import ConfigurationError, DomainError
+from .errors import AnalysisError, ConfigurationError, DomainError
 from .metrics import extinction_db
 from .rflink import LinkConfig, ModulationFormat, rf_transmission_sweep
 
@@ -271,6 +271,10 @@ def optimize(graph_template: CircuitGraph, objective: Objective,
             {n: float(v) % _TWO_PI for n, v in zip(names, x0)}, bv, ev, conv))
         if bv > best_v:
             best_x, best_v = bx, bv
+    if best_x is None:
+        raise AnalysisError(
+            f"objective gave no comparable value in {total} evaluations "
+            "(every value was NaN or -inf)")
     best = {n: float(v) % _TWO_PI for n, v in zip(names, best_x)}
     return TuningResult(best, best_v, total, all_converged, tuple(traces))
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rfshaper.blocks import (FrequencyGrid, PhaseShifterState, RingParams,
-                             WaveguideParams, h_phase_shifter, h_ring_allpass,
-                             h_waveguide)
+from rfshaper.blocks import (BLOCK_KINDS, FrequencyGrid, PhaseShifterState,
+                             RingParams, WaveguideParams, h_phase_shifter,
+                             h_ring_allpass, h_waveguide)
 from rfshaper.circuit import BlockInstance, CircuitGraph, Port, evaluate
 from rfshaper.errors import ConfigurationError, TopologyError
 
@@ -177,18 +177,40 @@ def test_heater_override_equals_rebuilt_graph():
     np.testing.assert_array_equal(via_override, via_rebuild)
 
 
-def test_heater_names_and_values_round_trip():
-    ring = BlockInstance("r", "ring_allpass",
-                         RingParams(fsr_ghz=50.0, kappa=0.3,
-                                    round_trip_amplitude=0.95,
-                                    detune_ghz=12.5))
-    g = chain_graph([ring])
-    assert g.heater_names() == ("r.coupling", "r.detune")
+HEATER_CASES = {
+    "phase_shifter": (PhaseShifterState(1.25), {"phase_rad": 1.25},
+                      ("x.phase",)),
+    "tunable_coupler": (PhaseShifterState(2.5), {"phase_rad": 2.5},
+                        ("x.phase",)),
+    "ring_allpass": (RingParams(fsr_ghz=50.0, kappa=0.3,
+                                round_trip_amplitude=0.95, detune_ghz=12.5),
+                     {"kappa": 0.3, "detune_ghz": 12.5},
+                     ("x.coupling", "x.detune")),
+    "ring_adddrop": (RingParams(fsr_ghz=50.0, kappa=0.3, kappa_drop=0.12,
+                                round_trip_amplitude=0.95, detune_ghz=12.5),
+                     {"kappa": 0.3, "kappa_drop": 0.12, "detune_ghz": 12.5},
+                     ("x.coupling", "x.coupling_drop", "x.detune")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HEATER_CASES))
+def test_heater_names_and_values_round_trip(kind):
+    params, fields, names = HEATER_CASES[kind]
+    spec = BLOCK_KINDS[kind]
+    g = CircuitGraph((BlockInstance("x", kind, params),), (),
+                     inputs={"in": Port("x", spec.inputs[0])},
+                     outputs={o: Port("x", o) for o in spec.outputs})
+    assert g.heater_names() == names
     values = g.heater_values()
-    rebuilt = g.with_heaters(values)
-    p = rebuilt.block("r").params
-    assert p.kappa == pytest.approx(0.3, abs=1e-12)
-    assert p.detune_ghz == pytest.approx(12.5, abs=1e-12)
+    assert sorted(values) == list(names)
+    p = g.with_heaters(values).block("x").params
+    for key, expected in fields.items():
+        assert getattr(p, key) == pytest.approx(expected, abs=1e-12)
+    for name in names:                 # each setter moves only its heater
+        moved = g.with_heaters({name: 0.75}).heater_values()
+        assert moved[name] == pytest.approx(0.75, abs=1e-12)
+        for other in set(names) - {name}:
+            assert moved[other] == pytest.approx(values[other], abs=1e-12)
 
 
 def test_unknown_heater_rejected():

@@ -1,19 +1,13 @@
 import numpy as np
-import pytest
 
 from rfshaper import kernels
 from rfshaper.blocks import RingParams, WaveguideParams, h_ring_adddrop, \
     h_ring_allpass, h_waveguide
-from rfshaper.kernels import _ref
 
 
 def _offsets():
     rng = np.random.default_rng(11)
     return np.sort(rng.uniform(-80.0, 80.0, 257))
-
-
-def test_backend_reports_name():
-    assert kernels.backend_name() in ("compiled", "python")
 
 
 def test_waveguide_grid_matches_scalar_blocks():
@@ -45,28 +39,6 @@ def test_ring_adddrop_grid_matches_scalar_blocks():
     scalar = [h_ring_adddrop(o, p) for o in offs]
     np.testing.assert_allclose(through, [s[0] for s in scalar], atol=1e-14)
     np.testing.assert_allclose(drop, [s[1] for s in scalar], atol=1e-14)
-
-
-@pytest.mark.skipif(kernels.backend_name() != "compiled",
-                    reason="compiled backend not built")
-def test_compiled_matches_reference_backend():
-    from rfshaper.kernels import _core
-    offs = _offsets()
-    np.testing.assert_allclose(
-        _core.waveguide_grid(offs, 0.87, 55.0),
-        _ref.waveguide_grid(offs, 0.87, 55.0), rtol=0, atol=1e-13)
-    np.testing.assert_allclose(
-        _core.ring_allpass_grid(offs, 0.9, 0.93, 50.0, 2.5),
-        _ref.ring_allpass_grid(offs, 0.9, 0.93, 50.0, 2.5),
-        rtol=0, atol=1e-13)
-    for a, b in zip(_core.ring_adddrop_grid(offs, 0.9, 0.95, 0.9, 50.0, -3.0),
-                    _ref.ring_adddrop_grid(offs, 0.9, 0.95, 0.9, 50.0, -3.0)):
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
-    h = _ref.ring_allpass_grid(offs, 0.9, 0.93, 50.0, 2.5)
-    np.testing.assert_allclose(
-        _core.beat_phasor_grid(0.7 + 0.1j, h, h[::-1], 0.1j, 1.0, -0.1, 0.8),
-        _ref.beat_phasor_grid(0.7 + 0.1j, h, h[::-1], 0.1j, 1.0, -0.1, 0.8),
-        rtol=0, atol=1e-13)
 
 
 def test_beat_phasor_grid_formula():

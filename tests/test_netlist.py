@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfshaper.blocks import PhaseShifterState, RingParams
+from rfshaper.circuit import BlockInstance, Port
 from rfshaper.netlist import (NetlistDocument, document_to_text,
                               load_experiment_config, parse_netlist)
 from rfshaper.topologies import DeinterleaverSpec, build_deinterleaver
@@ -99,14 +101,30 @@ def test_errors_carry_columns():
     assert errors[0].column == 9
 
 
+# a heater-power coupler and an add-drop ring: every optional key written
+POWERED = NetlistDocument(
+    params={"p_pi_mw": 35.0},
+    blocks=[BlockInstance("tc", "tunable_coupler",
+                          PhaseShifterState.from_power(10.0, 35.0)),
+            BlockInstance("rd", "ring_adddrop",
+                          RingParams(fsr_ghz=50.0, kappa=0.1, kappa_drop=0.05,
+                                     round_trip_amplitude=0.97,
+                                     detune_ghz=-2.0))],
+    connections=[(Port("tc", "out0"), Port("rd", "in0"))],
+    inputs={"light": Port("tc", "in0")},
+    outputs={"other": Port("tc", "out1"), "through": Port("rd", "out0"),
+             "drop": Port("rd", "out1")})
+
+
 def test_parse_print_parse_idempotent():
-    doc1, errors = parse_netlist(VALID)
+    parsed, errors = parse_netlist(VALID)
     assert not errors
-    text2 = document_to_text(doc1)
-    doc2, errors2 = parse_netlist(text2)
-    assert not errors2
-    assert doc2 == doc1
-    assert document_to_text(doc2) == text2
+    for doc1 in (parsed, POWERED):
+        text2 = document_to_text(doc1)
+        doc2, errors2 = parse_netlist(text2)
+        assert not errors2
+        assert doc2 == doc1
+        assert document_to_text(doc2) == text2
 
 
 def test_print_parse_round_trip_for_builder_graphs():

@@ -7,7 +7,7 @@ from rfshaper.blocks import (PhaseShifterState, RingParams,
                              critical_coupling_kappa, h_phase_shifter,
                              h_tunable_coupler)
 from rfshaper.circuit import BlockInstance, CircuitGraph, Port
-from rfshaper.errors import ConfigurationError, DomainError
+from rfshaper.errors import AnalysisError, ConfigurationError, DomainError
 from rfshaper.topologies import (DeinterleaverSpec, FITTED_RING_AMPLITUDE,
                                  build_deinterleaver)
 from rfshaper.tuner import (Objective, OptimizerConfig,
@@ -49,6 +49,13 @@ def test_optimize_requires_heaters():
                      {"a": Port("c", "out0"), "b": Port("c", "out1")})
     with pytest.raises(ConfigurationError):
         optimize(g, quadratic_objective(1.0))
+
+
+def test_optimize_all_nan_objective_raises_analysis_error():
+    nan = Objective("custom_scalar", custom_fn=lambda graph, heaters: math.nan)
+    with pytest.raises(AnalysisError, match="NaN"):
+        optimize(single_heater_graph(), nan,
+                 OptimizerConfig(max_evals=50, restarts=1))
 
 
 def test_optimize_deterministic_given_seed():
