@@ -217,26 +217,28 @@ class CircuitGraph:
 
     def with_heaters(self, settings: Mapping[str, float]) -> "CircuitGraph":
         """New graph with the named heater phases applied to the params."""
-        for name in settings:
+        changed = self._blocks_with_heaters(settings)
+        return CircuitGraph(tuple(changed.get(b.id, b) for b in self.blocks),
+                            self.connections, self.inputs, self.outputs)
+
+    def _blocks_with_heaters(self, settings: Mapping[str, float]
+                             ) -> dict[str, BlockInstance]:
+        """The blocks that ``{"<block id>.<heater>": phase}`` settings
+        change, by id, with those phases applied."""
+        changed: dict[str, BlockInstance] = {}
+        for name, value in settings.items():
             block_id, _, heater = name.partition(".")
             if not heater or block_id not in self._by_id:
                 raise ConfigurationError(f"unknown heater {name!r}")
-        new_blocks = []
-        for b in self.blocks:
-            for name, value in settings.items():
-                block_id, _, heater = name.partition(".")
-                if block_id == b.id:
-                    b = b.with_heater(heater, value)
-            new_blocks.append(b)
-        return CircuitGraph(tuple(new_blocks), self.connections,
-                            self.inputs, self.outputs)
+            blk = changed.get(block_id) or self._by_id[block_id]
+            changed[block_id] = blk.with_heater(heater, value)
+        return changed
 
 
 def evaluate(graph: CircuitGraph, grid: FrequencyGrid,
              input_name: str | None = None,
-             heaters: Mapping[str, float] | None = None,
-             amplitude: complex = 1.0 + 0.0j) -> CircuitResponse:
-    """Propagate a unit (or ``amplitude``) field from one external input.
+             heaters: Mapping[str, float] | None = None) -> CircuitResponse:
+    """Propagate a unit field from one external input.
 
     Returns the complex amplitude at every external output for every grid
     offset.  ``heaters`` overrides heater phases for this evaluation only.
@@ -251,13 +253,7 @@ def evaluate(graph: CircuitGraph, grid: FrequencyGrid,
     if input_name not in graph.inputs:
         raise ConfigurationError(f"unknown input {input_name!r}")
 
-    overrides: dict[str, list[tuple[str, float]]] = {}
-    if heaters:
-        for name, value in heaters.items():
-            block_id, _, heater = name.partition(".")
-            if not heater or block_id not in graph._by_id:
-                raise ConfigurationError(f"unknown heater {name!r}")
-            overrides.setdefault(block_id, []).append((heater, value))
+    changed = graph._blocks_with_heaters(heaters) if heaters else {}
 
     offsets = grid.offsets_ghz
     n = offsets.size
@@ -270,9 +266,7 @@ def evaluate(graph: CircuitGraph, grid: FrequencyGrid,
               for src, dst in graph.connections}
 
     for block_id in graph._order:
-        blk = graph.block(block_id)
-        for heater, value in overrides.get(block_id, ()):
-            blk = blk.with_heater(heater, value)
+        blk = changed.get(block_id) or graph.block(block_id)
         spec = BLOCK_KINDS[blk.kind]
         ins = []
         for name in spec.inputs:
@@ -286,6 +280,6 @@ def evaluate(graph: CircuitGraph, grid: FrequencyGrid,
                 f = f + m * x
             fields[block_id, out] = f
 
-    out_fields = {name: amplitude * fields.get((port.block, port.name), zeros)
+    out_fields = {name: fields.get((port.block, port.name), zeros)
                   for name, port in graph.outputs.items()}
     return CircuitResponse(grid, out_fields)

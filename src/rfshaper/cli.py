@@ -94,6 +94,8 @@ def _single_block_graph(kind: str, kv: dict[str, float]) -> CircuitGraph:
 
 
 def cmd_block(args) -> int:
+    if args.phase_sweep and args.kind != "tunable_coupler":
+        raise ConfigurationError("--phase-sweep only applies to tunable_coupler")
     spec = BLOCK_KINDS[args.kind]
     kv: dict[str, float] = {}
     errors = []
@@ -107,15 +109,12 @@ def cmd_block(args) -> int:
         except ValueError:
             errors.append(f"invalid number in {item!r}")
     for key in spec.required:
-        if key not in kv and not (args.kind == "tunable_coupler"
-                                  and args.phase_sweep):
+        if key not in kv and not args.phase_sweep:
             errors.append(f"kind {args.kind} requires {key}")
     if errors:
         raise _ParseFailure(errors)
 
     if args.phase_sweep:
-        if args.kind != "tunable_coupler":
-            raise ConfigurationError("--phase-sweep only applies to tunable_coupler")
         lo, hi, step = _parse_range(args.phase_sweep)
         phis = lo + step * np.arange(int(round((hi - lo) / step)) + 1)
         rows = []
@@ -142,10 +141,7 @@ def cmd_sweep(args) -> int:
     lo, hi, step = _parse_range(args.sweep)
     resp = evaluate(graph, FrequencyGrid.sweep(lo, hi, step),
                     input_name=args.input)
-    if args.port:
-        write_optical_csv(resp, args.out, port=args.port)
-    else:
-        write_optical_csv(resp, args.out)
+    write_optical_csv(resp, args.out, port=args.port or None)
     return EXIT_OK
 
 
@@ -195,9 +191,7 @@ def _parse_band(text: str) -> tuple[float, float]:
 def _objective_from_args(args) -> Objective:
     kw: dict[str, object] = {"kind": args.objective}
     if args.port:
-        kw["port" if args.objective in ("deinterleaver_extinction",
-                                        "critical_coupling")
-           else "output_port"] = args.port
+        kw["port"] = args.port
     if args.passband:
         kw["passband"] = _parse_band(args.passband)
     if args.stopband:
@@ -274,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", required=True,
                    choices=["deinterleaver_extinction", "notch_depth",
                             "conversion_extinction", "critical_coupling"])
-    p.add_argument("--port", help="optical port for optical objectives")
+    p.add_argument("--port", help="output port (default: detector or bar, by objective)")
     p.add_argument("--passband", help="lo:hi (GHz)")
     p.add_argument("--stopband", help="lo:hi (GHz)")
     p.add_argument("--band", help="lo:hi (GHz) for conversion extinction")

@@ -17,7 +17,7 @@ import numpy as np
 from .blocks import FrequencyGrid, RingParams
 from .circuit import CircuitGraph, CircuitResponse, evaluate
 from .constants import DEFAULT_CARRIER_THZ, DEFAULT_P_PI_MW, FILTER_RING_FSR_GHZ
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .metrics import notch_depth_db, peak_frequency_ghz
 from .rflink import (DetectorParams, LinkConfig, ModulatedSpectrum,
                      ModulationFormat, RfResponse, detect_rf_phasor,
@@ -50,7 +50,17 @@ class ExperimentResult:
 
 
 def _get(overrides: Mapping[str, object], key: str, default):
+    """Preset option ``key``, or ``default`` when it is unset.
+
+    A set value must be a number where the default is one, and a sequence
+    where the default is one: of the same length for a tuple default, of
+    any length for a list default.
+    """
     v = overrides.get(key, default)
+    if (isinstance(v, (tuple, list)) != isinstance(default, (tuple, list))
+            or isinstance(default, tuple) and len(v) != len(default)):
+        raise ConfigurationError(
+            f"option {key!r} takes values like {default!r}, got {v!r}")
     return v
 
 
@@ -59,6 +69,14 @@ def _check_keys(name: str, overrides: Mapping[str, object], allowed: set[str]):
     if unknown:
         raise ConfigurationError(
             f"preset {name!r} does not accept option(s) {sorted(unknown)}")
+
+
+def _band_mask(trace: RfResponse, lo: float, hi: float) -> np.ndarray:
+    """Sweep points inside [lo, hi]; a sweep with none is a DomainError."""
+    mask = (trace.rf_freqs_ghz >= lo) & (trace.rf_freqs_ghz <= hi)
+    if not mask.any():
+        raise DomainError(f"the sweep has no point in the band {lo:g}..{hi:g} GHz")
+    return mask
 
 
 def _apply_user_heaters(graph: CircuitGraph,
@@ -81,8 +99,8 @@ def _parked_adddrop() -> RingParams:
                       detune_ghz=25.0)
 
 
-def _phase_family(graph: CircuitGraph, offsets: np.ndarray, port: str,
-                  heater: str, base_heaters: Mapping[str, float] | None = None):
+def _phase_family(graph: CircuitGraph, offsets: np.ndarray, heater: str,
+                  base_heaters: Mapping[str, float] | None = None):
     """Decompose H(f; phi) = even(f) + exp(-1j*phi) * odd(f).
 
     Valid because the swept phase element appears exactly once in any
@@ -93,23 +111,22 @@ def _phase_family(graph: CircuitGraph, offsets: np.ndarray, port: str,
     h0[heater] = 0.0
     hpi = dict(base_heaters or {})
     hpi[heater] = math.pi
-    r0 = evaluate(graph, grid, heaters=h0).port(port)
-    rpi = evaluate(graph, grid, heaters=hpi).port(port)
+    r0 = evaluate(graph, grid, heaters=h0).port("detector")
+    rpi = evaluate(graph, grid, heaters=hpi).port("detector")
     return 0.5 * (r0 + rpi), 0.5 * (r0 - rpi)
 
 
 def _beat_vs_phase(graph: CircuitGraph, f0: float, fmt: ModulationFormat,
                    heater: str, phis: np.ndarray,
-                   base_heaters: Mapping[str, float] | None = None,
-                   port: str = "detector",
-                   det: DetectorParams = DetectorParams()) -> np.ndarray:
-    """|RF phasor| at one frequency as a function of one heater phase."""
+                   base_heaters: Mapping[str, float] | None = None
+                   ) -> np.ndarray:
+    """Detector |RF phasor| at one frequency versus one heater phase."""
     offs = np.array([-f0, 0.0, f0])
-    even, odd = _phase_family(graph, offs, port, heater, base_heaters)
+    even, odd = _phase_family(graph, offs, heater, base_heaters)
     u = np.exp(-1j * phis)
     hm, h0, hp = (even[i] + u * odd[i] for i in range(3))
     probe = make_spectrum(fmt, f0)
-    b = det.responsivity_a_per_w * (
+    b = DetectorParams().responsivity_a_per_w * (
         h0 * probe.e_carrier * np.conj(hm * probe.e_minus)
         + np.conj(h0 * probe.e_carrier) * hp * probe.e_plus)
     return np.abs(b)
@@ -142,7 +159,7 @@ def _conversion_preset(name: str, fmt_kind: str,
                                  heaters={"ps_bar.phase": phi_high})
     low = rf_transmission_sweep(link, lo, hi, step,
                                 heaters={"ps_bar.phase": phi_low})
-    mask = (high.rf_freqs_ghz >= band[0]) & (high.rf_freqs_ghz <= band[1])
+    mask = _band_mask(high, *band)
     extinction = float(np.min(high.mag_db[mask] - low.mag_db[mask]))
     summary = {
         "extinction_db": extinction,
@@ -264,7 +281,7 @@ def bandpass_tune(overrides: Mapping[str, object], seed: int = 0) -> ExperimentR
     # start above the crossover guard: below it the lower sideband is
     # still inside the bar channel and leaks past the open coupler.
     lo, hi, step = _get(overrides, "sweep", (5.0, 27.0, 0.1))
-    detunes = tuple(_get(overrides, "detunes_ghz", (8.0, 12.0, 16.0, 20.0)))
+    detunes = _get(overrides, "detunes_ghz", [8.0, 12.0, 16.0, 20.0])
     m = _get(overrides, "modulation_index", 0.1)
     kappa = _get(overrides, "drop_kappa", 0.1)
 
@@ -317,7 +334,7 @@ def deint_phase_probe(overrides: Mapping[str, object], seed: int = 0
         traces[port] = rf_transmission_sweep(
             LinkConfig(fmt, graph, output_port=port), lo, hi, step)
     bar = traces["bar"]
-    mask = (bar.rf_freqs_ghz >= 5.0) & (bar.rf_freqs_ghz <= 25.0)
+    mask = _band_mask(bar, 5.0, 25.0)
     return ExperimentResult(
         "deint_phase_probe", traces=traces,
         summary={"bar_passband_phase_span_rad":
@@ -346,6 +363,9 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
     m = _get(overrides, "modulation_index", 0.1)
     att_db = _get(overrides, "sideband_attenuation_db", 6.0)
     p_anchor = _get(overrides, "anchor_power_mw", 22.0)
+    if not (p_step > 0 and p_max >= 0):
+        raise DomainError("amplitude_tuning needs power_step_mw > 0 and "
+                          "power_max_mw >= 0")
 
     kappa = ring_kappa_for_rejection(FITTED_RING_AMPLITUDE, att_db)
     cfg = ShaperConfig(
@@ -357,7 +377,6 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
         adddrop=_parked_adddrop())
     graph = _apply_user_heaters(build_shaper(cfg), overrides)
     fmt = ModulationFormat("PM", m)
-    det = DetectorParams()
 
     # Anti-phase reference: fix the shifter so the sideband beats cancel
     # at a mid-sweep coupler setting, then leave it (uncompensated) or
@@ -386,7 +405,7 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
             shaped = ModulatedSpectrum(f0, h[0] * probe.e_minus,
                                        h[1] * probe.e_carrier,
                                        h[2] * probe.e_plus)
-            rf = abs(detect_rf_phasor(shaped, det))
+            rf = abs(detect_rf_phasor(shaped))
             rows.append((float(p), phi_tc % _TWO_PI,
                          abs(shaped.e_plus) ** 2, abs(shaped.e_minus) ** 2,
                          abs(shaped.e_carrier) ** 2, rf))
@@ -414,10 +433,11 @@ def coupling_sweep(overrides: Mapping[str, object], seed: int = 0
     _check_keys("coupling_sweep", overrides, {"kappas", "span_ghz", "step_ghz"})
     gamma = FITTED_RING_AMPLITUDE
     kappa_crit = 1.0 - gamma * gamma
-    kappas = tuple(_get(overrides, "kappas",
-                        (0.05, 0.10, kappa_crit, 0.25, 0.40)))
+    kappas = _get(overrides, "kappas", [0.05, 0.10, kappa_crit, 0.25, 0.40])
     span = _get(overrides, "span_ghz", 5.0)
     step = _get(overrides, "step_ghz", 0.01)
+    if not (step > 0 and all(0.0 <= k <= 1.0 for k in kappas)):
+        raise DomainError("coupling_sweep needs step_ghz > 0 and kappas in [0, 1]")
 
     from .circuit import BlockInstance, Port
     ring = BlockInstance("ring", "ring_allpass",

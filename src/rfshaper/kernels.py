@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import SingularityError
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -19,6 +21,15 @@ def waveguide_grid(offsets_ghz: np.ndarray, gamma: float,
     return gamma * (np.cos(ang) - 1j * np.sin(ang))
 
 
+def _check_pole(den: np.ndarray, offsets: np.ndarray, loop_gain: float) -> None:
+    """Reject grid points exactly on the pole of a lossless uncoupled ring
+    (the only ring with unit loop gain, since |1 - den| <= loop_gain);
+    its response at every other point is one to rounding."""
+    if loop_gain >= 1.0 and not den.all():
+        at = np.ravel(offsets)[np.flatnonzero(den == 0)[0]]
+        raise SingularityError(f"lossless uncoupled ring on resonance at {at:g} GHz")
+
+
 def ring_allpass_grid(offsets_ghz: np.ndarray, self_coupling: float,
                       round_trip_amplitude: float, fsr_ghz: float,
                       detune_ghz: float) -> np.ndarray:
@@ -27,7 +38,9 @@ def ring_allpass_grid(offsets_ghz: np.ndarray, self_coupling: float,
     ang = TWO_PI * (f - detune_ghz) / fsr_ghz
     p = round_trip_amplitude * (np.cos(ang) - 1j * np.sin(ang))
     c = self_coupling
-    return (c - p) / (1.0 - c * p)
+    den = 1.0 - c * p
+    _check_pole(den, f, c * round_trip_amplitude)
+    return (c - p) / den
 
 
 def ring_adddrop_grid(offsets_ghz: np.ndarray, self_coupling_in: float,
@@ -48,6 +61,7 @@ def ring_adddrop_grid(offsets_ghz: np.ndarray, self_coupling_in: float,
     hang = 0.5 * ang
     p_half = np.sqrt(g) * (np.cos(hang) - 1j * np.sin(hang))
     den = 1.0 - c1 * c2 * p
+    _check_pole(den, f, c1 * c2 * g)
     through_in = (c1 - c2 * p) / den
     through_add = (c2 - c1 * p) / den
     drop = (-s1s2 * p_half) / den

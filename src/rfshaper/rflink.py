@@ -32,7 +32,7 @@ from .errors import ConfigurationError, DomainError
 #: Floor applied to magnitudes before taking logs, in dB.
 MAG_FLOOR_DB = -300.0
 
-FORMAT_KINDS = ("IM", "PM", "SSB_upper", "SSB_lower", "custom")
+FORMAT_KINDS = ("IM", "PM", "SSB_upper", "SSB_lower")
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class ModulatedSpectrum:
     e_minus: complex
     e_carrier: complex
     e_plus: complex
-    carrier_thz: float = DEFAULT_CARRIER_THZ
 
     def __post_init__(self):
         if not (self.rf_freq_ghz > 0):
@@ -60,19 +59,16 @@ class ModulationFormat:
     ``modulation_index`` is the sideband-to-carrier field ratio.  For
     intensity modulation both sidebands are in phase; for phase
     modulation they are anti-phased, so the two carrier beats cancel at
-    the detector; single-sideband formats zero one sideband.  ``custom``
-    takes explicit sideband ratios.
+    the detector; single-sideband formats zero one sideband.
     """
 
     kind: str = "IM"
     modulation_index: float = 0.1
-    custom_minus: complex = 0.0
-    custom_plus: complex = 0.0
 
     def __post_init__(self):
         if self.kind not in FORMAT_KINDS:
             raise ConfigurationError(f"unknown modulation kind {self.kind!r}")
-        if self.kind != "custom" and not (self.modulation_index > 0):
+        if not (self.modulation_index > 0):
             raise DomainError("modulation_index must be > 0")
 
 
@@ -107,8 +103,7 @@ class RfResponse:
 
 
 def make_spectrum(fmt: ModulationFormat, rf_freq_ghz: float,
-                  carrier_amplitude: complex = 1.0,
-                  carrier_thz: float = DEFAULT_CARRIER_THZ) -> ModulatedSpectrum:
+                  carrier_amplitude: complex = 1.0) -> ModulatedSpectrum:
     """First-order three-tone spectrum for a modulation format."""
     a = complex(carrier_amplitude)
     m = fmt.modulation_index
@@ -118,23 +113,19 @@ def make_spectrum(fmt: ModulationFormat, rf_freq_ghz: float,
         em, ep = -m * a, m * a
     elif fmt.kind == "SSB_upper":
         em, ep = 0.0, m * a
-    elif fmt.kind == "SSB_lower":
-        em, ep = m * a, 0.0
     else:
-        em, ep = fmt.custom_minus * a, fmt.custom_plus * a
-    return ModulatedSpectrum(rf_freq_ghz, em, a, ep, carrier_thz)
+        em, ep = m * a, 0.0
+    return ModulatedSpectrum(rf_freq_ghz, em, a, ep)
 
 
 def apply_circuit(spec: ModulatedSpectrum, graph: CircuitGraph,
-                  output_port: str, input_name: str | None = None,
-                  heaters: Mapping[str, float] | None = None) -> ModulatedSpectrum:
+                  output_port: str) -> ModulatedSpectrum:
     """Propagate each tone through the circuit at its own offset."""
     f = spec.rf_freq_ghz
-    grid = FrequencyGrid(spec.carrier_thz, np.array([-f, 0.0, f]))
-    resp = evaluate(graph, grid, input_name=input_name, heaters=heaters)
-    h = resp.port(output_port)
+    grid = FrequencyGrid(DEFAULT_CARRIER_THZ, np.array([-f, 0.0, f]))
+    h = evaluate(graph, grid).port(output_port)
     return ModulatedSpectrum(f, h[0] * spec.e_minus, h[1] * spec.e_carrier,
-                             h[2] * spec.e_plus, spec.carrier_thz)
+                             h[2] * spec.e_plus)
 
 
 def detect_rf_phasor(spec: ModulatedSpectrum,
@@ -146,20 +137,16 @@ def detect_rf_phasor(spec: ModulatedSpectrum,
 
 
 def time_domain_oracle(spec: ModulatedSpectrum,
-                       det: DetectorParams = DetectorParams(),
-                       samples_per_period: int = 64,
-                       periods: int = 8) -> complex:
+                       det: DetectorParams = DetectorParams()) -> complex:
     """Brute-force check of :func:`detect_rf_phasor`.
 
     Synthesises the three tones in the rotating carrier frame (the
     carrier phasor drops out of the squared magnitude), forms the
     photocurrent, and projects onto the RF fundamental by a discrete
-    inner product over whole periods.
+    inner product over 8 whole periods of 64 samples.
     """
-    if samples_per_period < 8 or periods < 1:
-        raise DomainError("need >= 8 samples per period and >= 1 period")
-    n = samples_per_period * periods
-    w_t = 2.0 * math.pi * np.arange(n) / samples_per_period  # omega * t
+    n = 64 * 8
+    w_t = 2.0 * math.pi * np.arange(n) / 64  # omega * t
     field = (spec.e_minus * np.exp(-1j * w_t) + spec.e_carrier
              + spec.e_plus * np.exp(1j * w_t))
     current = det.responsivity_a_per_w * (field * field.conj()).real
@@ -168,16 +155,12 @@ def time_domain_oracle(spec: ModulatedSpectrum,
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """A complete link: modulation format, circuit, detection."""
+    """A complete link: modulation format, circuit, unit-carrier detection."""
 
     fmt: ModulationFormat
     graph: CircuitGraph
     output_port: str = "detector"
-    det: DetectorParams = field(default_factory=DetectorParams)
-    carrier_amplitude: complex = 1.0
     input_name: str | None = None
-    #: Extra scalar field factor (fiber/coupler budget); 1.0 leaves it out.
-    link_budget_amplitude: float = 1.0
 
 
 def _back_to_back_reference(link: LinkConfig) -> tuple[float, str]:
@@ -186,15 +169,11 @@ def _back_to_back_reference(link: LinkConfig) -> tuple[float, str]:
     A phase-modulated back-to-back link detects nothing, so PM traces are
     referenced to the equivalent intensity-modulated link instead.
     """
-    probe = make_spectrum(link.fmt, 1.0, link.carrier_amplitude)
-    b2b = abs(detect_rf_phasor(probe, link.det))
-    scale = abs(link.carrier_amplitude) ** 2
-    if b2b > 1e-12 * scale:
+    b2b = abs(detect_rf_phasor(make_spectrum(link.fmt, 1.0)))
+    if b2b > 1e-12:
         return b2b, "back_to_back_same_format"
-    im_probe = make_spectrum(
-        ModulationFormat("IM", link.fmt.modulation_index), 1.0,
-        link.carrier_amplitude)
-    return abs(detect_rf_phasor(im_probe, link.det)), "back_to_back_im_equivalent"
+    im_probe = make_spectrum(ModulationFormat("IM", link.fmt.modulation_index), 1.0)
+    return abs(detect_rf_phasor(im_probe)), "back_to_back_im_equivalent"
 
 
 def rf_transmission_sweep(link: LinkConfig, rf_lo_ghz: float, rf_hi_ghz: float,
@@ -215,17 +194,16 @@ def rf_transmission_sweep(link: LinkConfig, rf_lo_ghz: float, rf_hi_ghz: float,
 
     offsets = np.concatenate([-fs[::-1], [0.0], fs])
     grid = FrequencyGrid(DEFAULT_CARRIER_THZ, offsets)
-    resp = evaluate(link.graph, grid, input_name=link.input_name,
-                    heaters=heaters, amplitude=link.link_budget_amplitude)
+    resp = evaluate(link.graph, grid, input_name=link.input_name, heaters=heaters)
     h = resp.port(link.output_port)
     h_minus = h[: fs.size][::-1]
     h_zero = complex(h[fs.size])
     h_plus = h[fs.size + 1:]
 
-    probe = make_spectrum(link.fmt, 1.0, link.carrier_amplitude)
+    probe = make_spectrum(link.fmt, 1.0)
     phasor = kernels.beat_phasor_grid(
         h_zero, h_minus, h_plus, probe.e_minus, probe.e_carrier,
-        probe.e_plus, link.det.responsivity_a_per_w)
+        probe.e_plus, DetectorParams().responsivity_a_per_w)
 
     ref, ref_name = _back_to_back_reference(link)
     mag = np.abs(phasor) / ref

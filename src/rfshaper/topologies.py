@@ -61,7 +61,6 @@ class DeinterleaverSpec:
     """
 
     passband_ghz: float = DEINTERLEAVER_PASSBAND_GHZ
-    target_extinction_db: float = 20.0
     ring_kappas: tuple[float, float, float] = (0.5, 0.5, 0.5)
     ring_detunes_ghz: tuple[float, float, float] = (0.0, 10.0, 20.0)
     arm_trim_rad: float = 0.0
@@ -109,14 +108,14 @@ class DeinterleaverSpec:
         )
 
 
-def build_deinterleaver(spec: DeinterleaverSpec, prefix: str = "") -> CircuitGraph:
+def build_deinterleaver(spec: DeinterleaverSpec) -> CircuitGraph:
     """Two-output interleaver graph with ports ``bar`` and ``cross``.
 
     Ring 1 sits on the delay arm, rings 2 and 3 on the short arm.  All
     coupler phases, the arm trim, and the ring coupling/detune heaters
     are exposed for tuning.
     """
-    blocks, connections, inputs, outputs = _deinterleaver_parts(spec, prefix)
+    blocks, connections, inputs, outputs = _deinterleaver_parts(spec)
     return CircuitGraph(tuple(blocks), tuple(connections), inputs, outputs)
 
 

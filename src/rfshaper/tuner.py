@@ -25,17 +25,22 @@ from .rflink import LinkConfig, ModulationFormat, rf_transmission_sweep
 
 _TWO_PI = 2.0 * math.pi
 
+#: A restart has converged once its best value rose by less than
+#: CONVERGENCE_TOL over the last CONVERGENCE_WINDOW evaluations.
+CONVERGENCE_TOL, CONVERGENCE_WINDOW = 1e-6, 50
+GRID_STEP_GHZ = 0.25              # deinterleaver_extinction offset grid
+RF_STEP_GHZ = 0.5                 # conversion_extinction RF sweep
+FLIP_HEATER = "ps_bar.phase"      # conversion_extinction advances it by pi
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_evals: int = 10000
     restarts: int = 8
-    convergence_tol: float = 1e-6
-    convergence_window: int = 50
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_evals < 1 or self.restarts < 1 or self.convergence_window < 1:
+        if self.max_evals < 1 or self.restarts < 1:
             raise ConfigurationError("optimizer budgets must be positive")
 
 
@@ -64,26 +69,24 @@ class Objective:
 
     * ``deinterleaver_extinction`` -- worst-case pass/stop ratio of
       ``port`` between ``passband`` and ``stopband`` (dB).
-    * ``notch_depth`` -- negated RF magnitude (dB) of the configured link
-      at ``rf_freq_ghz``; maximizing it deepens the notch.
+    * ``notch_depth`` -- negated RF magnitude (dB) at ``rf_freq_ghz`` of
+      the link detected at ``port``; maximizing it deepens the notch.
     * ``conversion_extinction`` -- smallest over ``band`` of the RF
-      magnitude change (dB) when ``flip_heater`` is advanced by pi.
+      magnitude change (dB) when ``FLIP_HEATER`` is advanced by pi.
     * ``critical_coupling`` -- negated optical power (dB) of ``port`` at
       ``offset_ghz``; maximal at critical coupling.
     * ``custom_scalar`` -- ``custom_fn(graph, heaters) -> float``.
+
+    ``port`` defaults to ``detector`` for the two RF kinds, else ``bar``.
     """
 
     kind: str
-    port: str = "bar"
+    port: str | None = None
     passband: tuple[float, float] = (3.0, 27.0)
     stopband: tuple[float, float] = (-27.0, -3.0)
-    grid_step_ghz: float = 0.25
     rf_freq_ghz: float = 10.0
     band: tuple[float, float] = (15.0, 25.0)
-    rf_step_ghz: float = 0.5
-    flip_heater: str = "ps_bar.phase"
     fmt: ModulationFormat = field(default_factory=ModulationFormat)
-    output_port: str = "detector"
     offset_ghz: float = 0.0
     input_name: str | None = None
     custom_fn: Callable[[CircuitGraph, Mapping[str, float]], float] | None = None
@@ -95,15 +98,18 @@ class Objective:
             raise ConfigurationError(f"unknown objective kind {self.kind!r}")
         if self.kind == "custom_scalar" and self.custom_fn is None:
             raise ConfigurationError("custom_scalar needs custom_fn")
+        if self.port is None:
+            rf = self.kind in ("notch_depth", "conversion_extinction")
+            object.__setattr__(self, "port", "detector" if rf else "bar")
 
     def build(self, graph: CircuitGraph) -> Callable[[Mapping[str, float]], float]:
         """Bind this objective to a graph template."""
         if self.kind == "deinterleaver_extinction":
             offs = np.unique(np.concatenate([
                 np.arange(self.stopband[0], self.stopband[1] + 1e-12,
-                          self.grid_step_ghz),
+                          GRID_STEP_GHZ),
                 np.arange(self.passband[0], self.passband[1] + 1e-12,
-                          self.grid_step_ghz)]))
+                          GRID_STEP_GHZ)]))
             grid = FrequencyGrid(193.4, offs)
 
             def fn(heaters: Mapping[str, float]) -> float:
@@ -114,8 +120,7 @@ class Objective:
             return fn
 
         if self.kind == "notch_depth":
-            link = LinkConfig(self.fmt, graph, self.output_port,
-                              input_name=self.input_name)
+            link = LinkConfig(self.fmt, graph, self.port, self.input_name)
             f0 = self.rf_freq_ghz
 
             def fn(heaters: Mapping[str, float]) -> float:
@@ -125,17 +130,16 @@ class Objective:
             return fn
 
         if self.kind == "conversion_extinction":
-            link = LinkConfig(self.fmt, graph, self.output_port,
-                              input_name=self.input_name)
+            link = LinkConfig(self.fmt, graph, self.port, self.input_name)
             lo, hi = self.band
-            flip_base = graph.heater_values().get(self.flip_heater, 0.0)
+            flip_base = graph.heater_values().get(FLIP_HEATER, 0.0)
 
             def fn(heaters: Mapping[str, float]) -> float:
                 h = dict(heaters)
-                base = rf_transmission_sweep(link, lo, hi, self.rf_step_ghz,
+                base = rf_transmission_sweep(link, lo, hi, RF_STEP_GHZ,
                                              heaters=h)
-                h[self.flip_heater] = h.get(self.flip_heater, flip_base) + math.pi
-                flipped = rf_transmission_sweep(link, lo, hi, self.rf_step_ghz,
+                h[FLIP_HEATER] = h.get(FLIP_HEATER, flip_base) + math.pi
+                flipped = rf_transmission_sweep(link, lo, hi, RF_STEP_GHZ,
                                                 heaters=h)
                 return float(np.min(base.mag_db - flipped.mag_db))
             return fn
@@ -158,8 +162,8 @@ class Objective:
 
 
 def _nelder_mead_max(fn: Callable[[np.ndarray], float], x0: np.ndarray,
-                     scale: float, max_evals: int, tol: float,
-                     window: int) -> tuple[np.ndarray, float, int, bool]:
+                     scale: float, max_evals: int
+                     ) -> tuple[np.ndarray, float, int, bool]:
     """Maximize fn; returns (best_x, best_f, evals, converged)."""
     n = x0.size
     evals = 0
@@ -181,9 +185,9 @@ def _nelder_mead_max(fn: Callable[[np.ndarray], float], x0: np.ndarray,
     values = [f(p) for p in simplex]
 
     def converged_now() -> bool:
-        if len(history) < window + 1:
+        if len(history) < CONVERGENCE_WINDOW + 1:
             return False
-        return history[-1] - history[-1 - window] < tol
+        return history[-1] - history[-1 - CONVERGENCE_WINDOW] < CONVERGENCE_TOL
 
     converged = False
     while evals < max_evals:
@@ -223,13 +227,11 @@ def _nelder_mead_max(fn: Callable[[np.ndarray], float], x0: np.ndarray,
 
 def optimize(graph_template: CircuitGraph, objective: Objective,
              config: OptimizerConfig = OptimizerConfig(),
-             heater_names: Sequence[str] | None = None,
-             starts: Sequence[Mapping[str, float]] | None = None) -> TuningResult:
+             heater_names: Sequence[str] | None = None) -> TuningResult:
     """Multi-start maximization of the objective over heater phases.
 
-    Restart 0 begins at the template's current heater values; optional
-    ``starts`` supply further deterministic restarts; the remainder are
-    sampled uniformly over wrapped phases from the seeded generator.
+    Restart 0 begins at the template's current heater values; the others
+    are sampled uniformly over wrapped phases from the seeded generator.
     Results are invariant to heater name ordering and bit-reproducible
     for a fixed seed.
     """
@@ -249,12 +251,9 @@ def optimize(graph_template: CircuitGraph, objective: Objective,
 
     current = graph_template.heater_values()
     start_list: list[np.ndarray] = [np.array([current[n] for n in names])]
-    for s in (starts or []):
-        start_list.append(np.array([float(s.get(n, current[n])) for n in names]))
     rng = np.random.default_rng(config.seed)
     while len(start_list) < config.restarts:
         start_list.append(rng.uniform(0.0, _TWO_PI, size=len(names)))
-    start_list = start_list[: config.restarts]
 
     budget = max(config.max_evals // config.restarts, 2 * len(names) + 2)
     traces: list[RestartTrace] = []
@@ -263,8 +262,7 @@ def optimize(graph_template: CircuitGraph, objective: Objective,
     all_converged = True
     for x0 in start_list:
         bx, bv, ev, conv = _nelder_mead_max(
-            fn, np.asarray(x0, dtype=float), 0.7, budget,
-            config.convergence_tol, config.convergence_window)
+            fn, np.asarray(x0, dtype=float), 0.7, budget)
         total += ev
         all_converged = all_converged and conv
         traces.append(RestartTrace(

@@ -185,3 +185,49 @@ def test_optimize_critical_coupling_objective(tmp_path):
     doc, _ = parse_netlist(out.read_text())
     kappa = doc.blocks[0].params.kappa
     assert kappa == pytest.approx(1.0 - 0.9148329893507446 ** 2, abs=1e-3)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("ring_allpass", ["kappa=0", "round_trip_amplitude=1"]),
+    ("ring_adddrop", ["kappa=0", "kappa_drop=0"]),
+])
+def test_block_singular_ring_exit_4(tmp_path, capsys, kind, params):
+    out = tmp_path / "x.csv"
+    rc = run(["block", kind, *params, "fsr_ghz=50", "--sweep=-1:1:0.5",
+              "--out", str(out)])
+    assert rc == 4
+    assert "resonance" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_block_phase_sweep_names_its_kind(tmp_path, capsys):
+    rc = run(["block", "ring_allpass", "--phase-sweep", "0:1:0.5",
+              "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "--phase-sweep only applies to tunable_coupler" in err
+    assert "requires" not in err
+
+
+@pytest.mark.parametrize("preset, line, code", [
+    # wrong kind or length: exit 3
+    ("bandpass_tune", "set detunes_ghz 8", 3),
+    ("coupling_sweep", "set kappas 0.1", 3),
+    ("im2pm", "set modulation_index 0.1,0.2", 3),
+    ("ssb_notch", "set notch_freq_ghz 1,2", 3),
+    ("ssb_notch", "set sweep 1,2", 3),
+    # out of range: exit 4
+    ("amplitude_tuning", "set power_step_mw 0", 4),
+    ("coupling_sweep", "set step_ghz 0", 4),
+    ("coupling_sweep", "set kappas 0.1,1.5", 4),
+    ("amplitude_tuning", "set power_step_mw -1", 4),
+    ("amplitude_tuning", "set power_max_mw -1", 4),
+    # a sweep that misses the band the preset reduces over: exit 4
+    ("im2pm", "sweep 35 40 0.5", 4),
+    ("deint_phase_probe", "sweep 1 2 0.5", 4),
+])
+def test_experiment_bad_option_exit_code(tmp_path, capsys, preset, line, code):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"experiment {preset}\n{line}\n")
+    assert run(["experiment", str(cfg), "--out-dir", str(tmp_path)]) == code
+    assert capsys.readouterr().err.startswith("error: ")

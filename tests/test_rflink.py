@@ -179,17 +179,3 @@ def test_sweep_rejects_bad_ranges():
         rf_transmission_sweep(link, 10.0, 1.0, 0.1)
     with pytest.raises(DomainError):
         rf_transmission_sweep(link, 1.0, 10.0, -0.1)
-
-
-def test_link_budget_prefactor_shifts_level_only():
-    import math
-    budget = 10.0 ** (-3.0 / 20.0)          # 3 dB optical loss in field
-    base = LinkConfig(ModulationFormat("IM", 0.1), identity_graph(),
-                      output_port="out")
-    lossy = LinkConfig(ModulationFormat("IM", 0.1), identity_graph(),
-                       output_port="out", link_budget_amplitude=budget)
-    a = rf_transmission_sweep(base, 1.0, 30.0, 1.0)
-    b = rf_transmission_sweep(lossy, 1.0, 30.0, 1.0)
-    shift = a.mag_db - b.mag_db
-    assert np.allclose(shift, 6.0, atol=1e-9)      # |a|^2 on the beat
-    assert np.allclose(np.diff(shift), 0.0, atol=1e-12)

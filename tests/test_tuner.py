@@ -29,6 +29,15 @@ def quadratic_objective(center: float) -> Objective:
     return Objective("custom_scalar", custom_fn=fn)
 
 
+@pytest.mark.parametrize("kind, port", [
+    ("deinterleaver_extinction", "bar"), ("critical_coupling", "bar"),
+    ("notch_depth", "detector"), ("conversion_extinction", "detector"),
+])
+def test_objective_port_default_follows_kind(kind, port):
+    assert Objective(kind).port == port
+    assert Objective(kind, port="monitor").port == "monitor"
+
+
 def test_optimize_1d_quadratic_bowl():
     result = optimize(single_heater_graph(), quadratic_objective(1.0),
                       OptimizerConfig(max_evals=2000, restarts=4, seed=0))
