@@ -15,7 +15,7 @@ from .blocks import (BLOCK_KINDS, FrequencyGrid, PhaseShifterState,
                      h_ring_allpass, h_tunable_coupler, h_waveguide,
                      heater_phase_from_power, z_inverse)
 from .circuit import (BlockInstance, CircuitGraph, CircuitResponse, Port,
-                      evaluate)
+                      bind, evaluate)
 from .csvout import format_number, write_csv
 from .errors import (AnalysisError, ConfigurationError, DomainError,
                      ShaperError, SingularityError, TopologyError)
@@ -23,7 +23,7 @@ from .experiments import ExperimentResult, run_experiment
 from .metrics import extinction_db, notch_depth_db, passband_width_3db, \
     peak_frequency_ghz, q_and_finesse
 from .rflink import (DetectorParams, LinkConfig, ModulatedSpectrum,
-                     ModulationFormat, RfResponse, apply_circuit,
+                     ModulationFormat, RfResponse, apply_circuit, bind_sweep,
                      detect_rf_phasor, make_spectrum, rf_transmission_sweep,
                      time_domain_oracle)
 from .topologies import (DeinterleaverSpec, ShaperConfig, build_deinterleaver,

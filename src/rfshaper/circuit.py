@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -235,13 +235,21 @@ class CircuitGraph:
         return changed
 
 
-def evaluate(graph: CircuitGraph, grid: FrequencyGrid,
-             input_name: str | None = None,
-             heaters: Mapping[str, float] | None = None) -> CircuitResponse:
-    """Propagate a unit field from one external input.
+def bind(graph: CircuitGraph, grid: FrequencyGrid,
+         heater_names: Iterable[str], input_name: str | None = None
+         ) -> Callable[[Mapping[str, float] | None], CircuitResponse]:
+    """Evaluate ``graph`` over ``grid`` once, keeping what the named
+    heaters cannot change.
 
-    Returns the complex amplitude at every external output for every grid
-    offset.  ``heaters`` overrides heater phases for this evaluation only.
+    Propagates a unit field from one external input through every block
+    that no heater in ``heater_names`` reaches and keeps those fields as
+    read-only arrays.  The returned function takes settings
+    ``{"<block id>.<heater>": phase}`` of some or all of the bound
+    heaters (one left out keeps the graph's phase) and recomputes only
+    the blocks downstream of a bound heater, with the arithmetic of a
+    full pass, so its fields equal ``evaluate(graph.with_heaters(
+    settings), grid)`` bit for bit.  Output arrays that no bound heater
+    reaches are the shared read-only ones.
     """
     if not graph.inputs:
         raise TopologyError("graph declares no external inputs")
@@ -252,34 +260,85 @@ def evaluate(graph: CircuitGraph, grid: FrequencyGrid,
         input_name = next(iter(graph.inputs))
     if input_name not in graph.inputs:
         raise ConfigurationError(f"unknown input {input_name!r}")
-
-    changed = graph._blocks_with_heaters(heaters) if heaters else {}
+    bound = frozenset(heater_names)
+    unknown = bound - set(graph.heater_names()) if bound else ()
+    if unknown:
+        raise ConfigurationError(f"unknown heaters: {sorted(unknown)}")
+    tuned = {name.partition(".")[0] for name in bound}
 
     offsets = grid.offsets_ghz
     n = offsets.size
-    zeros = np.zeros(n, dtype=np.complex128)
-    # fields and connections keyed by (block id, port name); an open input
-    # port, or one whose source has no field, reads zero field
+    # fields keyed by (block id, port name); an open input port reads the
+    # zero field kept under None
     entry = graph.inputs[input_name]
-    fields = {(entry.block, entry.name): np.full(n, 1.0 + 0.0j)}
+    start = (entry.block, entry.name)
+    fields = {None: np.zeros(n, dtype=np.complex128),
+              start: np.full(n, 1.0 + 0.0j)}
     source = {(dst.block, dst.name): (src.block, src.name)
               for src, dst in graph.connections}
-
+    # blocks a bound heater reaches: (block, input keys, output keys,
+    # the rows of a block without a bound heater)
+    live: list[tuple[BlockInstance, list, list, tuple | None]] = []
+    live_keys: set = set()
     for block_id in graph._order:
-        blk = changed.get(block_id) or graph.block(block_id)
+        blk = graph.block(block_id)
         spec = BLOCK_KINDS[blk.kind]
-        ins = []
+        in_keys = []
         for name in spec.inputs:
             key = (block_id, name)
-            f = fields.get(key)        # the external input lands here
-            ins.append(f if f is not None
-                       else fields.get(source.get(key), zeros))
-        for out, row in zip(spec.outputs, spec.response(blk.params, offsets)):
-            f = row[0] * ins[0]
-            for m, x in zip(row[1:], ins[1:]):
-                f = f + m * x
-            fields[block_id, out] = f
+            in_keys.append(key if key == start else source.get(key))
+        out_keys = [(block_id, out) for out in spec.outputs]
+        if block_id in tuned:
+            live.append((blk, in_keys, out_keys, None))
+        elif live_keys.intersection(in_keys):
+            live.append((blk, in_keys, out_keys,
+                         spec.response(blk.params, offsets)))
+        else:
+            fields.update(zip(out_keys, _mix(
+                spec.response(blk.params, offsets),
+                [fields[k] for k in in_keys])))
+            continue
+        live_keys.update(out_keys)
+    for f in fields.values():
+        f.flags.writeable = False
+    outputs = {name: (port.block, port.name)
+               for name, port in graph.outputs.items()}
 
-    out_fields = {name: fields.get((port.block, port.name), zeros)
-                  for name, port in graph.outputs.items()}
-    return CircuitResponse(grid, out_fields)
+    def evaluate_bound(heaters: Mapping[str, float] | None = None
+                       ) -> CircuitResponse:
+        if heaters and not bound.issuperset(heaters):
+            raise ConfigurationError(
+                f"heaters {sorted(set(heaters) - bound)} are not bound")
+        changed = graph._blocks_with_heaters(heaters) if heaters else {}
+        out = dict(fields)
+        for blk, in_keys, out_keys, rows in live:
+            if rows is None:
+                blk = changed.get(blk.id, blk)
+                rows = BLOCK_KINDS[blk.kind].response(blk.params, offsets)
+            out.update(zip(out_keys, _mix(rows, [out[k] for k in in_keys])))
+        return CircuitResponse(grid, {name: out[key]
+                                      for name, key in outputs.items()})
+    return evaluate_bound
+
+
+def _mix(rows, ins: list[np.ndarray]):
+    """Each output field of a block: its row of weights times the input
+    fields."""
+    for row in rows:
+        f = row[0] * ins[0]
+        for m, x in zip(row[1:], ins[1:]):
+            f = f + m * x
+        yield f
+
+
+def evaluate(graph: CircuitGraph, grid: FrequencyGrid,
+             input_name: str | None = None,
+             heaters: Mapping[str, float] | None = None) -> CircuitResponse:
+    """Propagate a unit field from one external input.
+
+    Returns the complex amplitude at every external output for every grid
+    offset.  ``heaters`` overrides heater phases for this evaluation only.
+    A caller that evaluates one graph and grid many times should
+    :func:`bind` it once instead.
+    """
+    return bind(graph, grid, tuple(heaters or ()), input_name)(heaters)

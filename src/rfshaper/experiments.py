@@ -15,13 +15,13 @@ from typing import Mapping
 import numpy as np
 
 from .blocks import FrequencyGrid, RingParams
-from .circuit import CircuitGraph, CircuitResponse, evaluate
+from .circuit import CircuitGraph, CircuitResponse, bind
 from .constants import DEFAULT_CARRIER_THZ, DEFAULT_P_PI_MW, FILTER_RING_FSR_GHZ
 from .errors import ConfigurationError, DomainError
 from .metrics import notch_depth_db, peak_frequency_ghz
 from .rflink import (DetectorParams, LinkConfig, ModulatedSpectrum,
-                     ModulationFormat, RfResponse, detect_rf_phasor,
-                     make_spectrum, rf_transmission_sweep)
+                     ModulationFormat, RfResponse, bind_sweep,
+                     detect_rf_phasor, make_spectrum, rf_transmission_sweep)
 from .topologies import (FITTED_RING_AMPLITUDE, DeinterleaverSpec, ShaperConfig,
                          build_deinterleaver, build_shaper,
                          ring_kappa_for_rejection)
@@ -111,8 +111,9 @@ def _phase_family(graph: CircuitGraph, offsets: np.ndarray, heater: str,
     h0[heater] = 0.0
     hpi = dict(base_heaters or {})
     hpi[heater] = math.pi
-    r0 = evaluate(graph, grid, heaters=h0).port("detector")
-    rpi = evaluate(graph, grid, heaters=hpi).port("detector")
+    evaluate_at = bind(graph, grid, h0)
+    r0 = evaluate_at(h0).port("detector")
+    rpi = evaluate_at(hpi).port("detector")
     return 0.5 * (r0 + rpi), 0.5 * (r0 - rpi)
 
 
@@ -155,10 +156,9 @@ def _conversion_preset(name: str, fmt_kind: str,
     phi_high = float(phis[np.argmax(mags)])
     phi_low = float(phis[np.argmin(mags)])
 
-    high = rf_transmission_sweep(link, lo, hi, step,
-                                 heaters={"ps_bar.phase": phi_high})
-    low = rf_transmission_sweep(link, lo, hi, step,
-                                heaters={"ps_bar.phase": phi_low})
+    sweep = bind_sweep(link, lo, hi, step, ("ps_bar.phase",))
+    high = sweep({"ps_bar.phase": phi_high})
+    low = sweep({"ps_bar.phase": phi_low})
     mask = _band_mask(high, *band)
     extinction = float(np.min(high.mag_db[mask] - low.mag_db[mask]))
     summary = {
@@ -301,10 +301,10 @@ def bandpass_tune(overrides: Mapping[str, object], seed: int = 0) -> ExperimentR
     traces: dict[str, RfResponse] = {}
     summary: dict[str, object] = {"detunes_ghz": ",".join(f"{d:g}" for d in detunes)}
     worst = 0.0
+    sweep = bind_sweep(link, lo, hi, step, ("ad.detune",))
     for d in detunes:
         heater = _TWO_PI * (((-d) % FILTER_RING_FSR_GHZ) / FILTER_RING_FSR_GHZ)
-        trace = rf_transmission_sweep(link, lo, hi, step,
-                                      heaters={"ad.detune": heater})
+        trace = sweep({"ad.detune": heater})
         peak = peak_frequency_ghz(trace.rf_freqs_ghz, trace.mag_db)
         traces[f"detune_{d:g}"] = trace
         summary[f"peak_freq_ghz_{d:g}"] = peak
@@ -389,6 +389,7 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
 
     powers = np.arange(0.0, p_max + 1e-9, p_step)
     grid = FrequencyGrid(DEFAULT_CARRIER_THZ, np.array([-f0, 0.0, f0]))
+    evaluate_at = bind(graph, grid, ("tc_bar.phase", "ps_bar.phase"))
     probe = make_spectrum(fmt, f0)
     headers = ("heater_power_mw", "coupler_phase_rad", "upper_power",
                "lower_power", "carrier_power", "rf_phasor_abs")
@@ -398,7 +399,7 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
         for p in powers:
             phi_tc = math.pi * p / DEFAULT_P_PI_MW
             phi_ps = phi_base + ((phi_anchor - phi_tc) / 2.0 if compensated else 0.0)
-            resp = evaluate(graph, grid, heaters={
+            resp = evaluate_at({
                 "tc_bar.phase": phi_tc % _TWO_PI,
                 "ps_bar.phase": phi_ps % _TWO_PI})
             h = resp.port("detector")
@@ -447,14 +448,15 @@ def coupling_sweep(overrides: Mapping[str, object], seed: int = 0
         CircuitGraph((ring,), (), inputs={"in": Port("ring", "in")},
                      outputs={"out": Port("ring", "out")}), overrides)
     offsets = np.arange(-span, span + 1e-9, step)
-    grid = FrequencyGrid(DEFAULT_CARRIER_THZ, offsets)
+    evaluate_at = bind(graph, FrequencyGrid(DEFAULT_CARRIER_THZ, offsets),
+                       ("ring.coupling",))
 
     optical: dict[str, CircuitResponse] = {}
     summary: dict[str, object] = {"critical_kappa": kappa_crit,
                                   "round_trip_amplitude": gamma}
     for kappa in kappas:
         heater = 2.0 * math.asin(math.sqrt(kappa))
-        resp = evaluate(graph, grid, heaters={"ring.coupling": heater})
+        resp = evaluate_at({"ring.coupling": heater})
         power = resp.power("out")
         key = f"kappa_{kappa:.4f}"
         optical[key] = resp

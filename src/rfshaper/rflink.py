@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from . import kernels
 from .blocks import FrequencyGrid
-from .circuit import CircuitGraph, evaluate
+from .circuit import CircuitGraph, bind, evaluate
 from .constants import DEFAULT_CARRIER_THZ, DEFAULT_RESPONSIVITY_A_PER_W
 from .errors import ConfigurationError, DomainError
 
@@ -176,14 +176,16 @@ def _back_to_back_reference(link: LinkConfig) -> tuple[float, str]:
     return abs(detect_rf_phasor(im_probe)), "back_to_back_im_equivalent"
 
 
-def rf_transmission_sweep(link: LinkConfig, rf_lo_ghz: float, rf_hi_ghz: float,
-                          step_ghz: float,
-                          heaters: Mapping[str, float] | None = None) -> RfResponse:
-    """Swept RF transfer of the link, normalised to the back-to-back level.
+def bind_sweep(link: LinkConfig, rf_lo_ghz: float, rf_hi_ghz: float,
+               step_ghz: float, heater_names: Iterable[str]
+               ) -> Callable[[Mapping[str, float] | None], RfResponse]:
+    """Swept RF transfer of the link as a function of the named heaters.
 
-    The circuit is evaluated once over the mirrored offset grid
-    ``{-f_N..-f_1, 0, f_1..f_N}`` and the beat phasor is formed per sweep
-    point, which keeps the sweep cost one graph evaluation.
+    The mirrored offset grid, the probe spectrum, the back-to-back
+    reference and the blocks no named heater reaches (see
+    :func:`rfshaper.circuit.bind`) are computed once; each call of the
+    returned function gives what :func:`rf_transmission_sweep` gives
+    with those heater settings.
     """
     if not (step_ghz > 0):
         raise DomainError("step_ghz must be > 0")
@@ -191,27 +193,39 @@ def rf_transmission_sweep(link: LinkConfig, rf_lo_ghz: float, rf_hi_ghz: float,
         raise DomainError("need 0 < rf_lo < rf_hi")
     n = int(round((rf_hi_ghz - rf_lo_ghz) / step_ghz))
     fs = rf_lo_ghz + step_ghz * np.arange(n + 1)
+    fs.flags.writeable = False
 
     offsets = np.concatenate([-fs[::-1], [0.0], fs])
     grid = FrequencyGrid(DEFAULT_CARRIER_THZ, offsets)
-    resp = evaluate(link.graph, grid, input_name=link.input_name, heaters=heaters)
-    h = resp.port(link.output_port)
-    h_minus = h[: fs.size][::-1]
-    h_zero = complex(h[fs.size])
-    h_plus = h[fs.size + 1:]
-
+    evaluate_at = bind(link.graph, grid, heater_names, link.input_name)
     probe = make_spectrum(link.fmt, 1.0)
-    phasor = kernels.beat_phasor_grid(
-        h_zero, h_minus, h_plus, probe.e_minus, probe.e_carrier,
-        probe.e_plus, DetectorParams().responsivity_a_per_w)
-
+    responsivity = DetectorParams().responsivity_a_per_w
     ref, ref_name = _back_to_back_reference(link)
-    mag = np.abs(phasor) / ref
     floor = 10.0 ** (MAG_FLOOR_DB / 20.0)
-    mag_db = 20.0 * np.log10(np.maximum(mag, floor))
-    phase = np.unwrap(np.angle(phasor))
-    return RfResponse(fs, mag_db, phase, {
-        "reference": ref_name,
-        "output_port": link.output_port,
-        "format": link.fmt.kind,
-    })
+    metadata = {"reference": ref_name, "output_port": link.output_port,
+                "format": link.fmt.kind}
+
+    def sweep(heaters: Mapping[str, float] | None = None) -> RfResponse:
+        h = evaluate_at(heaters).port(link.output_port)
+        phasor = kernels.beat_phasor_grid(
+            complex(h[fs.size]), h[: fs.size][::-1], h[fs.size + 1:],
+            probe.e_minus, probe.e_carrier, probe.e_plus, responsivity)
+        mag = np.abs(phasor) / ref
+        mag_db = 20.0 * np.log10(np.maximum(mag, floor))
+        phase = np.unwrap(np.angle(phasor))
+        return RfResponse(fs, mag_db, phase, metadata)
+    return sweep
+
+
+def rf_transmission_sweep(link: LinkConfig, rf_lo_ghz: float, rf_hi_ghz: float,
+                          step_ghz: float,
+                          heaters: Mapping[str, float] | None = None) -> RfResponse:
+    """Swept RF transfer of the link, normalised to the back-to-back level.
+
+    The circuit is evaluated once over the mirrored offset grid
+    ``{-f_N..-f_1, 0, f_1..f_N}`` and the beat phasor is formed per sweep
+    point, which keeps the sweep cost one graph evaluation.  A caller
+    that sweeps one link many times should :func:`bind_sweep` it once.
+    """
+    return bind_sweep(link, rf_lo_ghz, rf_hi_ghz, step_ghz,
+                      tuple(heaters or ()))(heaters)

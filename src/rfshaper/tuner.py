@@ -18,10 +18,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .blocks import FrequencyGrid, h_tunable_coupler
-from .circuit import CircuitGraph, evaluate
+from .circuit import CircuitGraph, bind
 from .errors import AnalysisError, ConfigurationError, DomainError
 from .metrics import extinction_db
-from .rflink import LinkConfig, ModulationFormat, rf_transmission_sweep
+from .rflink import LinkConfig, ModulationFormat, bind_sweep
 
 _TWO_PI = 2.0 * math.pi
 
@@ -103,7 +103,12 @@ class Objective:
             object.__setattr__(self, "port", "detector" if rf else "bar")
 
     def build(self, graph: CircuitGraph) -> Callable[[Mapping[str, float]], float]:
-        """Bind this objective to a graph template."""
+        """Bind this objective to a graph template.
+
+        The circuit is bound (see :func:`rfshaper.circuit.bind`) to the
+        heater names of the first call, and bound again only when a call
+        names other heaters.
+        """
         if self.kind == "deinterleaver_extinction":
             offs = np.unique(np.concatenate([
                 np.arange(self.stopband[0], self.stopband[1] + 1e-12,
@@ -111,10 +116,11 @@ class Objective:
                 np.arange(self.passband[0], self.passband[1] + 1e-12,
                           GRID_STEP_GHZ)]))
             grid = FrequencyGrid(193.4, offs)
+            bound = _bound_per_names(
+                lambda names: bind(graph, grid, names, self.input_name))
 
             def fn(heaters: Mapping[str, float]) -> float:
-                resp = evaluate(graph, grid, input_name=self.input_name,
-                                heaters=heaters)
+                resp = bound(heaters)(heaters)
                 return extinction_db(offs, resp.power(self.port),
                                      self.passband, self.stopband)
             return fn
@@ -122,35 +128,36 @@ class Objective:
         if self.kind == "notch_depth":
             link = LinkConfig(self.fmt, graph, self.port, self.input_name)
             f0 = self.rf_freq_ghz
+            bound = _bound_per_names(
+                lambda names: bind_sweep(link, f0, f0 + 1.0, 1.0, names))
 
             def fn(heaters: Mapping[str, float]) -> float:
-                r = rf_transmission_sweep(link, f0, f0 + 1.0, 1.0,
-                                          heaters=heaters)
-                return -float(r.mag_db[0])
+                return -float(bound(heaters)(heaters).mag_db[0])
             return fn
 
         if self.kind == "conversion_extinction":
             link = LinkConfig(self.fmt, graph, self.port, self.input_name)
             lo, hi = self.band
             flip_base = graph.heater_values().get(FLIP_HEATER, 0.0)
+            bound = _bound_per_names(lambda names: bind_sweep(
+                link, lo, hi, RF_STEP_GHZ, names + (FLIP_HEATER,)))
 
             def fn(heaters: Mapping[str, float]) -> float:
+                sweep = bound(heaters)
                 h = dict(heaters)
-                base = rf_transmission_sweep(link, lo, hi, RF_STEP_GHZ,
-                                             heaters=h)
+                base = sweep(h)
                 h[FLIP_HEATER] = h.get(FLIP_HEATER, flip_base) + math.pi
-                flipped = rf_transmission_sweep(link, lo, hi, RF_STEP_GHZ,
-                                                heaters=h)
+                flipped = sweep(h)
                 return float(np.min(base.mag_db - flipped.mag_db))
             return fn
 
         if self.kind == "critical_coupling":
             grid = FrequencyGrid(193.4, np.array([self.offset_ghz]))
+            bound = _bound_per_names(
+                lambda names: bind(graph, grid, names, self.input_name))
 
             def fn(heaters: Mapping[str, float]) -> float:
-                resp = evaluate(graph, grid, input_name=self.input_name,
-                                heaters=heaters)
-                p = float(resp.power(self.port)[0])
+                p = float(bound(heaters)(heaters).power(self.port)[0])
                 return -10.0 * math.log10(max(p, 1e-300))
             return fn
 
@@ -161,10 +168,28 @@ class Objective:
         return fn
 
 
+def _bound_per_names(bind_names: Callable[[tuple[str, ...]], Callable]
+                     ) -> Callable[[Mapping[str, float]], Callable]:
+    """``heaters -> bind_names(tuple(heaters))``, kept while successive
+    calls name the same heaters in the same order, as ``optimize``'s do."""
+    names, bound = None, None
+
+    def bound_for(heaters: Mapping[str, float]) -> Callable:
+        nonlocal names, bound
+        if tuple(heaters) != names:
+            names = tuple(heaters)
+            bound = bind_names(names)
+        return bound
+    return bound_for
+
+
 def _nelder_mead_max(fn: Callable[[np.ndarray], float], x0: np.ndarray,
                      scale: float, max_evals: int
                      ) -> tuple[np.ndarray, float, int, bool]:
-    """Maximize fn; returns (best_x, best_f, evals, converged)."""
+    """Maximize fn; returns (best_x, best_f, evals, converged).
+
+    A NaN value counts as -inf, so a NaN vertex is always the worst.
+    """
     n = x0.size
     evals = 0
     history: list[float] = []
@@ -173,6 +198,8 @@ def _nelder_mead_max(fn: Callable[[np.ndarray], float], x0: np.ndarray,
         nonlocal evals
         evals += 1
         v = fn(x)
+        if math.isnan(v):
+            v = -math.inf
         best = history[-1] if history else -math.inf
         history.append(max(best, v))
         return v

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfshaper.blocks import (BLOCK_KINDS, FrequencyGrid, PhaseShifterState,
                              RingParams, WaveguideParams, h_phase_shifter,
                              h_ring_allpass, h_waveguide)
-from rfshaper.circuit import BlockInstance, CircuitGraph, Port, evaluate
-from rfshaper.errors import ConfigurationError, SingularityError, TopologyError
+from rfshaper.circuit import BlockInstance, CircuitGraph, Port, bind, evaluate
+from rfshaper.errors import (ConfigurationError, ShaperError, SingularityError,
+                             TopologyError)
+from rfshaper.experiments import _notch_shaper
+from rfshaper.topologies import DeinterleaverSpec, build_deinterleaver
+from rfshaper.tuner import synthesize_cancellation_settings
 
 GRID = FrequencyGrid.sweep(-40.0, 40.0, 0.5)
 
@@ -220,3 +226,66 @@ def test_unknown_heater_rejected():
                                    WaveguideParams.from_fsr(50.0))])
     with pytest.raises(ConfigurationError):
         evaluate(g, GRID, heaters={"w.phase": 1.0})
+
+
+def notch_shaper():
+    """The cancel_notch preset's circuit at its closed-form settings."""
+    s = synthesize_cancellation_settings(7.0)
+    return _notch_shaper(10.0, 7.0, s.coupler_phase_rad, s.shifter_phase_rad)
+
+
+BIND_GRAPHS = {"deinterleaver": build_deinterleaver(DeinterleaverSpec()),
+               "notch_shaper": notch_shaper()}
+
+
+def fields_or_error(fn):
+    try:
+        return fn().fields
+    except ShaperError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", sorted(BIND_GRAPHS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_bind_equals_evaluate_of_rebuilt_graph(name, data):
+    graph = BIND_GRAPHS[name]
+    bound = data.draw(st.lists(st.sampled_from(graph.heater_names()),
+                               unique=True), label="bound")
+    # a bound heater left out of the call keeps the graph's phase
+    names = data.draw(st.lists(st.sampled_from(bound), unique=True)
+                      if bound else st.just([]), label="set")
+    values = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=len(names),
+                                max_size=len(names)), label="values")
+    heaters = dict(zip(names, values))
+    got = fields_or_error(lambda: bind(graph, GRID, bound)(heaters))
+    want = fields_or_error(lambda: evaluate(graph.with_heaters(heaters), GRID))
+    if not isinstance(want, dict):
+        assert got is want
+        return
+    assert got.keys() == want.keys()
+    for port in want:
+        assert np.array_equal(got[port], want[port]), port
+
+
+def test_bind_rejects_unknown_and_unbound_heaters():
+    graph = BIND_GRAPHS["notch_shaper"]
+    with pytest.raises(ConfigurationError, match="unknown heaters"):
+        bind(graph, GRID, ("ps_bar.phase", "ps_bar.detune"))
+    with pytest.raises(ConfigurationError, match="unknown heaters"):
+        bind(graph, GRID, ("ghost.phase",))
+    evaluate_at = bind(graph, GRID, ("ps_bar.phase",))
+    with pytest.raises(ConfigurationError, match="not bound"):
+        evaluate_at({"tc_bar.phase": 1.0})
+
+
+def test_bind_constant_outputs_are_read_only():
+    graph = BIND_GRAPHS["notch_shaper"]
+    resp = bind(graph, GRID, ("ps_bar.phase",))({"ps_bar.phase": 1.0})
+    ring_tap = resp.port("ring_tap")      # no path from ps_bar
+    with pytest.raises(ValueError, match="read-only"):
+        ring_tap[0] = 0.0
+    detector = resp.port("detector")      # recomputed on every call
+    detector[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        evaluate(graph, GRID).port("detector")[:] *= 2.0

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from rfshaper import kernels
 from rfshaper.blocks import (PhaseShifterState, RingParams,
                              critical_coupling_kappa, h_phase_shifter,
                              h_tunable_coupler)
 from rfshaper.circuit import BlockInstance, CircuitGraph, Port
 from rfshaper.errors import AnalysisError, ConfigurationError, DomainError
+from rfshaper.experiments import _notch_shaper
 from rfshaper.topologies import (DeinterleaverSpec, FITTED_RING_AMPLITUDE,
                                  build_deinterleaver)
 from rfshaper.tuner import (Objective, OptimizerConfig,
@@ -65,6 +67,39 @@ def test_optimize_all_nan_objective_raises_analysis_error():
     with pytest.raises(AnalysisError, match="NaN"):
         optimize(single_heater_graph(), nan,
                  OptimizerConfig(max_evals=50, restarts=1))
+
+
+def test_optimize_nan_vertex_is_never_best():
+    # NaN above 0.5 rad: the start scores -0.09 and the +0.7 rad vertex NaN
+    def fn(graph, heaters):
+        x = heaters["ps_trim.phase"]
+        return -(x - 0.3) ** 2 if x <= 0.5 else math.nan
+    result = optimize(build_deinterleaver(DeinterleaverSpec()),
+                      Objective("custom_scalar", custom_fn=fn),
+                      OptimizerConfig(max_evals=200, restarts=1))
+    assert -0.09 < result.best_value <= 0.0
+    assert result.best["ps_trim.phase"] == pytest.approx(0.3, abs=1e-3)
+
+
+def test_bound_notch_depth_runs_no_ring_kernel_per_evaluation(monkeypatch):
+    calls = []
+    for name in ("ring_allpass_grid", "ring_adddrop_grid"):
+        def counted(*args, _kernel=getattr(kernels, name)):
+            calls.append(_kernel.__name__)
+            return _kernel(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    s = synthesize_cancellation_settings(7.0)
+    graph = _notch_shaper(10.0, 7.0, s.coupler_phase_rad, s.shifter_phase_rad)
+    notch = Objective("notch_depth", rf_freq_ghz=10.0).build(graph)
+    rng = np.random.default_rng(0)
+    values = []
+    for ps, tc in rng.uniform(0.0, 2 * math.pi, size=(100, 2)):
+        values.append(notch({"ps_bar.phase": ps, "tc_bar.phase": tc}))
+        if len(values) == 1:
+            at_bind = len(calls)
+    assert at_bind == 5                 # three de-interleaver rings, ap, ad
+    assert len(calls) == at_bind
+    assert np.all(np.isfinite(values))
 
 
 def test_optimize_deterministic_given_seed():
