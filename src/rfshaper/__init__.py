@@ -11,9 +11,8 @@ targets.
 from .blocks import (BLOCK_KINDS, FrequencyGrid, PhaseShifterState,
                      RingParams, TransferMatrix2x2, WaveguideParams,
                      amplitude_from_db_loss, critical_coupling_kappa,
-                     h_coupler_3db, h_phase_shifter, h_ring_adddrop,
-                     h_ring_allpass, h_tunable_coupler, h_waveguide,
-                     heater_phase_from_power, z_inverse)
+                     h_coupler_3db, h_phase_shifter, h_tunable_coupler,
+                     heater_phase_from_power)
 from .circuit import (BlockInstance, CircuitGraph, CircuitResponse, Port,
                       bind, evaluate)
 from .csvout import format_number, write_csv

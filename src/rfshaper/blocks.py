@@ -10,11 +10,12 @@ Conventions used throughout the package:
   common factor on every path and is dropped.
 * Loss figures are power dB, so field amplitudes use a ``/20`` exponent.
 
-All functions are pure and accept either scalar offsets or NumPy arrays.
-
 ``BLOCK_KINDS`` at the end of the module is the one place that describes
 each block kind: its ports, parameters, netlist keys, heaters and
-response.  A new kind is added there and nowhere else.
+response.  A new kind is added there and nowhere else.  The waveguide
+and ring responses are the grid kernels of :mod:`rfshaper.kernels`; the
+phase shifter and couplers are frequency-flat, so their responses below
+are scalars.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import kernels
-from .constants import SPEED_OF_LIGHT_M_PER_S
-from .errors import ConfigurationError, DomainError, SingularityError
+from .constants import DEFAULT_CARRIER_THZ, SPEED_OF_LIGHT_M_PER_S
+from .errors import ConfigurationError, DomainError
 
 _TWO_PI = 2.0 * math.pi
 
@@ -85,21 +86,12 @@ class WaveguideParams:
 
 @dataclass(frozen=True)
 class PhaseShifterState:
-    """A thermo-optic phase shifter setting.
-
-    When built from a heater power the phase follows the linear model
-    ``phase = pi * power / p_pi`` (see :func:`heater_phase_from_power`).
-    """
+    """A thermo-optic phase shifter setting."""
 
     phase_rad: float
-    heater_power_mw: float | None = None
 
     def __post_init__(self):
         _require_finite("PhaseShifterState", self.phase_rad)
-
-    @classmethod
-    def from_power(cls, power_mw: float, p_pi_mw: float) -> "PhaseShifterState":
-        return cls(heater_phase_from_power(power_mw, p_pi_mw), power_mw)
 
 
 @dataclass(frozen=True)
@@ -133,12 +125,6 @@ class RingParams:
     @property
     def self_coupling(self) -> float:
         return math.sqrt(1.0 - self.kappa)
-
-    @property
-    def self_coupling_drop(self) -> float:
-        if self.kappa_drop is None:
-            raise ConfigurationError("ring has no drop coupler (kappa_drop unset)")
-        return math.sqrt(1.0 - self.kappa_drop)
 
 
 @dataclass(frozen=True)
@@ -184,32 +170,22 @@ class FrequencyGrid:
             raise DomainError("offsets_ghz must be strictly increasing")
 
     @classmethod
-    def sweep(cls, lo_ghz: float, hi_ghz: float, step_ghz: float,
-              center_thz: float = 193.4) -> "FrequencyGrid":
+    def sweep(cls, lo_ghz: float, hi_ghz: float,
+              step_ghz: float) -> "FrequencyGrid":
         """Uniform grid from lo to hi inclusive (within half a step)."""
         if not (step_ghz > 0 and hi_ghz > lo_ghz):
             raise DomainError("need step > 0 and hi > lo")
         n = int(round((hi_ghz - lo_ghz) / step_ghz))
         offs = lo_ghz + step_ghz * np.arange(n + 1)
-        return cls(center_thz, offs)
+        return cls(DEFAULT_CARRIER_THZ, offs)
 
     def __len__(self) -> int:
         return int(self.offsets_ghz.size)
 
 
 # ---------------------------------------------------------------------------
-# scalar building-block responses
+# frequency-flat responses and design formulas
 # ---------------------------------------------------------------------------
-
-
-def z_inverse(offset_ghz, fsr_ghz: float):
-    """Unit delay phasor ``exp(-1j*2*pi*offset/fsr)`` (built from its angle)."""
-    _require_finite("z_inverse", offset_ghz, fsr_ghz)
-    if not (fsr_ghz > 0):
-        raise DomainError("fsr_ghz must be > 0")
-    ang = _TWO_PI * np.asarray(offset_ghz, dtype=float) / fsr_ghz
-    out = np.cos(ang) - 1j * np.sin(ang)
-    return complex(out) if np.isscalar(offset_ghz) else out
 
 
 def amplitude_from_db_loss(loss_db_per_cm: float, length_cm: float) -> float:
@@ -218,17 +194,6 @@ def amplitude_from_db_loss(loss_db_per_cm: float, length_cm: float) -> float:
     if loss_db_per_cm < 0 or length_cm < 0:
         raise DomainError("loss and length must be >= 0")
     return 10.0 ** (-loss_db_per_cm * length_cm / 20.0)
-
-
-def h_waveguide(offset_ghz, params: WaveguideParams,
-                fsr_equivalent_ghz: float | None = None):
-    """Bus waveguide response ``gamma * z^-1``.
-
-    The delay's equivalent FSR defaults to the one implied by the
-    parameters' group path; passing it explicitly overrides that.
-    """
-    fsr = params.fsr_equivalent_ghz if fsr_equivalent_ghz is None else fsr_equivalent_ghz
-    return params.gamma * z_inverse(offset_ghz, fsr)
 
 
 def h_phase_shifter(phase_rad: float) -> complex:
@@ -256,55 +221,6 @@ def h_tunable_coupler(phase_rad: float) -> TransferMatrix2x2:
     bar = 0.5 * (1.0 - e)
     cross = -0.5j * (1.0 + e)
     return TransferMatrix2x2(bar, cross, cross, -bar)
-
-
-def _round_trip_phasor(offset_ghz, params: RingParams):
-    ang = _TWO_PI * (np.asarray(offset_ghz, dtype=float) - params.detune_ghz) / params.fsr_ghz
-    return params.round_trip_amplitude * (np.cos(ang) - 1j * np.sin(ang))
-
-
-def h_ring_allpass(offset_ghz, params: RingParams):
-    """All-pass ring through-port response ``(c - p)/(1 - c*p)``.
-
-    ``p`` is the full round-trip phasor (loss times delay) and ``c`` the
-    bus self-coupling.
-    """
-    _require_finite("h_ring_allpass", offset_ghz)
-    c = params.self_coupling
-    if c * params.round_trip_amplitude >= 1.0 - 1e-15:
-        raise SingularityError(
-            "c * round_trip_amplitude == 1: lossless uncoupled ring is singular")
-    p = _round_trip_phasor(offset_ghz, params)
-    out = (c - p) / (1.0 - c * p)
-    return complex(out) if np.isscalar(offset_ghz) else out
-
-
-def h_ring_adddrop(offset_ghz, params: RingParams):
-    """Add-drop ring (through, drop) responses.
-
-    Symmetric two-coupler form; the drop path crosses half the ring, so it
-    carries half the round-trip loss and phase.
-    """
-    _require_finite("h_ring_adddrop", offset_ghz)
-    if params.kappa_drop is None:
-        raise ConfigurationError("add-drop ring requires kappa_drop")
-    c1 = params.self_coupling
-    c2 = params.self_coupling_drop
-    s1 = math.sqrt(params.kappa)
-    s2 = math.sqrt(params.kappa_drop)
-    g = params.round_trip_amplitude
-    if c1 * c2 * g >= 1.0 - 1e-15:
-        raise SingularityError("c1 * c2 * round_trip_amplitude == 1 is singular")
-    p = _round_trip_phasor(offset_ghz, params)
-    half_ang = math.pi / params.fsr_ghz
-    ang = half_ang * (np.asarray(offset_ghz, dtype=float) - params.detune_ghz)
-    p_half = math.sqrt(g) * (np.cos(ang) - 1j * np.sin(ang))
-    den = 1.0 - c1 * c2 * p
-    through = (c1 - c2 * p) / den
-    drop = (-s1 * s2 * p_half) / den
-    if np.isscalar(offset_ghz):
-        return complex(through), complex(drop)
-    return through, drop
 
 
 def heater_phase_from_power(power_mw: float, p_pi_mw: float) -> float:
@@ -398,8 +314,8 @@ _DETUNE_HEATER = Heater(
 
 def _ring_adddrop_rows(p: RingParams, offsets):
     through_in, drop, through_add = kernels.ring_adddrop_grid(
-        offsets, p.self_coupling, p.self_coupling_drop,
-        p.round_trip_amplitude, p.fsr_ghz, p.detune_ghz)
+        offsets, p.kappa, p.kappa_drop, p.round_trip_amplitude, p.fsr_ghz,
+        p.detune_ghz)
     return ((through_in, drop), (drop, through_add))
 
 
@@ -418,7 +334,7 @@ BLOCK_KINDS: dict[str, BlockKind] = {
         cli_ports=("out",)),
     "phase_shifter": BlockKind(
         **_ONE_PORT, params_type=PhaseShifterState,
-        keys=("phase_rad", "heater_power_mw"), required=("phase_rad",),
+        keys=("phase_rad",), required=("phase_rad",),
         heaters=(_PHASE_HEATER,),
         response=lambda p, offsets: ((h_phase_shifter(p.phase_rad),),),
         cli_ports=("out",)),
@@ -436,7 +352,7 @@ BLOCK_KINDS: dict[str, BlockKind] = {
         cli_ports=("bar", "cross")),
     "tunable_coupler": BlockKind(
         **_TWO_PORT, params_type=PhaseShifterState,
-        keys=("phase_rad", "heater_power_mw"), required=("phase_rad",),
+        keys=("phase_rad",), required=("phase_rad",),
         heaters=(_PHASE_HEATER,),
         response=lambda p, offsets: h_tunable_coupler(p.phase_rad).rows,
         cli_ports=("bar", "cross")),

@@ -14,7 +14,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .blocks import FrequencyGrid, RingParams
+from . import kernels
+from .blocks import FrequencyGrid, RingParams, heater_phase_from_power
 from .circuit import CircuitGraph, CircuitResponse, bind
 from .constants import DEFAULT_CARRIER_THZ, DEFAULT_P_PI_MW, FILTER_RING_FSR_GHZ
 from .errors import ConfigurationError, DomainError
@@ -127,10 +128,9 @@ def _beat_vs_phase(graph: CircuitGraph, f0: float, fmt: ModulationFormat,
     u = np.exp(-1j * phis)
     hm, h0, hp = (even[i] + u * odd[i] for i in range(3))
     probe = make_spectrum(fmt, f0)
-    b = DetectorParams().responsivity_a_per_w * (
-        h0 * probe.e_carrier * np.conj(hm * probe.e_minus)
-        + np.conj(h0 * probe.e_carrier) * hp * probe.e_plus)
-    return np.abs(b)
+    return np.abs(kernels.beat_phasor_grid(
+        h0, hm, hp, probe.e_minus, probe.e_carrier, probe.e_plus,
+        DetectorParams().responsivity_a_per_w))
 
 
 def _conversion_preset(name: str, fmt_kind: str,
@@ -381,7 +381,7 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
     # Anti-phase reference: fix the shifter so the sideband beats cancel
     # at a mid-sweep coupler setting, then leave it (uncompensated) or
     # co-tune it with the coupler's parasitic phase law (compensated).
-    phi_anchor = math.pi * p_anchor / DEFAULT_P_PI_MW
+    phi_anchor = heater_phase_from_power(p_anchor, DEFAULT_P_PI_MW)
     phis = np.linspace(0.0, _TWO_PI, 4096, endpoint=False)
     mags = _beat_vs_phase(graph, f0, fmt, "ps_bar.phase", phis,
                           base_heaters={"tc_bar.phase": phi_anchor})
@@ -397,7 +397,7 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
     def sweep_table(compensated: bool) -> Rows:
         rows: Rows = []
         for p in powers:
-            phi_tc = math.pi * p / DEFAULT_P_PI_MW
+            phi_tc = heater_phase_from_power(p, DEFAULT_P_PI_MW)
             phi_ps = phi_base + ((phi_anchor - phi_tc) / 2.0 if compensated else 0.0)
             resp = evaluate_at({
                 "tc_bar.phase": phi_tc % _TWO_PI,

@@ -1,8 +1,9 @@
 """Frequency-sweep kernels: one block response over a whole offset grid.
 
-These are the only array implementations of the block responses; the
-scalar ``h_*`` functions in :mod:`rfshaper.blocks` are the closed-form
-reference they are tested against.
+These are the only implementations of the waveguide, ring and beat
+responses; ``blocks.BLOCK_KINDS`` reaches them through each kind's
+``response``.  The scalar closed forms in ``tests/reference.py`` are
+the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -43,18 +44,20 @@ def ring_allpass_grid(offsets_ghz: np.ndarray, self_coupling: float,
     return (c - p) / den
 
 
-def ring_adddrop_grid(offsets_ghz: np.ndarray, self_coupling_in: float,
-                      self_coupling_drop: float, round_trip_amplitude: float,
+def ring_adddrop_grid(offsets_ghz: np.ndarray, kappa_in: float,
+                      kappa_drop: float, round_trip_amplitude: float,
                       fsr_ghz: float, detune_ghz: float):
     """Add-drop ring (through_in, drop, through_add) over the grid.
 
     ``through_in`` is input-bus through, ``through_add`` the add-bus
-    through, ``drop`` the (reciprocal) bus-to-bus transfer.
+    through, ``drop`` the (reciprocal) bus-to-bus transfer.  The couplers
+    are given as power couplings, so the drop amplitude
+    ``sqrt(kappa_in*kappa_drop)`` keeps full precision for weak couplers.
     """
     f = np.asarray(offsets_ghz, dtype=np.float64)
-    c1 = self_coupling_in
-    c2 = self_coupling_drop
-    s1s2 = np.sqrt((1.0 - c1 * c1) * (1.0 - c2 * c2))
+    c1 = np.sqrt(1.0 - kappa_in)
+    c2 = np.sqrt(1.0 - kappa_drop)
+    s1s2 = np.sqrt(kappa_in * kappa_drop)
     g = round_trip_amplitude
     ang = TWO_PI * (f - detune_ghz) / fsr_ghz
     p = g * (np.cos(ang) - 1j * np.sin(ang))
@@ -68,13 +71,15 @@ def ring_adddrop_grid(offsets_ghz: np.ndarray, self_coupling_in: float,
     return through_in, drop, through_add
 
 
-def beat_phasor_grid(h_zero: complex, h_minus: np.ndarray, h_plus: np.ndarray,
+def beat_phasor_grid(h_zero, h_minus: np.ndarray, h_plus: np.ndarray,
                      e_minus: complex, e_carrier: complex, e_plus: complex,
                      responsivity: float) -> np.ndarray:
     """RF beat phasor for a three-tone spectrum after a circuit.
 
     ``h_minus``/``h_plus`` are the circuit responses at the lower/upper
-    sideband offsets over the RF sweep; ``h_zero`` at the carrier.
+    sideband offsets over the RF sweep; ``h_zero`` at the carrier, a
+    scalar or an array of the same shape (one carrier response per
+    circuit setting).
     """
     ec = h_zero * e_carrier
     return responsivity * (ec * np.conj(h_minus * e_minus)

@@ -45,9 +45,10 @@ def _half_level_crossings(x: np.ndarray, y: np.ndarray, level: float) -> list[fl
 
 
 def q_and_finesse(offsets_ghz: np.ndarray, power: np.ndarray,
-                  resonance_offset_ghz: float, fsr_ghz: float,
-                  carrier_thz: float = DEFAULT_CARRIER_THZ) -> tuple[float, float]:
-    """Q factor and finesse of a notch or peak near the given offset.
+                  resonance_offset_ghz: float, fsr_ghz: float
+                  ) -> tuple[float, float]:
+    """Q factor (``DEFAULT_CARRIER_THZ`` over the full width) and finesse
+    of a notch or peak near the given offset.
 
     The full width is measured at half depth (midway between the local
     baseline and the resonance extreme) with linear interpolation, so
@@ -77,7 +78,7 @@ def q_and_finesse(offsets_ghz: np.ndarray, power: np.ndarray,
     fwhm = right[0] - left[-1]
     if fwhm <= 0:
         raise AnalysisError("degenerate linewidth")
-    q = carrier_thz * 1e3 / fwhm
+    q = DEFAULT_CARRIER_THZ * 1e3 / fwhm
     finesse = fsr_ghz / fwhm
     return q, finesse
 
@@ -99,17 +100,15 @@ def passband_width_3db(offsets_ghz: np.ndarray, power: np.ndarray,
 
 
 def notch_depth_db(freqs_ghz: np.ndarray, mag_db: np.ndarray,
-                   notch_freq_ghz: float, half_window_ghz: float = 3.0
-                   ) -> tuple[float, float]:
-    """(depth, minimum frequency) of a dip within a window of the trace.
+                   notch_freq_ghz: float) -> tuple[float, float]:
+    """(depth, minimum frequency) of a dip within 3 GHz of the notch.
 
     Depth is measured against the local baseline (the window maximum), so
     band-edge roll-off elsewhere in the sweep does not contaminate it.
     """
     freqs = np.asarray(freqs_ghz, dtype=float)
     mag = np.asarray(mag_db, dtype=float)
-    mask = _band_mask(freqs, (notch_freq_ghz - half_window_ghz,
-                              notch_freq_ghz + half_window_ghz))
+    mask = _band_mask(freqs, (notch_freq_ghz - 3.0, notch_freq_ghz + 3.0))
     w_f, w_m = freqs[mask], mag[mask]
     i = int(np.argmin(w_m))
     return float(w_m.max() - w_m[i]), float(w_f[i])

@@ -3,7 +3,6 @@
 Netlist grammar (one statement per line, ``#`` starts a comment)::
 
     format 1
-    param <name> <number>
     block <id> <kind> key=value ...
     connect <id>.<port> <id>.<port>
     input <name> <id>.<port>
@@ -39,7 +38,6 @@ class ParseError:
 
 @dataclass
 class NetlistDocument:
-    params: dict[str, float] = field(default_factory=dict)
     blocks: list[BlockInstance] = field(default_factory=list)
     connections: list[tuple[Port, Port]] = field(default_factory=list)
     inputs: dict[str, Port] = field(default_factory=dict)
@@ -50,11 +48,9 @@ class NetlistDocument:
                             dict(self.inputs), dict(self.outputs))
 
     @classmethod
-    def from_graph(cls, graph: CircuitGraph,
-                   params: dict[str, float] | None = None) -> "NetlistDocument":
-        return cls(dict(params or {}), list(graph.blocks),
-                   list(graph.connections), dict(graph.inputs),
-                   dict(graph.outputs))
+    def from_graph(cls, graph: CircuitGraph) -> "NetlistDocument":
+        return cls(list(graph.blocks), list(graph.connections),
+                   dict(graph.inputs), dict(graph.outputs))
 
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
@@ -98,16 +94,6 @@ class _Parser:
             col = toks[1][1] if len(toks) > 1 else toks[0][1]
             self.err(ln, col, "only 'format 1' is supported",
                      toks[1][0] if len(toks) > 1 else "")
-
-    def stmt_param(self, ln, toks):
-        if len(toks) != 3:
-            self.err(ln, toks[0][1], "expected: param <name> <number>")
-            return
-        name, ncol = toks[1][0], toks[2][1]
-        try:
-            self.doc.params[name] = _number(toks[2][0])
-        except ValueError:
-            self.err(ln, ncol, "invalid number", toks[2][0])
 
     def _parse_port(self, ln, tok, col, direction) -> Port | None:
         if "." not in tok:
@@ -232,8 +218,6 @@ def parse_netlist(text: str) -> tuple[NetlistDocument, list[ParseError]]:
         kw = toks[0][0]
         if kw == "format":
             p.stmt_format(ln, toks)
-        elif kw == "param":
-            p.stmt_param(ln, toks)
         elif kw == "block":
             p.stmt_block(ln, toks)
         elif kw == "connect":
@@ -260,8 +244,6 @@ def _block_line(block: BlockInstance) -> str:
 def document_to_text(doc: NetlistDocument) -> str:
     """Deterministic netlist text for a document (LF line endings)."""
     lines = ["format 1"]
-    for name in sorted(doc.params):
-        lines.append(f"param {name} {_format_value(doc.params[name])}")
     for block in doc.blocks:
         lines.append(_block_line(block))
     for src, dst in doc.connections:

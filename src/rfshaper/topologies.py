@@ -221,30 +221,30 @@ def build_shaper(config: ShaperConfig | None = None) -> CircuitGraph:
 
 
 def ring_kappa_for_rejection(round_trip_amplitude: float,
-                             rejection_db: float,
-                             overcoupled: bool = False) -> float:
-    """Power coupling giving an all-pass ring the requested on-resonance
-    rejection (power dB).  Zero rejection means an uncoupled ring."""
+                             rejection_db: float) -> float:
+    """Under-coupled power coupling giving an all-pass ring the requested
+    on-resonance rejection (power dB).  Zero rejection means an uncoupled
+    ring."""
     if rejection_db < 0:
         raise ConfigurationError("rejection_db must be >= 0")
     g = round_trip_amplitude
     h = 10.0 ** (-rejection_db / 20.0)
-    c = (g - h) / (1.0 - g * h) if overcoupled else (g + h) / (1.0 + g * h)
+    c = (g + h) / (1.0 + g * h)
     if not (0.0 < c <= 1.0):
         raise ConfigurationError(
             f"rejection {rejection_db} dB unreachable at amplitude {g}")
     return 1.0 - c * c
 
 
-def fit_round_trip_amplitude(target_finesse: float,
-                             lo: float = 0.5, hi: float = 0.999) -> float:
+def fit_round_trip_amplitude(target_finesse: float) -> float:
     """Round-trip amplitude whose critically coupled ring has the target
-    finesse, found by 1-D root finding on the closed-form linewidth."""
+    finesse, found by 1-D root finding on the closed-form linewidth over
+    amplitudes 0.5 to 0.999."""
     from scipy.optimize import brentq
 
     def finesse(g: float) -> float:
         cos_half = 2.0 - (1.0 + g ** 4) / (2.0 * g * g)
         return math.pi / math.acos(cos_half)
 
-    return float(brentq(lambda g: finesse(g) - target_finesse, lo, hi,
+    return float(brentq(lambda g: finesse(g) - target_finesse, 0.5, 0.999,
                         xtol=1e-14))

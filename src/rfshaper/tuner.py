@@ -19,6 +19,7 @@ import numpy as np
 
 from .blocks import FrequencyGrid, h_tunable_coupler
 from .circuit import CircuitGraph, bind
+from .constants import DEFAULT_CARRIER_THZ
 from .errors import AnalysisError, ConfigurationError, DomainError
 from .metrics import extinction_db
 from .rflink import LinkConfig, ModulationFormat, bind_sweep
@@ -115,7 +116,7 @@ class Objective:
                           GRID_STEP_GHZ),
                 np.arange(self.passband[0], self.passband[1] + 1e-12,
                           GRID_STEP_GHZ)]))
-            grid = FrequencyGrid(193.4, offs)
+            grid = FrequencyGrid(DEFAULT_CARRIER_THZ, offs)
             bound = _bound_per_names(
                 lambda names: bind(graph, grid, names, self.input_name))
 
@@ -152,7 +153,8 @@ class Objective:
             return fn
 
         if self.kind == "critical_coupling":
-            grid = FrequencyGrid(193.4, np.array([self.offset_ghz]))
+            grid = FrequencyGrid(DEFAULT_CARRIER_THZ,
+                                 np.array([self.offset_ghz]))
             bound = _bound_per_names(
                 lambda names: bind(graph, grid, names, self.input_name))
 
@@ -266,6 +268,9 @@ def optimize(graph_template: CircuitGraph, objective: Objective,
                    else graph_template.heater_names())
     if not names:
         raise ConfigurationError("no heaters exposed for tuning")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ConfigurationError(f"heaters named more than once: {repeated}")
     unknown = set(names) - set(graph_template.heater_names())
     if unknown:
         raise ConfigurationError(f"unknown heaters: {sorted(unknown)}")

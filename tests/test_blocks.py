@@ -3,33 +3,50 @@ import math
 import numpy as np
 import pytest
 
-from rfshaper.blocks import (FrequencyGrid, PhaseShifterState, RingParams,
+from rfshaper.blocks import (BLOCK_KINDS, FrequencyGrid, RingParams,
                              WaveguideParams, amplitude_from_db_loss,
                              critical_coupling_kappa, h_coupler_3db,
-                             h_phase_shifter, h_ring_adddrop, h_ring_allpass,
-                             h_tunable_coupler, h_waveguide,
-                             heater_phase_from_power, z_inverse)
+                             h_phase_shifter, h_tunable_coupler,
+                             heater_phase_from_power)
+from rfshaper.circuit import BlockInstance
 from rfshaper.errors import ConfigurationError, DomainError
 
 
-def test_z_inverse_basic_angles():
-    assert z_inverse(0.0, 50.0) == pytest.approx(1.0 + 0.0j)
-    assert z_inverse(50.0, 50.0) == pytest.approx(1.0 + 0.0j, abs=1e-12)
-    assert z_inverse(12.5, 50.0) == pytest.approx(-1.0j, abs=1e-12)
+# one-port responses and the add-drop (through, drop) pair, as the
+# simulator computes them from the block-kind table
+def h_waveguide(offset_ghz, params):
+    return BLOCK_KINDS["waveguide"].response(params, offset_ghz)[0][0]
 
 
-def test_z_inverse_unit_magnitude():
+def h_ring_allpass(offset_ghz, params):
+    return BLOCK_KINDS["ring_allpass"].response(params, offset_ghz)[0][0]
+
+
+def h_ring_adddrop(offset_ghz, params):
+    (through, _), (drop, _) = BLOCK_KINDS["ring_adddrop"].response(
+        params, offset_ghz)
+    return through, drop
+
+
+def test_waveguide_delay_basic_angles():
+    lossless = WaveguideParams.from_fsr(50.0)
+    assert h_waveguide(0.0, lossless) == pytest.approx(1.0 + 0.0j)
+    assert h_waveguide(50.0, lossless) == pytest.approx(1.0 + 0.0j, abs=1e-12)
+    assert h_waveguide(12.5, lossless) == pytest.approx(-1.0j, abs=1e-12)
+
+
+def test_waveguide_delay_unit_magnitude():
     rng = np.random.default_rng(0)
     offs = rng.uniform(-500.0, 500.0, 1000)
-    vals = z_inverse(offs, 50.0)
+    vals = h_waveguide(offs, WaveguideParams.from_fsr(50.0))
     assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-15
 
 
-def test_z_inverse_rejects_bad_input():
+def test_waveguide_rejects_bad_input():
     with pytest.raises(DomainError):
-        z_inverse(math.nan, 50.0)
+        FrequencyGrid(193.4, np.array([math.nan]))
     with pytest.raises(DomainError):
-        z_inverse(1.0, 0.0)
+        WaveguideParams.from_fsr(0.0)
 
 
 @pytest.mark.parametrize("loss,length,expected", [
@@ -57,12 +74,6 @@ def test_waveguide_response():
                                      physical_length_cm=1.0)
     for off in (0.0, 3.7, 25.0):
         assert abs(h_waveguide(off, lossy)) == pytest.approx(0.8710, abs=1e-4)
-
-
-def test_waveguide_fsr_override():
-    p = WaveguideParams.from_fsr(50.0)
-    assert h_waveguide(30.0, p, fsr_equivalent_ghz=60.0) == pytest.approx(
-        -1.0 + 0.0j, abs=1e-12)
 
 
 def test_phase_shifter():
@@ -186,7 +197,7 @@ def test_ring_adddrop_power_conservation_lossless():
 
 def test_ring_adddrop_requires_drop_coupler():
     with pytest.raises(ConfigurationError):
-        h_ring_adddrop(0.0, RingParams(fsr_ghz=50.0, kappa=0.3))
+        BlockInstance("r", "ring_adddrop", RingParams(fsr_ghz=50.0, kappa=0.3))
 
 
 def test_heater_phase_examples():
@@ -239,12 +250,6 @@ def test_param_validation():
         RingParams(fsr_ghz=50.0, kappa=0.1, round_trip_amplitude=0.0)
     with pytest.raises(DomainError):
         FrequencyGrid(193.4, np.array([1.0, 1.0]))
-
-
-def test_phase_shifter_from_power():
-    state = PhaseShifterState.from_power(17.5, 35.0)
-    assert state.phase_rad == pytest.approx(math.pi / 2)
-    assert state.heater_power_mw == 17.5
 
 
 def test_frequency_grid_sweep():

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfshaper.blocks import (BLOCK_KINDS, FrequencyGrid, PhaseShifterState,
-                             RingParams, WaveguideParams, h_phase_shifter,
-                             h_ring_allpass, h_waveguide)
+                             RingParams, WaveguideParams, h_phase_shifter)
 from rfshaper.circuit import BlockInstance, CircuitGraph, Port, bind, evaluate
 from rfshaper.errors import (ConfigurationError, ShaperError, SingularityError,
                              TopologyError)
 from rfshaper.experiments import _notch_shaper
 from rfshaper.topologies import DeinterleaverSpec, build_deinterleaver
 from rfshaper.tuner import synthesize_cancellation_settings
+from tests.reference import h_ring_allpass, h_waveguide
 
 GRID = FrequencyGrid.sweep(-40.0, 40.0, 0.5)
 

@@ -88,6 +88,37 @@ def test_sweep_parse_error_exit_3(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, position", [
+    ("param p_pi_mw 35.0\n", "line 1, col 1"),
+    ("block tc tunable_coupler phase_rad=1 heater_power_mw=1\n",
+     "line 1, col 38"),
+])
+def test_sweep_removed_netlist_data_exit_3(tmp_path, capsys, text, position):
+    bad = tmp_path / "old.nl"
+    bad.write_text(text)
+    rc = run(["sweep", str(bad), "--sweep=-5:5:1",
+              "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    assert position in capsys.readouterr().err
+
+
+def test_block_heater_power_key_exit_3(tmp_path, capsys):
+    rc = run(["block", "phase_shifter", "phase_rad=1", "heater_power_mw=1",
+              "--sweep=-5:5:1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    assert "bad parameter 'heater_power_mw=1'" in capsys.readouterr().err
+
+
+def test_optimize_repeated_heater_exit_3(tmp_path, capsys):
+    rc = run(["optimize", "preset:deinterleaver",
+              "--objective", "deinterleaver_extinction",
+              "--heaters", "ps_trim.phase,ps_trim.phase",
+              "--max-evals", "50", "--out", str(tmp_path / "t.nl")])
+    assert rc == 3
+    assert "more than once" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_sweep_missing_file_exit_4(tmp_path):
     rc = run(["sweep", str(tmp_path / "absent.nl"), "--sweep=-5:5:1",
               "--out", str(tmp_path / "x.csv")])
@@ -222,6 +253,7 @@ def test_block_phase_sweep_names_its_kind(tmp_path, capsys):
     ("coupling_sweep", "set kappas 0.1,1.5", 4),
     ("amplitude_tuning", "set power_step_mw -1", 4),
     ("amplitude_tuning", "set power_max_mw -1", 4),
+    ("amplitude_tuning", "set anchor_power_mw -1", 4),
     # a sweep that misses the band the preset reduces over: exit 4
     ("im2pm", "sweep 35 40 0.5", 4),
     ("deint_phase_probe", "sweep 1 2 0.5", 4),

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rfshaper import kernels
-from rfshaper.blocks import RingParams, WaveguideParams, h_ring_adddrop, \
-    h_ring_allpass, h_waveguide
+from rfshaper.blocks import BLOCK_KINDS, RingParams, WaveguideParams
+from tests.reference import h_ring_adddrop, h_ring_allpass, h_waveguide
 
 
 def _offsets():
@@ -34,11 +38,35 @@ def test_ring_adddrop_grid_matches_scalar_blocks():
     p = RingParams(fsr_ghz=50.0, kappa=0.2, kappa_drop=0.07,
                    round_trip_amplitude=0.96, detune_ghz=3.0)
     through, drop, _ = kernels.ring_adddrop_grid(
-        offs, p.self_coupling, p.self_coupling_drop, p.round_trip_amplitude,
-        p.fsr_ghz, p.detune_ghz)
+        offs, p.kappa, p.kappa_drop, p.round_trip_amplitude, p.fsr_ghz,
+        p.detune_ghz)
     scalar = [h_ring_adddrop(o, p) for o in offs]
     np.testing.assert_allclose(through, [s[0] for s in scalar], atol=1e-14)
     np.testing.assert_allclose(drop, [s[1] for s in scalar], atol=1e-14)
+
+
+@given(kappa=st.floats(0.0, 1.0), kappa_drop=st.floats(0.0, 1.0),
+       amplitude=st.floats(0.5, 1.0), fsr=st.floats(10.0, 200.0),
+       detune=st.floats(-100.0, 100.0))
+@settings(max_examples=200, deadline=None)
+def test_ring_adddrop_matrix_unitary_or_passive(kappa, kappa_drop, amplitude,
+                                                fsr, detune):
+    p = RingParams(fsr_ghz=fsr, kappa=kappa, kappa_drop=kappa_drop,
+                   round_trip_amplitude=amplitude, detune_ghz=detune)
+    # the reference refuses rings within 1e-15 of the pole
+    c1, c2 = math.sqrt(1.0 - kappa), math.sqrt(1.0 - kappa_drop)
+    assume(c1 * c2 * amplitude < 1.0 - 1e-15)
+    offs = _offsets()
+    rows = BLOCK_KINDS["ring_adddrop"].response(p, offs)
+    m = np.moveaxis(np.array(rows), -1, 0)             # (point, out, in)
+    if amplitude == 1.0:
+        defect = m @ np.conj(np.swapaxes(m, 1, 2)) - np.eye(2)
+        assert np.max(np.abs(defect)) < 1e-12
+    else:
+        assert np.max(np.linalg.norm(m, ord=2, axis=(1, 2))) <= 1.0 + 1e-12
+    through, drop = h_ring_adddrop(offs, p)
+    np.testing.assert_allclose(rows[0][0], through, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rows[1][0], drop, rtol=0, atol=1e-12)
 
 
 def test_beat_phasor_grid_formula():

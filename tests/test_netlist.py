@@ -10,7 +10,6 @@ from rfshaper.topologies import DeinterleaverSpec, build_deinterleaver
 
 VALID = """\
 format 1
-param p_pi_mw 35.0
 block r1 ring_allpass kappa=0.0376 fsr_ghz=50 round_trip_amplitude=0.981 detune_ghz=0
 block ps phase_shifter phase_rad=1.5708
 connect r1.out ps.in
@@ -22,7 +21,6 @@ output out ps.out
 def test_parse_valid_netlist():
     doc, errors = parse_netlist(VALID)
     assert errors == []
-    assert doc.params == {"p_pi_mw": 35.0}
     assert len(doc.blocks) == 2
     ring = doc.blocks[0]
     assert ring.kind == "ring_allpass"
@@ -34,22 +32,34 @@ def test_parse_valid_netlist():
 def test_parse_empty_file():
     doc, errors = parse_netlist("")
     assert errors == []
-    assert doc.blocks == [] and doc.params == {}
+    assert doc.blocks == [] and doc.connections == []
 
 
 def test_numbers_accept_scientific_notation():
     doc, errors = parse_netlist(
-        "param small 1e-3\nblock w waveguide optical_path_length=4.9965e-3\n"
+        "block w waveguide optical_path_length=4.9965e-3 loss_db_per_cm=1e-3\n"
         "input in w.in\noutput out w.out\n")
     assert errors == []
-    assert doc.params["small"] == 1e-3
+    assert doc.blocks[0].params.loss_db_per_cm == 1e-3
     assert doc.blocks[0].params.optical_path_length == pytest.approx(4.9965e-3)
 
 
 def test_parse_comments_and_blanks():
-    doc, errors = parse_netlist("# a comment\n\n   \nparam x 1 # trailing\n")
+    doc, errors = parse_netlist(
+        "# a comment\n\n   \nblock p phase_shifter phase_rad=1 # trailing\n")
     assert errors == []
-    assert doc.params == {"x": 1.0}
+    assert doc.blocks[0].params.phase_rad == 1.0
+
+
+@pytest.mark.parametrize("text, column, message", [
+    ("param x 1", 1, "unknown statement 'param'"),
+    ("block tc tunable_coupler phase_rad=1 heater_power_mw=1", 38,
+     "kind tunable_coupler has no key 'heater_power_mw'"),
+])
+def test_removed_netlist_data_is_a_positioned_error(text, column, message):
+    _, errors = parse_netlist(text)
+    assert [(e.line, e.column, e.message) for e in errors] == \
+        [(1, column, message)]
 
 
 def test_kappa_out_of_range_reports_line():
@@ -97,15 +107,13 @@ def test_port_arity_checked():
 
 
 def test_errors_carry_columns():
-    _, errors = parse_netlist("param x notanumber")
-    assert errors[0].column == 9
+    _, errors = parse_netlist("block p phase_shifter phase_rad=notanumber")
+    assert errors[0].column == 23
 
 
-# a heater-power coupler and an add-drop ring: every optional key written
+# a tunable coupler and an add-drop ring: every optional ring key written
 POWERED = NetlistDocument(
-    params={"p_pi_mw": 35.0},
-    blocks=[BlockInstance("tc", "tunable_coupler",
-                          PhaseShifterState.from_power(10.0, 35.0)),
+    blocks=[BlockInstance("tc", "tunable_coupler", PhaseShifterState(0.9)),
             BlockInstance("rd", "ring_adddrop",
                           RingParams(fsr_ghz=50.0, kappa=0.1, kappa_drop=0.05,
                                      round_trip_amplitude=0.97,
@@ -162,7 +170,8 @@ _CORRUPTIONS = [
 ]
 
 
-@given(st.integers(0, len(_CORRUPTIONS) - 1), st.integers(1, 6))
+@given(st.integers(0, len(_CORRUPTIONS) - 1),
+       st.integers(1, len(VALID.splitlines()) - 1))
 @settings(max_examples=60, deadline=None)
 def test_corrupted_lines_each_yield_one_error(kind, line_no):
     # every invalid line yields exactly one error pointing at itself;

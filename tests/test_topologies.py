@@ -154,10 +154,11 @@ def test_fit_round_trip_amplitude_matches_target():
 
 
 def test_ring_kappa_for_rejection_closed_form():
-    from rfshaper.blocks import RingParams, h_ring_allpass
+    from rfshaper.blocks import BLOCK_KINDS, RingParams
     gamma = 0.9148329893507446
     for depth in (3.0, 7.0, 12.0):
         kappa = ring_kappa_for_rejection(gamma, depth)
         ring = RingParams(50.0, kappa, round_trip_amplitude=gamma)
-        floor_db = -20.0 * math.log10(abs(h_ring_allpass(0.0, ring)))
+        h = BLOCK_KINDS["ring_allpass"].response(ring, np.array([0.0]))[0][0]
+        floor_db = -20.0 * math.log10(abs(h[0]))
         assert floor_db == pytest.approx(depth, abs=1e-9)

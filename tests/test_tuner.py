@@ -54,6 +54,14 @@ def test_optimize_rejects_unknown_heater_names():
                  heater_names=["ps.phase", "ghost.phase"])
 
 
+def test_optimize_rejects_repeated_heater_names():
+    with pytest.raises(ConfigurationError, match="more than once"):
+        optimize(build_deinterleaver(DeinterleaverSpec()),
+                 Objective("deinterleaver_extinction"),
+                 OptimizerConfig(max_evals=50, restarts=1),
+                 heater_names=["ps_trim.phase", "ps_trim.phase"])
+
+
 def test_optimize_requires_heaters():
     wg = BlockInstance("c", "coupler_3db", None)
     g = CircuitGraph((wg,), (), {"in": Port("c", "in0")},
