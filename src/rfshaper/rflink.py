@@ -31,6 +31,7 @@ from .errors import ConfigurationError, DomainError
 
 #: Floor applied to magnitudes before taking logs, in dB.
 MAG_FLOOR_DB = -300.0
+_MAG_FLOOR = 10.0 ** (MAG_FLOOR_DB / 20.0)
 
 FORMAT_KINDS = ("IM", "PM", "SSB_upper", "SSB_lower")
 
@@ -163,7 +164,7 @@ class LinkConfig:
     input_name: str | None = None
 
 
-def _back_to_back_reference(link: LinkConfig) -> tuple[float, str]:
+def back_to_back_reference(link: LinkConfig) -> tuple[float, str]:
     """0 dB reference: the same link without the circuit.
 
     A phase-modulated back-to-back link detects nothing, so PM traces are
@@ -176,16 +177,44 @@ def _back_to_back_reference(link: LinkConfig) -> tuple[float, str]:
     return abs(detect_rf_phasor(im_probe)), "back_to_back_im_equivalent"
 
 
+def magnitude_db(phasor: np.ndarray, ref: float) -> np.ndarray:
+    """RF magnitude in dB relative to ``ref``, floored at ``MAG_FLOOR_DB``."""
+    return 20.0 * np.log10(np.maximum(np.abs(phasor) / ref, _MAG_FLOOR))
+
+
+def bind_beat_phasor(link: LinkConfig, fs: np.ndarray,
+                     heater_names: Iterable[str]
+                     ) -> Callable[[Mapping[str, float] | None], np.ndarray]:
+    """Detected beat phasor of the link at the RF frequencies ``fs`` as a
+    function of the named heaters.
+
+    The circuit is bound (see :func:`rfshaper.circuit.bind`) once on the
+    mirrored offset grid ``{-fs[::-1], 0, fs}``.
+    """
+    n = fs.size
+    offsets = np.concatenate([-fs[::-1], [0.0], fs])
+    grid = FrequencyGrid(DEFAULT_CARRIER_THZ, offsets)
+    evaluate_at = bind(link.graph, grid, heater_names, link.input_name)
+    probe = make_spectrum(link.fmt, 1.0)
+    responsivity = DetectorParams().responsivity_a_per_w
+
+    def phasor(heaters: Mapping[str, float] | None = None) -> np.ndarray:
+        h = evaluate_at(heaters).port(link.output_port)
+        return kernels.beat_phasor_grid(
+            complex(h[n]), h[:n][::-1], h[n + 1:],
+            probe.e_minus, probe.e_carrier, probe.e_plus, responsivity)
+    return phasor
+
+
 def bind_sweep(link: LinkConfig, rf_lo_ghz: float, rf_hi_ghz: float,
                step_ghz: float, heater_names: Iterable[str]
                ) -> Callable[[Mapping[str, float] | None], RfResponse]:
     """Swept RF transfer of the link as a function of the named heaters.
 
-    The mirrored offset grid, the probe spectrum, the back-to-back
-    reference and the blocks no named heater reaches (see
-    :func:`rfshaper.circuit.bind`) are computed once; each call of the
-    returned function gives what :func:`rf_transmission_sweep` gives
-    with those heater settings.
+    The sweep frequencies, the bound beat phasor (see
+    :func:`bind_beat_phasor`) and the back-to-back reference are computed
+    once; each call of the returned function gives what
+    :func:`rf_transmission_sweep` gives with those heater settings.
     """
     if not (step_ghz > 0):
         raise DomainError("step_ghz must be > 0")
@@ -195,25 +224,15 @@ def bind_sweep(link: LinkConfig, rf_lo_ghz: float, rf_hi_ghz: float,
     fs = rf_lo_ghz + step_ghz * np.arange(n + 1)
     fs.flags.writeable = False
 
-    offsets = np.concatenate([-fs[::-1], [0.0], fs])
-    grid = FrequencyGrid(DEFAULT_CARRIER_THZ, offsets)
-    evaluate_at = bind(link.graph, grid, heater_names, link.input_name)
-    probe = make_spectrum(link.fmt, 1.0)
-    responsivity = DetectorParams().responsivity_a_per_w
-    ref, ref_name = _back_to_back_reference(link)
-    floor = 10.0 ** (MAG_FLOOR_DB / 20.0)
+    phasor_at = bind_beat_phasor(link, fs, heater_names)
+    ref, ref_name = back_to_back_reference(link)
     metadata = {"reference": ref_name, "output_port": link.output_port,
                 "format": link.fmt.kind}
 
     def sweep(heaters: Mapping[str, float] | None = None) -> RfResponse:
-        h = evaluate_at(heaters).port(link.output_port)
-        phasor = kernels.beat_phasor_grid(
-            complex(h[fs.size]), h[: fs.size][::-1], h[fs.size + 1:],
-            probe.e_minus, probe.e_carrier, probe.e_plus, responsivity)
-        mag = np.abs(phasor) / ref
-        mag_db = 20.0 * np.log10(np.maximum(mag, floor))
-        phase = np.unwrap(np.angle(phasor))
-        return RfResponse(fs, mag_db, phase, metadata)
+        phasor = phasor_at(heaters)
+        return RfResponse(fs, magnitude_db(phasor, ref),
+                          np.unwrap(np.angle(phasor)), metadata)
     return sweep
 
 

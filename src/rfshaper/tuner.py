@@ -22,7 +22,8 @@ from .circuit import CircuitGraph, bind
 from .constants import DEFAULT_CARRIER_THZ
 from .errors import AnalysisError, ConfigurationError, DomainError
 from .metrics import extinction_db
-from .rflink import LinkConfig, ModulationFormat, bind_sweep
+from .rflink import (LinkConfig, ModulationFormat, back_to_back_reference,
+                     bind_beat_phasor, bind_sweep, magnitude_db)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -99,6 +100,20 @@ class Objective:
             raise ConfigurationError(f"unknown objective kind {self.kind!r}")
         if self.kind == "custom_scalar" and self.custom_fn is None:
             raise ConfigurationError("custom_scalar needs custom_fn")
+        if not (math.isfinite(self.rf_freq_ghz) and self.rf_freq_ghz > 0):
+            raise ConfigurationError(
+                f"rf_freq_ghz must be finite and > 0, got {self.rf_freq_ghz}")
+        if not math.isfinite(self.offset_ghz):
+            raise ConfigurationError(
+                f"offset_ghz must be finite, got {self.offset_ghz}")
+        for name in ("passband", "stopband", "band"):
+            lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+                raise ConfigurationError(
+                    f"{name} must be finite with hi > lo, got ({lo}, {hi})")
+        if not self.band[0] > 0:
+            raise ConfigurationError(
+                f"band must lie above 0 GHz, got {self.band}")
         if self.port is None:
             rf = self.kind in ("notch_depth", "conversion_extinction")
             object.__setattr__(self, "port", "detector" if rf else "bar")
@@ -128,12 +143,13 @@ class Objective:
 
         if self.kind == "notch_depth":
             link = LinkConfig(self.fmt, graph, self.port, self.input_name)
-            f0 = self.rf_freq_ghz
+            f0 = np.array([float(self.rf_freq_ghz)])
+            ref, _ = back_to_back_reference(link)
             bound = _bound_per_names(
-                lambda names: bind_sweep(link, f0, f0 + 1.0, 1.0, names))
+                lambda names: bind_beat_phasor(link, f0, names))
 
             def fn(heaters: Mapping[str, float]) -> float:
-                return -float(bound(heaters)(heaters).mag_db[0])
+                return -float(magnitude_db(bound(heaters)(heaters), ref)[0])
             return fn
 
         if self.kind == "conversion_extinction":
@@ -287,7 +303,13 @@ def optimize(graph_template: CircuitGraph, objective: Objective,
     while len(start_list) < config.restarts:
         start_list.append(rng.uniform(0.0, _TWO_PI, size=len(names)))
 
-    budget = max(config.max_evals // config.restarts, 2 * len(names) + 2)
+    budget = config.max_evals // config.restarts
+    if budget < 2 * len(names) + 2:
+        raise ConfigurationError(
+            f"max_evals {config.max_evals} over {config.restarts} restarts "
+            f"leaves {budget} evaluations per restart; {len(names)} heaters "
+            f"need at least {2 * len(names) + 2}, so max_evals >= "
+            f"{(2 * len(names) + 2) * config.restarts}")
     traces: list[RestartTrace] = []
     best_x, best_v = None, -math.inf
     total = 0

@@ -254,6 +254,8 @@ def test_block_phase_sweep_names_its_kind(tmp_path, capsys):
     ("amplitude_tuning", "set power_step_mw -1", 4),
     ("amplitude_tuning", "set power_max_mw -1", 4),
     ("amplitude_tuning", "set anchor_power_mw -1", 4),
+    # a polish budget below one simplex per restart: exit 3
+    ("cancel_notch", "set polish_evals 3", 3),
     # a sweep that misses the band the preset reduces over: exit 4
     ("im2pm", "sweep 35 40 0.5", 4),
     ("deint_phase_probe", "sweep 1 2 0.5", 4),
@@ -263,3 +265,25 @@ def test_experiment_bad_option_exit_code(tmp_path, capsys, preset, line, code):
     cfg.write_text(f"experiment {preset}\n{line}\n")
     assert run(["experiment", str(cfg), "--out-dir", str(tmp_path)]) == code
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("settings, field", [
+    (["--objective", "notch_depth", "--rf-freq", "0"], "rf_freq_ghz"),
+    (["--objective", "notch_depth", "--rf-freq", "nan"], "rf_freq_ghz"),
+    (["--objective", "critical_coupling", "--offset", "nan"], "offset_ghz"),
+])
+def test_optimize_bad_objective_setting_exit_3(tmp_path, capsys, settings,
+                                               field):
+    out = tmp_path / "t.nl"
+    assert run(["optimize", "preset:shaper", *settings,
+                "--out", str(out)]) == 3
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_optimize_budget_below_simplex_exit_3(tmp_path, capsys):
+    rc = run(["optimize", "preset:deinterleaver", "--objective",
+              "deinterleaver_extinction", "--max-evals", "5", "--restarts", "1",
+              "--out", str(tmp_path / "t.nl")])
+    assert rc == 3
+    assert "max_evals >= 20" in capsys.readouterr().err

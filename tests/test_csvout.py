@@ -1,11 +1,17 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfshaper.blocks import FrequencyGrid
 from rfshaper.circuit import CircuitResponse
 from rfshaper.csvout import (format_number, read_rf_csv, write_csv,
                              write_optical_csv, write_rf_csv, write_summary,
                              write_table_csv)
+from rfshaper.errors import AnalysisError
 from rfshaper.rflink import RfResponse
 
 
@@ -15,6 +21,12 @@ def test_format_number_examples():
     assert format_number(-0.0) == "0.00000000"
     assert format_number(1.5708) == "1.57080000"
     assert format_number(-3.25) == "-3.25000000"
+    # digits that end early are padded to nine digits in all, not nine
+    # significant ones
+    assert format_number(0.5) == "0.50000000"
+    assert format_number(3e-7) == "0.00000030"
+    assert format_number(0.19016352983759946) == "0.19016353"
+    assert format_number(0.1) == "0.100000000"
 
 
 def test_single_point_rf_csv_bytes(tmp_path):
@@ -92,3 +104,64 @@ def test_write_csv_dispatches_on_type(tmp_path):
         ["o_a.csv", "o_b.csv"]
     with pytest.raises(TypeError):
         write_csv(object(), tmp_path / "x.csv")
+
+
+def per_row_text(header, rows) -> str:
+    """The CSV text as defined row by row."""
+    lines = [header] + [",".join(format_number(v) for v in row)
+                        for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e-300, -1e-300, 1e300,
+                     -1e300, 0.5, -0.375, 2.0 ** -30, 1e8, 123456789.0,
+                     0.19016352983759946]))
+columns = st.integers(0, 12).flatmap(
+    lambda n: st.lists(st.lists(finite, min_size=n, max_size=n),
+                       min_size=3, max_size=3))
+
+
+@given(columns)
+@settings(max_examples=150, deadline=None)
+def test_writers_match_per_row_definition(cols):
+    a, b, c = (np.array(col, dtype=float) for col in cols)
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        write_rf_csv(RfResponse(a, b, c), d / "rf.csv")
+        assert (d / "rf.csv").read_text() == per_row_text(
+            "freq_ghz,mag_db,phase_rad", zip(a, b, c))
+
+        write_table_csv(("x", "y", "z"), list(zip(a, b, c)), d / "t.csv")
+        assert (d / "t.csv").read_text() == per_row_text(
+            "x,y,z", zip(a, b, c))
+
+        if a.size and np.unique(a).size == a.size:
+            offsets = np.sort(a)       # a grid increases strictly
+            grid = FrequencyGrid(193.4, offsets)
+            resp = CircuitResponse(grid, {"p": b + 1j * c, "q": c - 1j * b})
+            paths = write_optical_csv(resp, d / "o.csv")
+            assert [p.name for p in paths] == ["o_p.csv", "o_q.csv"]
+            for path, amps in zip(paths, (b + 1j * c, c - 1j * b)):
+                assert path.read_text() == per_row_text(
+                    "offset_ghz,re,im", zip(offsets, amps.real, amps.imag))
+
+
+def test_optical_csv_rejects_non_finite_before_writing(tmp_path):
+    grid = FrequencyGrid(193.4, np.array([0.0, 1.0]))
+    resp = CircuitResponse(grid, {"a": np.array([1.0, 0.5j]),
+                                  "b": np.array([np.nan, np.inf + 0j])})
+    with pytest.raises(AnalysisError, match=r"x_b\.csv.*column re"):
+        write_optical_csv(resp, tmp_path / "x.csv")
+    assert not list(tmp_path.iterdir())
+
+
+def test_table_and_rf_csv_reject_non_finite(tmp_path):
+    with pytest.raises(AnalysisError, match=r"t\.csv.*column b"):
+        write_table_csv(("a", "b"), [(1.0, 2.0), (3.0, np.nan)],
+                        tmp_path / "t.csv")
+    with pytest.raises(AnalysisError, match=r"rf\.csv.*column phase_rad"):
+        write_rf_csv(RfResponse(np.array([1.0]), np.array([0.0]),
+                                np.array([-np.inf])), tmp_path / "rf.csv")
+    assert not list(tmp_path.iterdir())

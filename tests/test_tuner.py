@@ -40,6 +40,40 @@ def test_objective_port_default_follows_kind(kind, port):
     assert Objective(kind, port="monitor").port == "monitor"
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"rf_freq_ghz": 0.0}, "rf_freq_ghz"),
+    ({"rf_freq_ghz": math.nan}, "rf_freq_ghz"),
+    ({"rf_freq_ghz": math.inf}, "rf_freq_ghz"),
+    ({"offset_ghz": math.nan}, "offset_ghz"),
+    ({"passband": (3.0, math.inf)}, "passband"),
+    ({"stopband": (-3.0, -27.0)}, "stopband"),
+    ({"band": (math.nan, 25.0)}, "band"),
+    ({"band": (0.0, 25.0)}, "band"),
+])
+def test_objective_rejects_bad_settings(kwargs, field):
+    with pytest.raises(ConfigurationError, match=field):
+        Objective("notch_depth", **kwargs)
+
+
+def test_optimize_rejects_budget_below_one_simplex_per_restart():
+    graph = build_deinterleaver(DeinterleaverSpec())    # 9 heaters
+    objective = Objective("deinterleaver_extinction")
+    for max_evals, restarts in ((100, 50), (5, 1)):
+        with pytest.raises(ConfigurationError,
+                           match=f"at least 20, so max_evals >= {20 * restarts}"):
+            optimize(graph, objective, OptimizerConfig(max_evals, restarts))
+
+
+@pytest.mark.parametrize("max_evals, restarts", [(20, 1), (45, 2), (70, 3)])
+def test_optimize_stays_within_max_evals(max_evals, restarts):
+    result = optimize(build_deinterleaver(DeinterleaverSpec()),
+                      Objective("deinterleaver_extinction"),
+                      OptimizerConfig(max_evals, restarts))
+    assert result.evaluations <= max_evals
+    assert all(t.evaluations <= max_evals // restarts
+               for t in result.restarts)
+
+
 def test_optimize_1d_quadratic_bowl():
     result = optimize(single_heater_graph(), quadratic_objective(1.0),
                       OptimizerConfig(max_evals=2000, restarts=4, seed=0))
