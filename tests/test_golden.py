@@ -19,6 +19,17 @@ from rfshaper.cli import main
 
 SHAPER_OPTIMIZE = ["optimize", "preset:shaper", "--seed", "0", "--out",
                    "tuned.nl", "--summary", "tuned.sum", "--objective"]
+OFFSET_SWEEP = "--sweep=-30:30:0.05"
+
+
+def experiment(name: str) -> list[str]:
+    """``rfshaper experiment`` of a preset with seed 0 (see ``run_case``)."""
+    return ["experiment", f"{name}.cfg", "--out-dir", "out"]
+
+
+def block(kind: str, *params: str) -> list[str]:
+    return ["block", kind, *params, OFFSET_SWEEP, "--out", "b.csv"]
+
 
 #: case -> (argv, sha256 of "stdout" and of each file written)
 CASES = {
@@ -51,7 +62,7 @@ CASES = {
                 "bc0aa8c07f7f66718a92eaf863d4ffe65b25ca986971a6fc8bd6bf98f3f6a37d",
         }),
     "experiment_cancel_notch": (
-        ["experiment", "cancel_notch.cfg", "--out-dir", "out"], {
+        experiment("cancel_notch"), {
             "out/cancel_notch_cancel.csv":
                 "f3580e75118a90a208ef647411e8d19c1dffff66b5f2916a6ae201c70e072f1c",
             "out/cancel_notch_ssb_reference.csv":
@@ -62,7 +73,7 @@ CASES = {
                 "9843d8717947d17c69f328a829786153b739076d602fff387a2880a0f4276648",
         }),
     "experiment_amplitude_tuning": (
-        ["experiment", "amplitude_tuning.cfg", "--out-dir", "out"], {
+        experiment("amplitude_tuning"), {
             "out/amplitude_tuning_compensated.csv":
                 "ccef7b92ca977a59e1e7cbd3620706863cedc0118eeb2a289a3bb85b09e0dd72",
             "out/amplitude_tuning_summary.txt":
@@ -71,6 +82,172 @@ CASES = {
                 "4a014ab344b90ef6c6eb5b99f14ae13fed0a9d4ab9668df8fa582acc3cb714ec",
             "stdout":
                 "594c03e25e64dcfe63900244ce9979b62c95b8c4806aa11ed93d249879655819",
+        }),
+    "experiment_im2pm": (
+        experiment("im2pm"), {
+            "out/im2pm_im_like.csv":
+                "8ce9da23d0c38c151266dac84600c976cebfe53526a3a2883c8047b5e13644dd",
+            "out/im2pm_pm_like.csv":
+                "8e968aa88876ce562d18c76f3f12ec628f67b0a175cd287aa0a80e6b7ee17624",
+            "out/im2pm_summary.txt":
+                "8fe478aa65f01d4acb9050c23cbb9f9573f4641e6b1cc58c82ba3539f6e8e76e",
+            "stdout":
+                "56e87181dd5679b7d73fec2c8e56f99ee31b5fa17302ffc904801c115f7fb10b",
+        }),
+    "experiment_pm2im": (
+        experiment("pm2im"), {
+            "out/pm2im_im_like.csv":
+                "16e0ecefd7e777f87c7a5dda29779da8eaa351d8c6d8fc6f157e37ca21323d3d",
+            "out/pm2im_pm_like.csv":
+                "eac6bd4cdba65e06fec04bf357473b14609375ff22658bd8509f5c8212bf1303",
+            "out/pm2im_summary.txt":
+                "f99c94f79b883dc5d8e8e5613a5e22346e23d544c3367a34704b9bc90ee216ae",
+            "stdout":
+                "e15b8195c90e6424362fa1fbad1f913c05d26294ca79632fbb948600f41ac2bd",
+        }),
+    "experiment_ssb_notch": (
+        experiment("ssb_notch"), {
+            "out/ssb_notch_ssb.csv":
+                "5362e9a21a6ca755d12e1ac9f2e78c3b95a04b9c696cdf750f41a911b6ed50ec",
+            "out/ssb_notch_summary.txt":
+                "90cf40e304f85b399b9aea83eebc31fc0be2f6cabf2b89e59d78700dca593a1c",
+            "stdout":
+                "8471231915a7d884240637ea34aa9e7ab0204a0fadfaa8023128b1d813092d73",
+        }),
+    "experiment_bandpass_tune": (
+        experiment("bandpass_tune"), {
+            "out/bandpass_tune_detune_12.csv":
+                "a777adebed57924d3c4e0831a370b0a01ea9fa0e67a88088bd138302a0c229e2",
+            "out/bandpass_tune_detune_16.csv":
+                "cc055353a67984010764aa9bcde41fc699f0238ff29dbf1cb4a8193914180196",
+            "out/bandpass_tune_detune_20.csv":
+                "a2dd5c266e321b654a8f17b4657e65f9d3644d6da9a77793dd945910859f80cd",
+            "out/bandpass_tune_detune_8.csv":
+                "d0441a31ea55955b579eb9629e950617c41ba1961a8d754bbed37e815ab88334",
+            "out/bandpass_tune_summary.txt":
+                "7cdfa3e03db36c462ad9245dab892ceb1f76a73e60007ade37c960ddb447a994",
+            "stdout":
+                "bb3f050c8a5038775b5242ed6044b9a434a0a574c352de15674d801b793b93f9",
+        }),
+    "experiment_deint_phase_probe": (
+        experiment("deint_phase_probe"), {
+            "out/deint_phase_probe_bar.csv":
+                "ab170f158a443777ff5c3ecc75f62a92a6081f04892d55fee3da93c100e1ce60",
+            "out/deint_phase_probe_cross.csv":
+                "ab170f158a443777ff5c3ecc75f62a92a6081f04892d55fee3da93c100e1ce60",
+            "out/deint_phase_probe_summary.txt":
+                "219623407571173f583d407108405b3a11cc2f9e6a93e55fe349b2088a9c1589",
+            "stdout":
+                "eb1fad28f3dcf2bc9bc9828886e5e09e337ee050ff04445971f51e9c35a037d2",
+        }),
+    "experiment_coupling_sweep": (
+        experiment("coupling_sweep"), {
+            "out/coupling_sweep_kappa_0.0500.csv":
+                "e39ac68ca8e5c4d96d294f64518c04ae3d29ae9b9c3414e917947525b5bf462b",
+            "out/coupling_sweep_kappa_0.1000.csv":
+                "8142ca21bff5fc76439cf8c8c33f83a4ba1c8c6790bc49e885523c7bfc963d33",
+            "out/coupling_sweep_kappa_0.1631.csv":
+                "420dbb36dbf9ddba062bcd8d8874950b9b95659d7a72387fd1c2d200c506c168",
+            "out/coupling_sweep_kappa_0.2500.csv":
+                "29d5eefca9f9c02f02f21a9e543d74b2a814a193041434b605b90bbd8c26433f",
+            "out/coupling_sweep_kappa_0.4000.csv":
+                "a8800e5af230c1f84a75635a6cf88d80d622880c00bf004161a011986eba03bc",
+            "out/coupling_sweep_summary.txt":
+                "64b5dfd3d024a37a3d356689543687359fd368c8067fb6ce97bd24114512d8e5",
+            "stdout":
+                "b7dd62ed9a4bd0b2af1981441fc23a1b5f5b145f02445fdacb5ab779a330d7b8",
+        }),
+    "sweep_deinterleaver": (
+        ["sweep", "preset:deinterleaver", OFFSET_SWEEP, "--out",
+         "deint.csv"], {
+            "deint_bar.csv":
+                "d23a2ec7b5fdf87d4efec7276e9f8c1daabb554aa6949c68e402d62a4b84e8ec",
+            "deint_cross.csv":
+                "80a089462afdbf260f89052d0dd7a2d365972e72ac779f36592dea67efd0605f",
+            "stdout":
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        }),
+    "sweep_shaper": (
+        ["sweep", "preset:shaper", OFFSET_SWEEP, "--out", "shaper.csv"], {
+            "shaper_bar_tap.csv":
+                "b39f4fea5f7a57cec0089d33fc85c33c701e27c3b0d40cb984d4101c21f951f3",
+            "shaper_detector.csv":
+                "e9b0019bdf9b64edfb4f373ea02206c84e7c87206f783f5a27b980c61fef6e0f",
+            "shaper_monitor.csv":
+                "d9fb4a834cd16e318e82f202227ac62e047e31f5e7a9bbd5fdf627273a7c4acb",
+            "shaper_ring_tap.csv":
+                "a87d9804be38cc3a27682203f5aed8c7533aea93e27e3cc994e046cbb31c6938",
+            "stdout":
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        }),
+    "optimize_critical_coupling": (
+        SHAPER_OPTIMIZE + ["critical_coupling", "--port", "monitor",
+                           "--max-evals", "400"], {
+            "stdout":
+                "37a7ba170546f97b52aae7f65b3fc3dea10a55d62f924d6d4b0067e9daf55f46",
+            "tuned.nl":
+                "9e8b6f79dea0a80fa2dc514c0691106d274b077efaf782d0e79cbd6fca65b74a",
+            "tuned.sum":
+                "37a7ba170546f97b52aae7f65b3fc3dea10a55d62f924d6d4b0067e9daf55f46",
+        }),
+    "block_waveguide": (
+        block("waveguide", "optical_path_length=0.01", "loss_db_per_cm=1.2",
+               "physical_length_cm=0.5"), {
+            "b.csv":
+                "a63a8e65db3d61488f9749b54c6037db56663b0b7f8651fb86194c68b4c69ea4",
+            "stdout":
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        }),
+    "block_phase_shifter": (
+        block("phase_shifter", "phase_rad=1.3"), {
+            "b.csv":
+                "f46286fe7b1e130f2695d4801c66ab3ac715f58b79ae8111ff1007aa1e7b4ad6",
+            "stdout":
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        }),
+    "block_ring_allpass": (
+        block("ring_allpass", "kappa=0.16308060159558035", "fsr_ghz=50",
+               "round_trip_amplitude=0.9148329893507446", "detune_ghz=3"), {
+            "b.csv":
+                "3c97a1caf76438460121e124c15c4bb7884f4e3dd115157b0dbc884576f88856",
+            "stdout":
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        }),
+    "block_coupler_3db": (
+        block("coupler_3db"), {
+            "b_bar.csv":
+                "dc931cd065360797aab925dbfda222840bd7aadbfb39398801d3e29629177fee",
+            "b_cross.csv":
+                "68d81f62160b18e5454d18a424d211fcf8169c0236bd08df0703de832d13d2c5",
+            "stdout":
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        }),
+    "block_tunable_coupler": (
+        block("tunable_coupler", "phase_rad=0.7"), {
+            "b_bar.csv":
+                "65eb86a9215351430c4b4c3bae39f49d815b3fbb2c09980a00918e439bf986db",
+            "b_cross.csv":
+                "832b09f74dea1a569278e0d256dedb4c3bfeae44e64304dcd28befecfa49d44d",
+            "stdout":
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        }),
+    "block_ring_adddrop": (
+        block("ring_adddrop", "kappa=0.1", "kappa_drop=0.05", "fsr_ghz=50",
+               "round_trip_amplitude=0.9148329893507446", "detune_ghz=-4"), {
+            "b_drop.csv":
+                "d6658b0a6658b97dae5f09ab669c49a3b932e6bc8b441d53b14c04460d5221f1",
+            "b_through.csv":
+                "846260b606fbd72d9c98244ce400facec82e52b287b2bc327834a0d29fdcbb1d",
+            "stdout":
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        }),
+    "block_tunable_coupler_phase_sweep": (
+        ["block", "tunable_coupler", "--phase-sweep", "0:6.28:0.01", "--out",
+         "b.csv"], {
+            "b.csv":
+                "6609b07b45b466bc086dd8c0fc15c3b4f04fa76891e4a5dac1a82f0af4331ef7",
+            "stdout":
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         }),
 }
 
