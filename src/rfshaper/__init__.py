@@ -15,16 +15,15 @@ from .blocks import (BLOCK_KINDS, FrequencyGrid, PhaseShifterState,
                      heater_phase_from_power)
 from .circuit import (BlockInstance, CircuitGraph, CircuitResponse, Port,
                       bind, evaluate)
-from .csvout import format_number, write_csv
+from .csvout import format_number
 from .errors import (AnalysisError, ConfigurationError, DomainError,
                      ShaperError, SingularityError, TopologyError)
 from .experiments import ExperimentResult, run_experiment
 from .metrics import extinction_db, notch_depth_db, passband_width_3db, \
     peak_frequency_ghz, q_and_finesse
-from .rflink import (DetectorParams, LinkConfig, ModulatedSpectrum,
-                     ModulationFormat, RfResponse, apply_circuit, bind_sweep,
-                     detect_rf_phasor, make_spectrum, rf_transmission_sweep,
-                     time_domain_oracle)
+from .rflink import (LinkConfig, ModulatedSpectrum, ModulationFormat,
+                     RfResponse, bind_sweep, detect_rf_phasor, detector,
+                     make_spectrum, rf_transmission_sweep, time_domain_oracle)
 from .topologies import (DeinterleaverSpec, ShaperConfig, build_deinterleaver,
                          build_shaper, fit_round_trip_amplitude,
                          ring_kappa_for_rejection)

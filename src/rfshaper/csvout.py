@@ -100,19 +100,6 @@ def write_optical_csv(response: CircuitResponse, dest,
     return list(texts)
 
 
-def write_csv(response, dest) -> list[Path]:
-    """Write a swept response to CSV; dispatches on the response type.
-
-    RF traces produce one ``freq_ghz,mag_db,phase_rad`` file; optical
-    responses produce one ``offset_ghz,re,im`` file per output port.
-    """
-    if isinstance(response, RfResponse):
-        return [write_rf_csv(response, dest)]
-    if isinstance(response, CircuitResponse):
-        return write_optical_csv(response, dest)
-    raise TypeError(f"cannot serialise {type(response).__name__} to CSV")
-
-
 def write_table_csv(headers: Sequence[str], rows: Sequence[Sequence[float]],
                     dest) -> Path:
     """Generic numeric table with the same formatting rules; every row
@@ -139,16 +126,3 @@ def write_summary(summary: dict, dest) -> Path:
     _write_text(dest, "".join(f"{k} {format_summary_value(v)}\n"
                               for k, v in summary.items()))
     return Path(dest)
-
-
-def read_rf_csv(path) -> RfResponse:
-    """Parse a file written by :func:`write_rf_csv` (round-trip helper)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != RF_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        data = [line.strip().split(",") for line in fh if line.strip()]
-    cols = np.array(data, dtype=float)
-    if cols.size == 0:
-        cols = np.empty((0, 3))
-    return RfResponse(cols[:, 0], cols[:, 1], cols[:, 2])

@@ -14,15 +14,13 @@ from typing import Mapping
 
 import numpy as np
 
-from . import kernels
 from .blocks import FrequencyGrid, RingParams, heater_phase_from_power
 from .circuit import CircuitGraph, CircuitResponse, bind
 from .constants import DEFAULT_CARRIER_THZ, DEFAULT_P_PI_MW, FILTER_RING_FSR_GHZ
 from .errors import ConfigurationError, DomainError
-from .metrics import notch_depth_db, peak_frequency_ghz
-from .rflink import (DetectorParams, LinkConfig, ModulatedSpectrum,
-                     ModulationFormat, RfResponse, bind_sweep,
-                     detect_rf_phasor, make_spectrum, rf_transmission_sweep)
+from .metrics import band_mask, notch_depth_db, peak_frequency_ghz
+from .rflink import (LinkConfig, ModulationFormat, RfResponse, bind_sweep,
+                     detector, make_spectrum, rf_transmission_sweep)
 from .topologies import (FITTED_RING_AMPLITUDE, DeinterleaverSpec, ShaperConfig,
                          build_deinterleaver, build_shaper,
                          ring_kappa_for_rejection)
@@ -55,14 +53,16 @@ def _get(overrides: Mapping[str, object], key: str, default):
 
     A set value must be a number where the default is one, and a sequence
     where the default is one: of the same length for a tuple default, of
-    any length for a list default.
+    any length for a list default.  Where the default is an ``int``, the
+    value must be a whole number and is returned as an ``int``.
     """
     v = overrides.get(key, default)
     if (isinstance(v, (tuple, list)) != isinstance(default, (tuple, list))
-            or isinstance(default, tuple) and len(v) != len(default)):
+            or isinstance(default, tuple) and len(v) != len(default)
+            or isinstance(default, int) and not float(v).is_integer()):
         raise ConfigurationError(
             f"option {key!r} takes values like {default!r}, got {v!r}")
-    return v
+    return int(v) if isinstance(default, int) else v
 
 
 def _check_keys(name: str, overrides: Mapping[str, object], allowed: set[str]):
@@ -72,26 +72,12 @@ def _check_keys(name: str, overrides: Mapping[str, object], allowed: set[str]):
             f"preset {name!r} does not accept option(s) {sorted(unknown)}")
 
 
-def _band_mask(trace: RfResponse, lo: float, hi: float) -> np.ndarray:
-    """Sweep points inside [lo, hi]; a sweep with none is a DomainError."""
-    mask = (trace.rf_freqs_ghz >= lo) & (trace.rf_freqs_ghz <= hi)
-    if not mask.any():
-        raise DomainError(f"the sweep has no point in the band {lo:g}..{hi:g} GHz")
-    return mask
-
-
 def _apply_user_heaters(graph: CircuitGraph,
                         overrides: Mapping[str, object]) -> CircuitGraph:
     """User heater overrides rebase the circuit before the preset runs;
     heaters the preset itself drives are still swept on top."""
     heaters = overrides.get("heaters") or {}
     return graph.with_heaters(heaters) if heaters else graph
-
-
-def _parked_allpass() -> RingParams:
-    return RingParams(FILTER_RING_FSR_GHZ, 1e-3,
-                      round_trip_amplitude=FITTED_RING_AMPLITUDE,
-                      detune_ghz=25.0)
 
 
 def _parked_adddrop() -> RingParams:
@@ -126,11 +112,7 @@ def _beat_vs_phase(graph: CircuitGraph, f0: float, fmt: ModulationFormat,
     offs = np.array([-f0, 0.0, f0])
     even, odd = _phase_family(graph, offs, heater, base_heaters)
     u = np.exp(-1j * phis)
-    hm, h0, hp = (even[i] + u * odd[i] for i in range(3))
-    probe = make_spectrum(fmt, f0)
-    return np.abs(kernels.beat_phasor_grid(
-        h0, hm, hp, probe.e_minus, probe.e_carrier, probe.e_plus,
-        DetectorParams().responsivity_a_per_w))
+    return np.abs(detector(fmt)(*(even[i] + u * odd[i] for i in range(3))))
 
 
 def _conversion_preset(name: str, fmt_kind: str,
@@ -146,7 +128,7 @@ def _conversion_preset(name: str, fmt_kind: str,
     # carrier mid-transition (crossover at zero): the +/-f dispersion of
     # the two paths stays mirror-symmetric, so one shifter phase cancels
     # the beats across the whole band.
-    cfg = ShaperConfig(allpass=_parked_allpass(), adddrop=_parked_adddrop())
+    cfg = ShaperConfig(adddrop=_parked_adddrop())
     graph = _apply_user_heaters(build_shaper(cfg), overrides)
     fmt = ModulationFormat(fmt_kind, m)
     link = LinkConfig(fmt, graph)
@@ -159,7 +141,7 @@ def _conversion_preset(name: str, fmt_kind: str,
     sweep = bind_sweep(link, lo, hi, step, ("ps_bar.phase",))
     high = sweep({"ps_bar.phase": phi_high})
     low = sweep({"ps_bar.phase": phi_low})
-    mask = _band_mask(high, *band)
+    mask = band_mask(high.rf_freqs_ghz, band)
     extinction = float(np.min(high.mag_db[mask] - low.mag_db[mask]))
     summary = {
         "extinction_db": extinction,
@@ -249,10 +231,14 @@ def cancel_notch(overrides: Mapping[str, object], seed: int = 0) -> ExperimentRe
                       bar_phase_rad=settings.shifter_phase_rad), overrides)
     fmt = ModulationFormat("IM", m)
     objective = Objective("notch_depth", rf_freq_ghz=f0, fmt=fmt)
-    result = optimize(graph, objective,
-                      OptimizerConfig(max_evals=polish_evals, restarts=2,
-                                      seed=seed),
-                      heater_names=("ps_bar.phase", "tc_bar.phase"))
+    try:
+        result = optimize(graph, objective,
+                          OptimizerConfig(max_evals=polish_evals, restarts=2,
+                                          seed=seed),
+                          heater_names=("ps_bar.phase", "tc_bar.phase"))
+    except ConfigurationError as exc:
+        raise ConfigurationError(
+            f"option 'polish_evals' {polish_evals}: {exc}") from None
     link = LinkConfig(fmt, graph)
     trace = rf_transmission_sweep(link, lo, hi, step, heaters=result.best)
     depth, f_min = notch_depth_db(trace.rf_freqs_ghz, trace.mag_db, f0)
@@ -290,7 +276,6 @@ def bandpass_tune(overrides: Mapping[str, object], seed: int = 0) -> ExperimentR
     cfg = ShaperConfig(
         deinterleaver=DeinterleaverSpec.designed(
             crossover_offset_ghz=-CARRIER_GUARD_GHZ),
-        allpass=_parked_allpass(),
         adddrop=RingParams(FILTER_RING_FSR_GHZ, kappa, kappa_drop=kappa,
                            round_trip_amplitude=FITTED_RING_AMPLITUDE,
                            detune_ghz=25.0),
@@ -334,7 +319,7 @@ def deint_phase_probe(overrides: Mapping[str, object], seed: int = 0
         traces[port] = rf_transmission_sweep(
             LinkConfig(fmt, graph, output_port=port), lo, hi, step)
     bar = traces["bar"]
-    mask = _band_mask(bar, 5.0, 25.0)
+    mask = band_mask(bar.rf_freqs_ghz, (5.0, 25.0))
     return ExperimentResult(
         "deint_phase_probe", traces=traces,
         summary={"bar_passband_phase_span_rad":
@@ -367,15 +352,9 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
         raise DomainError("amplitude_tuning needs power_step_mw > 0 and "
                           "power_max_mw >= 0")
 
-    kappa = ring_kappa_for_rejection(FITTED_RING_AMPLITUDE, att_db)
-    cfg = ShaperConfig(
-        deinterleaver=DeinterleaverSpec.designed(
-            crossover_offset_ghz=CARRIER_GUARD_GHZ),
-        allpass=RingParams(FILTER_RING_FSR_GHZ, kappa,
-                           round_trip_amplitude=FITTED_RING_AMPLITUDE,
-                           detune_ghz=(-f0) % FILTER_RING_FSR_GHZ),
-        adddrop=_parked_adddrop())
-    graph = _apply_user_heaters(build_shaper(cfg), overrides)
+    graph = _apply_user_heaters(
+        _notch_shaper(f0, att_db, bar_coupler_rad=math.pi, bar_phase_rad=0.0),
+        overrides)
     fmt = ModulationFormat("PM", m)
 
     # Anti-phase reference: fix the shifter so the sideband beats cancel
@@ -391,6 +370,7 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
     grid = FrequencyGrid(DEFAULT_CARRIER_THZ, np.array([-f0, 0.0, f0]))
     evaluate_at = bind(graph, grid, ("tc_bar.phase", "ps_bar.phase"))
     probe = make_spectrum(fmt, f0)
+    beat = detector(fmt)
     headers = ("heater_power_mw", "coupler_phase_rad", "upper_power",
                "lower_power", "carrier_power", "rf_phasor_abs")
 
@@ -403,13 +383,11 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
                 "tc_bar.phase": phi_tc % _TWO_PI,
                 "ps_bar.phase": phi_ps % _TWO_PI})
             h = resp.port("detector")
-            shaped = ModulatedSpectrum(f0, h[0] * probe.e_minus,
-                                       h[1] * probe.e_carrier,
-                                       h[2] * probe.e_plus)
-            rf = abs(detect_rf_phasor(shaped))
             rows.append((float(p), phi_tc % _TWO_PI,
-                         abs(shaped.e_plus) ** 2, abs(shaped.e_minus) ** 2,
-                         abs(shaped.e_carrier) ** 2, rf))
+                         abs(h[2] * probe.e_plus) ** 2,
+                         abs(h[0] * probe.e_minus) ** 2,
+                         abs(h[1] * probe.e_carrier) ** 2,
+                         abs(beat(h[0], h[1], h[2]))))
         return rows
 
     tables = {}

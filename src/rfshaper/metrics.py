@@ -10,7 +10,8 @@ from .constants import DEFAULT_CARRIER_THZ
 from .errors import AnalysisError, DomainError
 
 
-def _band_mask(offsets: np.ndarray, band: tuple[float, float]) -> np.ndarray:
+def band_mask(offsets: np.ndarray, band: tuple[float, float]) -> np.ndarray:
+    """Grid points inside [lo, hi]; a grid with none is a DomainError."""
     lo, hi = band
     if not (hi > lo):
         raise DomainError(f"band limits must satisfy hi > lo, got {band}")
@@ -26,8 +27,8 @@ def extinction_db(offsets_ghz: np.ndarray, power: np.ndarray,
     """Worst-case extinction: min passband power over max stopband power."""
     offsets = np.asarray(offsets_ghz, dtype=float)
     power = np.asarray(power, dtype=float)
-    p_pass = power[_band_mask(offsets, passband)].min()
-    p_stop = power[_band_mask(offsets, stopband)].max()
+    p_pass = power[band_mask(offsets, passband)].min()
+    p_stop = power[band_mask(offsets, stopband)].max()
     if p_stop <= 0.0:
         return math.inf
     return 10.0 * math.log10(p_pass / p_stop)
@@ -60,8 +61,8 @@ def q_and_finesse(offsets_ghz: np.ndarray, power: np.ndarray,
     power = np.asarray(power, dtype=float)
     if offsets.size < 5:
         raise AnalysisError("response grid too coarse for linewidth analysis")
-    window = _band_mask(offsets, (resonance_offset_ghz - fsr_ghz / 2,
-                                  resonance_offset_ghz + fsr_ghz / 2))
+    window = band_mask(offsets, (resonance_offset_ghz - fsr_ghz / 2,
+                                 resonance_offset_ghz + fsr_ghz / 2))
     x, y = offsets[window], power[window]
     median = float(np.median(y))
     if y.max() - median > median - y.min():
@@ -108,7 +109,7 @@ def notch_depth_db(freqs_ghz: np.ndarray, mag_db: np.ndarray,
     """
     freqs = np.asarray(freqs_ghz, dtype=float)
     mag = np.asarray(mag_db, dtype=float)
-    mask = _band_mask(freqs, (notch_freq_ghz - 3.0, notch_freq_ghz + 3.0))
+    mask = band_mask(freqs, (notch_freq_ghz - 3.0, notch_freq_ghz + 3.0))
     w_f, w_m = freqs[mask], mag[mask]
     i = int(np.argmin(w_m))
     return float(w_m.max() - w_m[i]), float(w_f[i])

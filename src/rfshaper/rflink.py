@@ -6,13 +6,15 @@ through a circuit, square-law detection beats each sideband against the
 carrier; the component of the photocurrent at the RF frequency has
 complex amplitude
 
-    ``responsivity * (E0 * conj(E-) + conj(E0) * E+)``
+    ``R * (E0 * conj(E-) + conj(E0) * E+)``
 
-which is what :func:`detect_rf_phasor` returns.  The full cosine swing of
-the photocurrent is twice this phasor's magnitude (the two beat terms are
-reported one-sided).  :func:`time_domain_oracle` checks the same quantity
-by brute force: it synthesises the field over many RF periods, squares
-it, and projects out the fundamental.
+with ``R = DEFAULT_RESPONSIVITY_A_PER_W``.  :func:`detector` forms it
+from circuit responses and :func:`detect_rf_phasor` from a spectrum,
+both with :func:`rfshaper.kernels.beat_phasor_grid`.  The full cosine
+swing of the photocurrent is twice this phasor's magnitude (the two beat
+terms are reported one-sided).  :func:`time_domain_oracle` checks the
+same quantity by brute force: it synthesises the field over many RF
+periods, squares it, and projects out the fundamental.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .blocks import FrequencyGrid
-from .circuit import CircuitGraph, bind, evaluate
+from .circuit import CircuitGraph, bind
 from .constants import DEFAULT_CARRIER_THZ, DEFAULT_RESPONSIVITY_A_PER_W
 from .errors import ConfigurationError, DomainError
 
@@ -74,15 +76,6 @@ class ModulationFormat:
 
 
 @dataclass(frozen=True)
-class DetectorParams:
-    responsivity_a_per_w: float = DEFAULT_RESPONSIVITY_A_PER_W
-
-    def __post_init__(self):
-        if not (self.responsivity_a_per_w > 0):
-            raise DomainError("responsivity must be > 0")
-
-
-@dataclass(frozen=True)
 class RfResponse:
     """Swept RF transfer curve (the primary simulator output)."""
 
@@ -119,26 +112,28 @@ def make_spectrum(fmt: ModulationFormat, rf_freq_ghz: float,
     return ModulatedSpectrum(rf_freq_ghz, em, a, ep)
 
 
-def apply_circuit(spec: ModulatedSpectrum, graph: CircuitGraph,
-                  output_port: str) -> ModulatedSpectrum:
-    """Propagate each tone through the circuit at its own offset."""
-    f = spec.rf_freq_ghz
-    grid = FrequencyGrid(DEFAULT_CARRIER_THZ, np.array([-f, 0.0, f]))
-    h = evaluate(graph, grid).port(output_port)
-    return ModulatedSpectrum(f, h[0] * spec.e_minus, h[1] * spec.e_carrier,
-                             h[2] * spec.e_plus)
+def detector(fmt: ModulationFormat) -> Callable[..., np.ndarray]:
+    """``beat(h_minus, h_zero, h_plus)``: the detected beat phasor of the
+    format's unit-carrier tones after a circuit whose responses at the
+    lower sideband, the carrier and the upper sideband are given (scalars
+    or arrays that broadcast together)."""
+    probe = make_spectrum(fmt, 1.0)
+
+    def beat(h_minus, h_zero, h_plus) -> np.ndarray:
+        return kernels.beat_phasor_grid(
+            h_zero, h_minus, h_plus, probe.e_minus, probe.e_carrier,
+            probe.e_plus, DEFAULT_RESPONSIVITY_A_PER_W)
+    return beat
 
 
-def detect_rf_phasor(spec: ModulatedSpectrum,
-                     det: DetectorParams = DetectorParams()) -> complex:
+def detect_rf_phasor(spec: ModulatedSpectrum) -> complex:
     """Complex amplitude of the photocurrent component at the RF frequency."""
-    ec = spec.e_carrier
-    return det.responsivity_a_per_w * (
-        ec * np.conj(spec.e_minus) + np.conj(ec) * spec.e_plus)
+    return kernels.beat_phasor_grid(
+        1.0, 1.0, 1.0, spec.e_minus, spec.e_carrier, spec.e_plus,
+        DEFAULT_RESPONSIVITY_A_PER_W)
 
 
-def time_domain_oracle(spec: ModulatedSpectrum,
-                       det: DetectorParams = DetectorParams()) -> complex:
+def time_domain_oracle(spec: ModulatedSpectrum) -> complex:
     """Brute-force check of :func:`detect_rf_phasor`.
 
     Synthesises the three tones in the rotating carrier frame (the
@@ -150,7 +145,7 @@ def time_domain_oracle(spec: ModulatedSpectrum,
     w_t = 2.0 * math.pi * np.arange(n) / 64  # omega * t
     field = (spec.e_minus * np.exp(-1j * w_t) + spec.e_carrier
              + spec.e_plus * np.exp(1j * w_t))
-    current = det.responsivity_a_per_w * (field * field.conj()).real
+    current = DEFAULT_RESPONSIVITY_A_PER_W * (field * field.conj()).real
     return complex(np.sum(current * np.exp(-1j * w_t)) / n)
 
 
@@ -161,7 +156,6 @@ class LinkConfig:
     fmt: ModulationFormat
     graph: CircuitGraph
     output_port: str = "detector"
-    input_name: str | None = None
 
 
 def back_to_back_reference(link: LinkConfig) -> tuple[float, str]:
@@ -170,11 +164,11 @@ def back_to_back_reference(link: LinkConfig) -> tuple[float, str]:
     A phase-modulated back-to-back link detects nothing, so PM traces are
     referenced to the equivalent intensity-modulated link instead.
     """
-    b2b = abs(detect_rf_phasor(make_spectrum(link.fmt, 1.0)))
+    b2b = abs(detector(link.fmt)(1.0, 1.0, 1.0))
     if b2b > 1e-12:
         return b2b, "back_to_back_same_format"
-    im_probe = make_spectrum(ModulationFormat("IM", link.fmt.modulation_index), 1.0)
-    return abs(detect_rf_phasor(im_probe)), "back_to_back_im_equivalent"
+    im = detector(ModulationFormat("IM", link.fmt.modulation_index))
+    return abs(im(1.0, 1.0, 1.0)), "back_to_back_im_equivalent"
 
 
 def magnitude_db(phasor: np.ndarray, ref: float) -> np.ndarray:
@@ -194,15 +188,12 @@ def bind_beat_phasor(link: LinkConfig, fs: np.ndarray,
     n = fs.size
     offsets = np.concatenate([-fs[::-1], [0.0], fs])
     grid = FrequencyGrid(DEFAULT_CARRIER_THZ, offsets)
-    evaluate_at = bind(link.graph, grid, heater_names, link.input_name)
-    probe = make_spectrum(link.fmt, 1.0)
-    responsivity = DetectorParams().responsivity_a_per_w
+    evaluate_at = bind(link.graph, grid, heater_names)
+    beat = detector(link.fmt)
 
     def phasor(heaters: Mapping[str, float] | None = None) -> np.ndarray:
         h = evaluate_at(heaters).port(link.output_port)
-        return kernels.beat_phasor_grid(
-            complex(h[n]), h[:n][::-1], h[n + 1:],
-            probe.e_minus, probe.e_carrier, probe.e_plus, responsivity)
+        return beat(h[:n][::-1], complex(h[n]), h[n + 1:])
     return phasor
 
 
@@ -216,12 +207,9 @@ def bind_sweep(link: LinkConfig, rf_lo_ghz: float, rf_hi_ghz: float,
     once; each call of the returned function gives what
     :func:`rf_transmission_sweep` gives with those heater settings.
     """
-    if not (step_ghz > 0):
-        raise DomainError("step_ghz must be > 0")
-    if not (0 < rf_lo_ghz < rf_hi_ghz):
+    if not (rf_lo_ghz > 0):
         raise DomainError("need 0 < rf_lo < rf_hi")
-    n = int(round((rf_hi_ghz - rf_lo_ghz) / step_ghz))
-    fs = rf_lo_ghz + step_ghz * np.arange(n + 1)
+    fs = FrequencyGrid.sweep(rf_lo_ghz, rf_hi_ghz, step_ghz).offsets_ghz
     fs.flags.writeable = False
 
     phasor_at = bind_beat_phasor(link, fs, heater_names)

@@ -66,7 +66,6 @@ class DeinterleaverSpec:
     arm_trim_rad: float = 0.0
     coupler_in_rad: float = math.pi / 2
     coupler_out_rad: float = math.pi / 2
-    ring_amplitude: float = 1.0
 
     def __post_init__(self):
         if not (self.passband_ghz > 0):
@@ -125,8 +124,7 @@ def _deinterleaver_parts(spec: DeinterleaverSpec, prefix: str = ""):
 
     def ring(i: int) -> RingParams:
         return RingParams(fsr_ghz=fsr, kappa=spec.ring_kappas[i],
-                          detune_ghz=spec.ring_detunes_ghz[i] % fsr,
-                          round_trip_amplitude=spec.ring_amplitude)
+                          detune_ghz=spec.ring_detunes_ghz[i] % fsr)
 
     blocks = [
         BlockInstance(f"{p}tc_in", "tunable_coupler",

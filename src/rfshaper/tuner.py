@@ -12,6 +12,7 @@ farmed out concurrently without changing results.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -42,6 +43,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_evals", "restarts"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {v!r}")
         if self.max_evals < 1 or self.restarts < 1:
             raise ConfigurationError("optimizer budgets must be positive")
 
@@ -90,7 +95,6 @@ class Objective:
     band: tuple[float, float] = (15.0, 25.0)
     fmt: ModulationFormat = field(default_factory=ModulationFormat)
     offset_ghz: float = 0.0
-    input_name: str | None = None
     custom_fn: Callable[[CircuitGraph, Mapping[str, float]], float] | None = None
 
     def __post_init__(self):
@@ -132,8 +136,7 @@ class Objective:
                 np.arange(self.passband[0], self.passband[1] + 1e-12,
                           GRID_STEP_GHZ)]))
             grid = FrequencyGrid(DEFAULT_CARRIER_THZ, offs)
-            bound = _bound_per_names(
-                lambda names: bind(graph, grid, names, self.input_name))
+            bound = _bound_per_names(lambda names: bind(graph, grid, names))
 
             def fn(heaters: Mapping[str, float]) -> float:
                 resp = bound(heaters)(heaters)
@@ -142,7 +145,7 @@ class Objective:
             return fn
 
         if self.kind == "notch_depth":
-            link = LinkConfig(self.fmt, graph, self.port, self.input_name)
+            link = LinkConfig(self.fmt, graph, self.port)
             f0 = np.array([float(self.rf_freq_ghz)])
             ref, _ = back_to_back_reference(link)
             bound = _bound_per_names(
@@ -153,7 +156,7 @@ class Objective:
             return fn
 
         if self.kind == "conversion_extinction":
-            link = LinkConfig(self.fmt, graph, self.port, self.input_name)
+            link = LinkConfig(self.fmt, graph, self.port)
             lo, hi = self.band
             flip_base = graph.heater_values().get(FLIP_HEATER, 0.0)
             bound = _bound_per_names(lambda names: bind_sweep(
@@ -171,8 +174,7 @@ class Objective:
         if self.kind == "critical_coupling":
             grid = FrequencyGrid(DEFAULT_CARRIER_THZ,
                                  np.array([self.offset_ghz]))
-            bound = _bound_per_names(
-                lambda names: bind(graph, grid, names, self.input_name))
+            bound = _bound_per_names(lambda names: bind(graph, grid, names))
 
             def fn(heaters: Mapping[str, float]) -> float:
                 p = float(bound(heaters)(heaters).power(self.port)[0])
@@ -358,7 +360,6 @@ class CancellationSettings:
     attenuation_amplitude: float
     coupler_phase_rad: float
     shifter_phase_rad: float
-    net_phase_rad: float = math.pi
 
 
 def synthesize_cancellation_settings(optical_notch_depth_db: float

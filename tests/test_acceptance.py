@@ -20,9 +20,9 @@ from rfshaper.experiments import run_experiment
 from rfshaper.metrics import (extinction_db, passband_width_3db,
                               q_and_finesse)
 from rfshaper.netlist import document_to_text, parse_netlist
-from rfshaper.rflink import (DetectorParams, ModulatedSpectrum,
-                             ModulationFormat, detect_rf_phasor,
-                             make_spectrum, time_domain_oracle)
+from rfshaper.rflink import (ModulatedSpectrum, ModulationFormat,
+                             detect_rf_phasor, make_spectrum,
+                             time_domain_oracle)
 from rfshaper.topologies import (DeinterleaverSpec, build_deinterleaver,
                                  fit_round_trip_amplitude)
 from rfshaper.tuner import compensate_coupler_phase
@@ -40,7 +40,6 @@ def report(number: int, ok: bool, detail: str) -> None:
 def test_criterion_1_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(2026)
-    det = DetectorParams(0.8)
     worst = 0.0
     for _ in range(100):
         re = rng.normal(size=3)
@@ -48,8 +47,8 @@ def test_criterion_1_oracle_equivalence():
         spec = ModulatedSpectrum(float(rng.uniform(1.0, 30.0)),
                                  complex(re[0], im[0]), complex(re[1], im[1]),
                                  complex(re[2], im[2]))
-        a = detect_rf_phasor(spec, det)
-        b = time_domain_oracle(spec, det)
+        a = detect_rf_phasor(spec)
+        b = time_domain_oracle(spec)
         worst = max(worst, abs(a - b) / max(abs(a), 1e-12))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 5.0
@@ -60,10 +59,9 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_pm_null_and_im_max():
     start = time.perf_counter()
-    det = DetectorParams(1.0)
     carrier = 1.0
     pm = make_spectrum(ModulationFormat("PM", 0.1), 10.0, carrier)
-    pm_null = abs(detect_rf_phasor(pm, det))
+    pm_null = abs(detect_rf_phasor(pm))
 
     m = 0.1
     phases = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
@@ -73,9 +71,9 @@ def test_criterion_2_pm_null_and_im_max():
         for pplus in phases:
             spec = ModulatedSpectrum(10.0, eminus, carrier,
                                      m * np.exp(1j * pplus))
-            best = max(best, abs(detect_rf_phasor(spec, det)))
+            best = max(best, abs(detect_rf_phasor(spec)))
     im_val = abs(detect_rf_phasor(
-        make_spectrum(ModulationFormat("IM", m), 10.0, carrier), det))
+        make_spectrum(ModulationFormat("IM", m), 10.0, carrier)))
     elapsed = time.perf_counter() - start
     ok = pm_null <= 1e-15 * carrier ** 2 and im_val >= best - 1e-12 \
         and elapsed < 10.0

@@ -254,8 +254,9 @@ def test_block_phase_sweep_names_its_kind(tmp_path, capsys):
     ("amplitude_tuning", "set power_step_mw -1", 4),
     ("amplitude_tuning", "set power_max_mw -1", 4),
     ("amplitude_tuning", "set anchor_power_mw -1", 4),
-    # a polish budget below one simplex per restart: exit 3
+    # a polish budget below one simplex per restart, or not whole: exit 3
     ("cancel_notch", "set polish_evals 3", 3),
+    ("cancel_notch", "set polish_evals 600.5", 3),
     # a sweep that misses the band the preset reduces over: exit 4
     ("im2pm", "sweep 35 40 0.5", 4),
     ("deint_phase_probe", "sweep 1 2 0.5", 4),
@@ -265,6 +266,14 @@ def test_experiment_bad_option_exit_code(tmp_path, capsys, preset, line, code):
     cfg.write_text(f"experiment {preset}\n{line}\n")
     assert run(["experiment", str(cfg), "--out-dir", str(tmp_path)]) == code
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["3", "600.5", "0"])
+def test_experiment_bad_polish_budget_names_the_option(tmp_path, capsys, value):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"experiment cancel_notch\nset polish_evals {value}\n")
+    assert run(["experiment", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    assert "polish_evals" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("settings, field", [

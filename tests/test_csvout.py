@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from rfshaper.blocks import FrequencyGrid
 from rfshaper.circuit import CircuitResponse
-from rfshaper.csvout import (format_number, read_rf_csv, write_csv,
-                             write_optical_csv, write_rf_csv, write_summary,
-                             write_table_csv)
+from rfshaper.csvout import (RF_HEADER, format_number, write_optical_csv,
+                             write_rf_csv, write_summary, write_table_csv)
 from rfshaper.errors import AnalysisError
 from rfshaper.rflink import RfResponse
 
@@ -43,10 +42,11 @@ def test_rf_csv_round_trip(tmp_path):
                       rng.uniform(-60, 0, 8), rng.uniform(-3, 3, 8))
     path = tmp_path / "trip.csv"
     write_rf_csv(resp, path)
-    back = read_rf_csv(path)
-    np.testing.assert_allclose(back.rf_freqs_ghz, resp.rf_freqs_ghz, rtol=1e-8)
-    np.testing.assert_allclose(back.mag_db, resp.mag_db, rtol=1e-8)
-    np.testing.assert_allclose(back.phase_rad, resp.phase_rad, rtol=1e-8)
+    assert path.read_text().splitlines()[0] == RF_HEADER
+    freqs, mag, phase = np.loadtxt(path, delimiter=",", skiprows=1).T
+    np.testing.assert_allclose(freqs, resp.rf_freqs_ghz, rtol=1e-8)
+    np.testing.assert_allclose(mag, resp.mag_db, rtol=1e-8)
+    np.testing.assert_allclose(phase, resp.phase_rad, rtol=1e-8)
 
 
 def test_csv_byte_deterministic(tmp_path):
@@ -92,18 +92,6 @@ def test_write_error_carries_destination(tmp_path):
     with pytest.raises(OSError, match="x.csv"):
         write_rf_csv(RfResponse(np.array([1.0]), np.array([0.0]),
                                 np.array([0.0])), missing)
-
-
-def test_write_csv_dispatches_on_type(tmp_path):
-    rf = RfResponse(np.array([10.0]), np.array([0.0]), np.array([0.0]))
-    assert [p.name for p in write_csv(rf, tmp_path / "rf.csv")] == ["rf.csv"]
-    grid = FrequencyGrid(193.4, np.array([0.0]))
-    opt = CircuitResponse(grid, {"a": np.array([1.0 + 0j]),
-                                 "b": np.array([0.0 + 0j])})
-    assert sorted(p.name for p in write_csv(opt, tmp_path / "o.csv")) == \
-        ["o_a.csv", "o_b.csv"]
-    with pytest.raises(TypeError):
-        write_csv(object(), tmp_path / "x.csv")
 
 
 def per_row_text(header, rows) -> str:

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from rfshaper.blocks import (PhaseShifterState, RingParams,
                              critical_coupling_kappa)
-from rfshaper.circuit import BlockInstance, CircuitGraph, Port
+from rfshaper.blocks import FrequencyGrid
+from rfshaper.circuit import BlockInstance, CircuitGraph, Port, evaluate
+from rfshaper.constants import DEFAULT_RESPONSIVITY_A_PER_W as R
 from rfshaper.errors import ConfigurationError, DomainError
-from rfshaper.rflink import (DetectorParams, LinkConfig, ModulatedSpectrum,
-                             ModulationFormat, apply_circuit, detect_rf_phasor,
-                             make_spectrum, rf_transmission_sweep,
-                             time_domain_oracle)
-
-DET1 = DetectorParams(1.0)
+from rfshaper.rflink import (LinkConfig, ModulatedSpectrum, ModulationFormat,
+                             detect_rf_phasor, make_spectrum,
+                             rf_transmission_sweep, time_domain_oracle)
 
 
 def identity_graph():
@@ -49,28 +48,28 @@ def test_detect_rf_phasor_im_convention():
     spec = ModulatedSpectrum(10.0, 0.1, 1.0, 0.1)
     # one-sided sum of both carrier beats: 2 * 0.1 (the detected cosine
     # swings twice this)
-    assert detect_rf_phasor(spec, DET1) == pytest.approx(0.2)
+    assert detect_rf_phasor(spec) == pytest.approx(0.2 * R)
 
 
 def test_detect_rf_phasor_pm_null():
     spec = make_spectrum(ModulationFormat("PM", 0.1), 10.0)
-    assert abs(detect_rf_phasor(spec, DET1)) < 1e-15
+    assert abs(detect_rf_phasor(spec)) < 1e-15
 
 
 def test_detect_rf_phasor_ssb():
     spec = ModulatedSpectrum(10.0, 0.0, 1.0, 0.5)
-    assert detect_rf_phasor(spec, DET1) == pytest.approx(0.5)
-    assert time_domain_oracle(spec, DET1) == pytest.approx(0.5, abs=1e-12)
+    assert detect_rf_phasor(spec) == pytest.approx(0.5 * R)
+    assert time_domain_oracle(spec) == pytest.approx(0.5 * R, abs=1e-12)
 
 
 def test_oracle_carrier_only():
     spec = ModulatedSpectrum(10.0, 0.0, 1.3, 0.0)
-    assert abs(time_domain_oracle(spec, DET1)) < 1e-15
+    assert abs(time_domain_oracle(spec)) < 1e-15
 
 
 def test_oracle_pm_null():
     spec = make_spectrum(ModulationFormat("PM", 0.2), 17.0)
-    assert abs(time_domain_oracle(spec, DET1)) < 1e-14
+    assert abs(time_domain_oracle(spec)) < 1e-14
 
 
 @given(st.integers(0, 10_000))
@@ -82,9 +81,8 @@ def test_oracle_matches_detector_on_random_spectra(seed):
     spec = ModulatedSpectrum(float(rng.uniform(1.0, 30.0)),
                              complex(re[0], im[0]), complex(re[1], im[1]),
                              complex(re[2], im[2]))
-    det = DetectorParams(0.8)
-    a = detect_rf_phasor(spec, det)
-    b = time_domain_oracle(spec, det)
+    a = detect_rf_phasor(spec)
+    b = time_domain_oracle(spec)
     assert abs(a - b) <= 1e-9 * max(abs(a), 1e-12)
 
 
@@ -94,7 +92,7 @@ def test_pm_null_general_complex_sidebands():
         ep = complex(*rng.normal(size=2))
         carrier = float(rng.uniform(0.5, 2.0))
         spec = ModulatedSpectrum(12.0, -np.conj(ep), carrier, ep)
-        assert abs(detect_rf_phasor(spec, DET1)) <= 1e-15 * carrier ** 2
+        assert abs(detect_rf_phasor(spec)) <= 1e-15 * carrier ** 2
 
 
 def test_im_assignment_maximises_rf():
@@ -105,8 +103,8 @@ def test_im_assignment_maximises_rf():
         for pp in phases:
             spec = ModulatedSpectrum(10.0, m * np.exp(1j * pm), carrier,
                                      m * np.exp(1j * pp))
-            best = max(best, abs(detect_rf_phasor(spec, DET1)))
-    im_value = abs(detect_rf_phasor(ModulatedSpectrum(10.0, m, carrier, m), DET1))
+            best = max(best, abs(detect_rf_phasor(spec)))
+    im_value = abs(detect_rf_phasor(ModulatedSpectrum(10.0, m, carrier, m)))
     assert im_value >= best - 1e-12
 
 
@@ -115,19 +113,12 @@ def test_rf_phasor_scales_with_power():
     a = 0.8 - 0.6j
     scaled = ModulatedSpectrum(10.0, a * spec.e_minus, a * spec.e_carrier,
                                a * spec.e_plus)
-    assert abs(detect_rf_phasor(scaled, DET1)) == pytest.approx(
-        abs(a) ** 2 * abs(detect_rf_phasor(spec, DET1)))
+    assert abs(detect_rf_phasor(scaled)) == pytest.approx(
+        abs(a) ** 2 * abs(detect_rf_phasor(spec)))
 
 
-def test_apply_circuit_identity():
-    spec = make_spectrum(ModulationFormat("IM", 0.1), 10.0)
-    out = apply_circuit(spec, identity_graph(), "out")
-    assert out.e_minus == pytest.approx(spec.e_minus, abs=1e-12)
-    assert out.e_carrier == pytest.approx(spec.e_carrier, abs=1e-12)
-    assert out.e_plus == pytest.approx(spec.e_plus, abs=1e-12)
-
-
-def test_apply_circuit_ring_notches_lower_sideband():
+def test_sweep_ring_notching_lower_sideband_keeps_carrier_beat():
+    # the ring nulls the lower sideband, so only conj(E0) * E+ is detected
     gamma = 0.96
     ring = BlockInstance("r", "ring_allpass",
                          RingParams(50.0, critical_coupling_kappa(gamma),
@@ -135,16 +126,19 @@ def test_apply_circuit_ring_notches_lower_sideband():
                                     detune_ghz=-10.0))
     g = CircuitGraph((ring,), (), {"in": Port("r", "in")},
                      {"out": Port("r", "out")})
-    spec = make_spectrum(ModulationFormat("IM", 0.1), 10.0)
-    out = apply_circuit(spec, g, "out")
-    assert abs(out.e_minus) < 1e-12
-    assert abs(out.e_plus) == pytest.approx(0.1, abs=2e-3)
+    h = evaluate(g, FrequencyGrid(193.4, np.array([0.0, 10.0]))).port("out")
+    link = LinkConfig(ModulationFormat("IM", 0.1), g, output_port="out")
+    resp = rf_transmission_sweep(link, 9.0, 11.0, 1.0)
+    assert resp.rf_freqs_ghz[1] == 10.0
+    assert resp.mag_db[1] == pytest.approx(
+        20.0 * math.log10(abs(h[0] * h[1]) / 2.0), abs=1e-9)
 
 
-def test_apply_circuit_unknown_port():
-    spec = make_spectrum(ModulationFormat("IM", 0.1), 10.0)
+def test_sweep_unknown_output_port():
+    link = LinkConfig(ModulationFormat("IM", 0.1), identity_graph(),
+                      output_port="nope")
     with pytest.raises(ConfigurationError):
-        apply_circuit(spec, identity_graph(), "nope")
+        rf_transmission_sweep(link, 1.0, 10.0, 1.0)
 
 
 def test_sweep_identity_is_flat_zero_db():

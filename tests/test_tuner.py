@@ -64,6 +64,16 @@ def test_optimize_rejects_budget_below_one_simplex_per_restart():
             optimize(graph, objective, OptimizerConfig(max_evals, restarts))
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"max_evals": 100.5}, "max_evals"),
+    ({"max_evals": 100.0}, "max_evals"),
+    ({"restarts": 2.5}, "restarts"),
+])
+def test_optimizer_config_rejects_non_integer_budgets(kwargs, field):
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+        OptimizerConfig(**kwargs)
+
+
 @pytest.mark.parametrize("max_evals, restarts", [(20, 1), (45, 2), (70, 3)])
 def test_optimize_stays_within_max_evals(max_evals, restarts):
     result = optimize(build_deinterleaver(DeinterleaverSpec()),
@@ -232,7 +242,6 @@ def test_compensation_examples():
 def test_cancellation_settings_seven_db():
     s = synthesize_cancellation_settings(7.0)
     assert s.attenuation_amplitude == pytest.approx(0.4467, abs=1e-4)
-    assert s.net_phase_rad == math.pi
     # applying shifter + coupler rotates the bar field by exactly pi
     bar = h_tunable_coupler(s.coupler_phase_rad).m00 * \
         h_phase_shifter(s.shifter_phase_rad)
