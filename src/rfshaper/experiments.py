@@ -112,7 +112,8 @@ def _beat_vs_phase(graph: CircuitGraph, f0: float, fmt: ModulationFormat,
     offs = np.array([-f0, 0.0, f0])
     even, odd = _phase_family(graph, offs, heater, base_heaters)
     u = np.exp(-1j * phis)
-    return np.abs(detector(fmt)(*(even[i] + u * odd[i] for i in range(3))))
+    hm, h0, hp = (even[i] + u * odd[i] for i in range(3))
+    return np.abs(detector(fmt)(hm, h0, hp))
 
 
 def _conversion_preset(name: str, fmt_kind: str,
