@@ -260,6 +260,10 @@ def test_block_phase_sweep_names_its_kind(tmp_path, capsys):
     # a sweep that misses the band the preset reduces over: exit 4
     ("im2pm", "sweep 35 40 0.5", 4),
     ("deint_phase_probe", "sweep 1 2 0.5", 4),
+    # a sweep or range too large to allocate: exit 4
+    ("ssb_notch", "sweep 2 28 1e-300", 4),
+    ("coupling_sweep", "set step_ghz 1e-300", 4),
+    ("amplitude_tuning", "set power_step_mw 1e-300", 4),
 ])
 def test_experiment_bad_option_exit_code(tmp_path, capsys, preset, line, code):
     cfg = tmp_path / "exp.cfg"
@@ -296,3 +300,18 @@ def test_optimize_budget_below_simplex_exit_3(tmp_path, capsys):
               "--out", str(tmp_path / "t.nl")])
     assert rc == 3
     assert "max_evals >= 20" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["block", "ring_allpass", "kappa=0.1", "fsr_ghz=50",
+      "--sweep=-inf:1:0.1"], 3, "lo:hi:step"),
+    (["block", "tunable_coupler", "--phase-sweep", "0:inf:1"], 3,
+     "lo:hi:step"),
+    (["sweep", "preset:deinterleaver", "--sweep=0:1:1e-300"], 4, "sweep"),
+    (["block", "tunable_coupler", "--phase-sweep", "0:1:1e-300"], 4,
+     "sweep"),
+])
+def test_range_not_finite_or_too_large(tmp_path, capsys, argv, code, message):
+    assert run([*argv, "--out", str(tmp_path / "x.csv")]) == code
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -8,6 +8,10 @@ it writes.  The hashes were taken with the plain per-call evaluation
 path.  A different NumPy build can change the last printed digit of a
 float; a change that alters a hash on purpose says which output changed
 and why, and takes the hash again.
+
+``ERROR_CASES`` pins the exit code and the exact standard error of
+failing commands, so that a change to the parsers shows every message,
+line and column it alters.
 """
 
 import hashlib
@@ -252,6 +256,94 @@ CASES = {
 }
 
 
+BAD_NETLIST = """\
+format 2
+block r ring_allpass kappa=0.1 kappa=0.2 bogus=1 nokv detune_ghz=oops fsr_ghz=50
+block p phase_shifter
+block w waveguide optical_path_length=-1
+block r phase_shifter phase_rad=0
+frob r.out
+connect r.out q.in
+input in r.out
+output out p.out
+"""
+
+BAD_CONFIG = """\
+experiment ssb_notch
+experiment im2pm
+sweep 1 2
+sweep 1 x 3
+heater ps.phase
+heater ps.phase zz
+seed 1.5
+seed
+outdir
+set polish_evals
+set detunes_ghz 8,,16
+frob 1
+"""
+
+#: case -> (files written first, argv, exit code, exact standard error)
+ERROR_CASES = {
+    "block_unknown_key": (
+        {}, block("ring_allpass", "kappa=0.1", "bogus=1", "fsr_ghz=50"), 3,
+        "error: bad parameter 'bogus=1' for kind ring_allpass\n"),
+    "block_bad_number": (
+        {}, block("ring_allpass", "kappa=abc", "fsr_ghz=50"), 3,
+        "error: invalid number in 'kappa=abc'\n"
+        "error: kind ring_allpass requires kappa\n"),
+    "block_missing_key": (
+        {}, block("ring_allpass", "fsr_ghz=50"), 3,
+        "error: kind ring_allpass requires kappa\n"),
+    "block_no_equals": (
+        {}, block("phase_shifter", "phase_rad"), 3,
+        "error: bad parameter 'phase_rad' for kind phase_shifter\n"
+        "error: kind phase_shifter requires phase_rad\n"),
+    "sweep_netlist_errors": (
+        {"bad.nl": BAD_NETLIST},
+        ["sweep", "bad.nl", OFFSET_SWEEP, "--out", "x.csv"], 3,
+        "error: line 1, col 8: only 'format 1' is supported near '2'\n"
+        "error: line 2, col 32: key 'kappa' given twice near 'kappa=0.2'\n"
+        "error: line 2, col 42: kind ring_allpass has no key 'bogus' "
+        "near 'bogus=1'\n"
+        "error: line 2, col 50: expected key=value near 'nokv'\n"
+        "error: line 2, col 55: invalid number for 'detune_ghz' near 'oops'\n"
+        "error: line 3, col 9: kind phase_shifter requires key 'phase_rad' "
+        "near 'phase_shifter'\n"
+        "error: line 4, col 9: optical_path_length must be > 0 "
+        "near 'waveguide'\n"
+        "error: line 5, col 7: duplicate block id 'r' (first declared on "
+        "line 2) near 'r'\n"
+        "error: line 6, col 1: unknown statement 'frob' near 'frob'\n"
+        "error: line 7, col 15: unknown block id 'q' near 'q.in'\n"
+        "error: line 8, col 10: kind ring_allpass has no input port 'out' "
+        "(expected one of in) near 'r.out'\n"),
+    "experiment_unknown_statement": (
+        {"e.cfg": "experiment ssb_notch\nfrobnicate 1\n"},
+        ["experiment", "e.cfg", "--out-dir", "out"], 3,
+        "error: line 2, col 1: unknown statement 'frobnicate' "
+        "near 'frobnicate'\n"),
+    "experiment_wrong_arity": (
+        {"e.cfg": "experiment ssb_notch\nsweep 1 2\n"},
+        ["experiment", "e.cfg", "--out-dir", "out"], 3,
+        "error: line 2, col 1: expected: sweep <lo> <hi> <step>\n"),
+    "experiment_config_errors": (
+        {"e.cfg": BAD_CONFIG},
+        ["experiment", "e.cfg", "--out-dir", "out"], 3,
+        "error: line 2, col 12: experiment given twice near 'im2pm'\n"
+        "error: line 3, col 1: expected: sweep <lo> <hi> <step>\n"
+        "error: line 4, col 1: invalid sweep numbers\n"
+        "error: line 5, col 1: expected: heater <name> <value>\n"
+        "error: line 6, col 17: invalid number near 'zz'\n"
+        "error: line 7, col 1: expected: seed <integer>\n"
+        "error: line 8, col 1: expected: seed <integer>\n"
+        "error: line 9, col 1: expected: outdir <path>\n"
+        "error: line 10, col 1: expected: set <key> <value>\n"
+        "error: line 11, col 17: invalid number near '8,,16'\n"
+        "error: line 12, col 1: unknown statement 'frob' near 'frob'\n"),
+}
+
+
 def run_case(argv, directory: Path, capsys) -> dict[str, str]:
     """Run one command in ``directory`` and hash what it printed and wrote."""
     if argv[0] == "experiment":
@@ -273,3 +365,14 @@ def test_cli_outputs_match_pinned_hashes(case, tmp_path, monkeypatch, capsys):
     argv, want = CASES[case]
     monkeypatch.chdir(tmp_path)
     assert run_case(argv, tmp_path, capsys) == want
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_cli_errors_match_pinned_text(case, tmp_path, monkeypatch, capsys):
+    files, argv, code, stderr = ERROR_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == code
+    assert capsys.readouterr().err == stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)

@@ -1,8 +1,12 @@
+import os
+import tempfile
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfshaper.blocks import PhaseShifterState, RingParams
+from rfshaper.blocks import BLOCK_KINDS, PhaseShifterState, RingParams
+from rfshaper.cli import main
 from rfshaper.circuit import BlockInstance, Port
 from rfshaper.netlist import (NetlistDocument, document_to_text,
                               load_experiment_config, parse_netlist)
@@ -220,3 +224,97 @@ def test_experiment_config_unknown_statement():
     cfg, errors = load_experiment_config("experiment im2pm\nfrobnicate 1\n")
     assert cfg is None
     assert errors[0].line == 2
+
+
+_VALUES = ["0.1", "0.5", "50", "2e-3", "-3", "nan", "inf", "-inf", "1e999",
+           "abc", ""]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_block_params_get_one_verdict_from_cli_and_netlist(data):
+    # known keys, a key of another kind, an unknown key, repeats, tokens
+    # without '=' and values that are not finite numbers
+    kind = data.draw(st.sampled_from(sorted(BLOCK_KINDS)))
+    spec = BLOCK_KINDS[kind]
+    keys = spec.keys + ("kappa_drop", "bogus")
+    token = st.one_of(
+        st.builds("{}={}".format, st.sampled_from(keys),
+                  st.sampled_from(_VALUES)),
+        st.sampled_from(keys))
+    # most draws name every required key, so that one bad token decides
+    required = [f"{k}=0.5" for k in spec.required
+                if data.draw(st.integers(0, 4))]
+    tokens = data.draw(st.permutations(
+        required + data.draw(st.lists(token, max_size=3))))
+    _, errors = parse_netlist(f"block b {kind} {' '.join(tokens)}\n")
+    with tempfile.TemporaryDirectory() as d:
+        rc = main(["block", kind, *tokens, "--sweep=-1:1:1",
+                   "--out", os.path.join(d, "b.csv")])
+    assert rc == (3 if errors else 0)
+
+
+CONFIG = """\
+experiment ssb_notch
+sweep 2 28 0.5
+heater ps_bar.phase 1.5
+seed 3
+outdir out
+set notch_freq_ghz 12
+"""
+
+_JUNK = ["nan", "1e999", "=", "x=1", "kappa=", "kappa=2", "r1.out", "ps.in",
+         "#", "block", "set", "1", "-1", "8,,16", "a.b.c"]
+
+
+@st.composite
+def _mutated(draw, text):
+    """``text`` with one to three lines changed: a token dropped,
+    repeated, replaced, swapped or a junk token inserted."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        toks = lines[i].split() or [""]
+        j = draw(st.integers(0, len(toks) - 1))
+        k = draw(st.integers(0, len(toks) - 1))
+        op = draw(st.sampled_from(["drop", "repeat", "replace", "insert",
+                                   "swap"]))
+        if op == "drop":
+            del toks[j]
+        elif op == "repeat":
+            toks.insert(j, toks[j])
+        elif op == "replace":
+            toks[j] = draw(st.sampled_from(_JUNK))
+        elif op == "insert":
+            toks.insert(j, draw(st.sampled_from(_JUNK)))
+        else:
+            toks[j], toks[k] = toks[k], toks[j]
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def _run_on_file(text: str, name: str, argv) -> int:
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, name)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        return main([argv[0], path, *argv[1:], os.path.join(d, "out")])
+
+
+@given(_mutated(VALID))
+@settings(max_examples=60, deadline=None)
+def test_mutated_netlist_errors_are_positioned_and_exit_3(text):
+    _, errors = parse_netlist(text)
+    assert all(e.line >= 1 and e.column >= 1 for e in errors)
+    rc = _run_on_file(text, "m.nl", ["sweep", "--sweep=-1:1:1", "--out"])
+    assert rc == 3 if errors else rc in (0, 3, 4)
+
+
+@given(_mutated(CONFIG))
+@settings(max_examples=60, deadline=None)
+def test_mutated_config_errors_are_positioned_and_exit_3(text):
+    cfg, errors = load_experiment_config(text)
+    assert all(e.line >= 1 and e.column >= 1 for e in errors)
+    assert (cfg is None) == bool(errors)
+    if errors:     # a valid config would run the whole preset
+        assert _run_on_file(text, "m.cfg", ["experiment", "--out-dir"]) == 3
