@@ -52,17 +52,6 @@ class BlockInstance:
                 raise ConfigurationError(
                     f"block {self.id!r}: {self.kind} needs {key}")
 
-    @property
-    def heater_refs(self) -> tuple[str, ...]:
-        """Names of the tunable phases this block exposes."""
-        return tuple(f"{self.id}.{h.name}"
-                     for h in BLOCK_KINDS[self.kind].heaters)
-
-    def heater_values(self) -> dict[str, float]:
-        """Current heater phases implied by the stored parameters."""
-        return {f"{self.id}.{h.name}": h.get(self.params)
-                for h in BLOCK_KINDS[self.kind].heaters}
-
     def with_heater(self, heater: str, phase: float) -> "BlockInstance":
         """Copy of this block with one heater set to the given phase."""
         phase = phase % (2 * math.pi)
@@ -163,35 +152,26 @@ class CircuitGraph:
             for o in BLOCK_KINDS[b.kind].outputs:
                 if Port(b.id, o) not in used_sources:
                     raise TopologyError(f"dangling output port {b.id}.{o}")
-        if self.inputs:
-            succ: dict[str, set[str]] = {}
-            for src, dst in self.connections:
-                succ.setdefault(src.block, set()).add(dst.block)
-            frontier = [p.block for p in self.inputs.values()]
-            reached = set(frontier)
-            while frontier:
-                for nxt in succ.get(frontier.pop(), ()):
-                    if nxt not in reached:
-                        reached.add(nxt)
-                        frontier.append(nxt)
-            for name, port in self.outputs.items():
-                if port.block not in reached:
-                    raise TopologyError(
-                        f"external output {name!r} unreachable from any input")
 
     def _topological_order(self) -> tuple[str, ...]:
+        """Block ids in evaluation order.  The same walk marks the blocks
+        an external input reaches, and every external output must be one
+        of them."""
         succ: dict[str, set[str]] = {b.id: set() for b in self.blocks}
         indeg: dict[str, int] = {b.id: 0 for b in self.blocks}
         for src, dst in self.connections:
             if dst.block not in succ[src.block]:
                 succ[src.block].add(dst.block)
                 indeg[dst.block] += 1
+        reached = {p.block for p in self.inputs.values()}
         ready = sorted(b for b, d in indeg.items() if d == 0)
         order: list[str] = []
         while ready:
             b = ready.pop(0)
             order.append(b)
             for nxt in sorted(succ[b]):
+                if b in reached:
+                    reached.add(nxt)
                 indeg[nxt] -= 1
                 if indeg[nxt] == 0:
                     ready.append(nxt)
@@ -199,21 +179,24 @@ class CircuitGraph:
         if len(order) != len(self.blocks):
             cyclic = sorted(set(indeg) - set(order))
             raise TopologyError(f"circuit contains a feedback loop through {cyclic}")
+        if self.inputs:
+            for name, port in self.outputs.items():
+                if port.block not in reached:
+                    raise TopologyError(
+                        f"external output {name!r} unreachable from any input")
         return tuple(order)
 
     # -- heaters -----------------------------------------------------------
 
     def heater_names(self) -> tuple[str, ...]:
-        names: list[str] = []
-        for b in self.blocks:
-            names.extend(b.heater_refs)
-        return tuple(sorted(names))
+        """``"<block id>.<heater>"`` of every tunable phase, sorted."""
+        return tuple(sorted(f"{b.id}.{h.name}" for b in self.blocks
+                            for h in BLOCK_KINDS[b.kind].heaters))
 
     def heater_values(self) -> dict[str, float]:
-        vals: dict[str, float] = {}
-        for b in self.blocks:
-            vals.update(b.heater_values())
-        return vals
+        """Each heater's phase as the block parameters imply it."""
+        return {f"{b.id}.{h.name}": h.get(b.params) for b in self.blocks
+                for h in BLOCK_KINDS[b.kind].heaters}
 
     def with_heaters(self, settings: Mapping[str, float]) -> "CircuitGraph":
         """New graph with the named heater phases applied to the params."""
