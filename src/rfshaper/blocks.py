@@ -39,6 +39,17 @@ def _require_finite(name: str, *values) -> None:
             raise DomainError(f"{name}: non-finite value {v!r}")
 
 
+#: The most points a complex field array can hold.
+MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
+
+
+def require_grid_size(name: str, span: float, step: float) -> None:
+    """DomainError naming ``name`` unless ``span / step`` points fit."""
+    if not span / step < MAX_GRID_POINTS:
+        raise DomainError(f"{name} gives {span / step:.3g} points, more "
+                          "than an array can hold")
+
+
 # ---------------------------------------------------------------------------
 # parameter records
 # ---------------------------------------------------------------------------
@@ -173,8 +184,11 @@ class FrequencyGrid:
     def sweep(cls, lo_ghz: float, hi_ghz: float,
               step_ghz: float) -> "FrequencyGrid":
         """Uniform grid from lo to hi inclusive (within half a step)."""
+        _require_finite("FrequencyGrid.sweep", lo_ghz, hi_ghz, step_ghz)
         if not (step_ghz > 0 and hi_ghz > lo_ghz):
             raise DomainError("need step > 0 and hi > lo")
+        require_grid_size(f"sweep {lo_ghz:g}:{hi_ghz:g}:{step_ghz:g}",
+                          hi_ghz - lo_ghz, step_ghz)
         n = int(round((hi_ghz - lo_ghz) / step_ghz))
         offs = lo_ghz + step_ghz * np.arange(n + 1)
         return cls(DEFAULT_CARRIER_THZ, offs)

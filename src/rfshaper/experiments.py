@@ -14,7 +14,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .blocks import FrequencyGrid, RingParams, heater_phase_from_power
+from .blocks import (FrequencyGrid, RingParams, heater_phase_from_power,
+                     require_grid_size)
 from .circuit import CircuitGraph, CircuitResponse, bind
 from .constants import DEFAULT_CARRIER_THZ, DEFAULT_P_PI_MW, FILTER_RING_FSR_GHZ
 from .errors import ConfigurationError, DomainError
@@ -352,6 +353,8 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
     if not (p_step > 0 and p_max >= 0):
         raise DomainError("amplitude_tuning needs power_step_mw > 0 and "
                           "power_max_mw >= 0")
+    require_grid_size("amplitude_tuning power_max_mw over power_step_mw",
+                      p_max, p_step)
 
     graph = _apply_user_heaters(
         _notch_shaper(f0, att_db, bar_coupler_rad=math.pi, bar_phase_rad=0.0),
@@ -418,6 +421,7 @@ def coupling_sweep(overrides: Mapping[str, object], seed: int = 0
     step = _get(overrides, "step_ghz", 0.01)
     if not (step > 0 and all(0.0 <= k <= 1.0 for k in kappas)):
         raise DomainError("coupling_sweep needs step_ghz > 0 and kappas in [0, 1]")
+    require_grid_size("coupling_sweep 2*span_ghz over step_ghz", 2 * span, step)
 
     from .circuit import BlockInstance, Port
     ring = BlockInstance("ring", "ring_allpass",
