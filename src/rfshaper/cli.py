@@ -17,16 +17,14 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .blocks import BLOCK_KINDS, FrequencyGrid, h_tunable_coupler
 from .circuit import BlockInstance, CircuitGraph, Port, evaluate
 from .csvout import (format_summary_value, write_optical_csv, write_rf_csv,
                      write_summary, write_table_csv)
 from .errors import ConfigurationError, ShaperError, TopologyError
 from .experiments import run_experiment
-from .netlist import (NetlistDocument, document_to_text,
-                      load_experiment_config, parse_netlist)
+from .netlist import (document_to_text, load_experiment_config,
+                      parse_netlist, parse_number, parse_params)
 from .topologies import DeinterleaverSpec, build_deinterleaver, build_shaper
 from .tuner import Objective, OptimizerConfig, optimize
 
@@ -44,38 +42,34 @@ class _ParseFailure(Exception):
         self.errors = errors
 
 
-def _parse_range(text: str) -> tuple[float, float, float]:
+def _parse_range(text: str) -> FrequencyGrid:
+    """The uniform grid that ``lo:hi:step`` spells."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigurationError(f"expected lo:hi:step, got {text!r}")
     try:
-        lo, hi, step = (float(p) for p in parts)
+        lo, hi, step = (parse_number(p) for p in parts)
     except ValueError:
         raise ConfigurationError(f"expected numbers in lo:hi:step, got {text!r}")
     if not (step > 0 and hi > lo):
         raise ConfigurationError("need step > 0 and hi > lo")
-    return lo, hi, step
-
-
-def _resolve_netlist(path: str) -> str:
-    if path.startswith("preset:"):
-        name = path.split(":", 1)[1]
-        if name == "deinterleaver":
-            graph = build_deinterleaver(DeinterleaverSpec.designed())
-        elif name == "shaper":
-            graph = build_shaper()
-        else:
-            raise ConfigurationError(
-                f"unknown preset netlist {name!r} (have: deinterleaver, shaper)")
-        return document_to_text(NetlistDocument.from_graph(graph))
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot read netlist {path}: {exc}") from exc
+    return FrequencyGrid.sweep(lo, hi, step)
 
 
 def _load_graph(path: str) -> CircuitGraph:
-    doc, errors = parse_netlist(_resolve_netlist(path))
+    if path.startswith("preset:"):
+        name = path.split(":", 1)[1]
+        if name == "deinterleaver":
+            return build_deinterleaver(DeinterleaverSpec.designed())
+        if name == "shaper":
+            return build_shaper()
+        raise ConfigurationError(
+            f"unknown preset netlist {name!r} (have: deinterleaver, shaper)")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot read netlist {path}: {exc}") from exc
+    doc, errors = parse_netlist(text)
     if errors:
         raise _ParseFailure(errors)
     return doc.to_graph()
@@ -96,29 +90,19 @@ def _single_block_graph(kind: str, kv: dict[str, float]) -> CircuitGraph:
 def cmd_block(args) -> int:
     if args.phase_sweep and args.kind != "tunable_coupler":
         raise ConfigurationError("--phase-sweep only applies to tunable_coupler")
-    spec = BLOCK_KINDS[args.kind]
-    kv: dict[str, float] = {}
-    errors = []
-    for item in args.params:
-        key, eq, val = item.partition("=")
-        if not eq or key not in spec.keys:
-            errors.append(f"bad parameter {item!r} for kind {args.kind}")
-            continue
-        try:
-            kv[key] = float(val)
-        except ValueError:
-            errors.append(f"invalid number in {item!r}")
-    for key in spec.required:
+    kv, bad = parse_params(args.kind, args.params)
+    errors = [f"invalid number in {args.params[e.index]!r}" if e.key else
+              f"bad parameter {args.params[e.index]!r} for kind {args.kind}"
+              for e in bad]
+    for key in BLOCK_KINDS[args.kind].required:
         if key not in kv and not args.phase_sweep:
             errors.append(f"kind {args.kind} requires {key}")
     if errors:
         raise _ParseFailure(errors)
 
     if args.phase_sweep:
-        lo, hi, step = _parse_range(args.phase_sweep)
-        phis = lo + step * np.arange(int(round((hi - lo) / step)) + 1)
         rows = []
-        for phi in phis:
+        for phi in _parse_range(args.phase_sweep).offsets_ghz:
             m = h_tunable_coupler(float(phi))
             rows.append((float(phi), abs(m.m00) ** 2, abs(m.m10) ** 2,
                          math.atan2(m.m00.imag, m.m00.real),
@@ -129,18 +113,15 @@ def cmd_block(args) -> int:
 
     if not args.sweep:
         raise ConfigurationError("--sweep lo:hi:step is required")
-    lo, hi, step = _parse_range(args.sweep)
-    graph = _single_block_graph(args.kind, kv)
-    resp = evaluate(graph, FrequencyGrid.sweep(lo, hi, step))
+    grid = _parse_range(args.sweep)
+    resp = evaluate(_single_block_graph(args.kind, kv), grid)
     write_optical_csv(resp, args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     graph = _load_graph(args.netlist)
-    lo, hi, step = _parse_range(args.sweep)
-    resp = evaluate(graph, FrequencyGrid.sweep(lo, hi, step),
-                    input_name=args.input)
+    resp = evaluate(graph, _parse_range(args.sweep), input_name=args.input)
     write_optical_csv(resp, args.out, port=args.port or None)
     return EXIT_OK
 
@@ -213,7 +194,7 @@ def cmd_optimize(args) -> int:
     heaters = args.heaters.split(",") if args.heaters else None
     result = optimize(graph, objective, config, heater_names=heaters)
     tuned = graph.with_heaters(result.best)
-    text = document_to_text(NetlistDocument.from_graph(tuned))
+    text = document_to_text(tuned)
     try:
         Path(args.out).write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:

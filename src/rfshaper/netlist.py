@@ -11,13 +11,16 @@ Netlist grammar (one statement per line, ``#`` starts a comment)::
 Parsing collects *all* errors with 1-based line/column positions instead
 of failing fast.  A block whose parameters are rejected still reserves
 its id and kind so later statements refer to it without cascading
-errors.
+errors.  This module is the one reader of user text: netlists and
+experiment configs share :func:`_statements`, and ``key=value`` block
+parameters, netlist or ``rfshaper block``, go through :func:`parse_params`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .blocks import BLOCK_KINDS
 from .circuit import BlockInstance, CircuitGraph, Port
@@ -47,11 +50,6 @@ class NetlistDocument:
         return CircuitGraph(tuple(self.blocks), tuple(self.connections),
                             dict(self.inputs), dict(self.outputs))
 
-    @classmethod
-    def from_graph(cls, graph: CircuitGraph) -> "NetlistDocument":
-        return cls(list(graph.blocks), list(graph.connections),
-                   dict(graph.inputs), dict(graph.outputs))
-
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
     """Whitespace tokens with their 1-based column."""
@@ -68,11 +66,60 @@ def _tokenize(line: str) -> list[tuple[str, int]]:
     return out
 
 
-def _number(tok: str) -> float:
+def parse_number(tok: str) -> float:
+    """The finite decimal ``tok`` spells; ValueError for anything else."""
     v = float(tok)
     if not math.isfinite(v):
         raise ValueError("non-finite number")
     return v
+
+
+def _statements(text: str):
+    """(line number, tokens) of each line left non-blank by removing its
+    ``#`` comment."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        toks = _tokenize(raw.partition("#")[0])
+        if toks:
+            yield ln, toks
+
+
+class ParamError(NamedTuple):
+    """A rejected ``key=value`` token: its index among the tokens, the
+    message, the text to quote, and the key if only its value is bad."""
+
+    index: int
+    message: str
+    token: str
+    key: str | None = None
+
+
+def parse_params(kind: str, tokens) -> tuple[dict[str, float],
+                                             list[ParamError]]:
+    """Values of a block's ``key=value`` tokens, and the tokens rejected.
+
+    Each token must be ``key=value`` with a key of ``kind``, given once,
+    and a value that :func:`parse_number` accepts.  Required keys are the
+    caller's to check.
+    """
+    keys = BLOCK_KINDS[kind].keys
+    values: dict[str, float] = {}
+    errors: list[ParamError] = []
+    seen: set[str] = set()
+    for i, tok in enumerate(tokens):
+        key, eq, val = tok.partition("=")
+        if not eq:
+            errors.append(ParamError(i, "expected key=value", tok))
+        elif key not in keys:
+            errors.append(ParamError(i, f"kind {kind} has no key {key!r}", tok))
+        elif key in seen:
+            errors.append(ParamError(i, f"key {key!r} given twice", tok))
+        else:
+            seen.add(key)
+            try:
+                values[key] = parse_number(val)
+            except ValueError:
+                errors.append(ParamError(i, f"invalid number for {key!r}", val, key))
+    return values, errors
 
 
 class _Parser:
@@ -129,37 +176,17 @@ class _Parser:
             return
         self.kinds[bid] = kind
         self.decl_lines[bid] = ln
-        kv: dict[str, float] = {}
-        seen: set[str] = set()
-        ok = True
-        for tok, col in toks[3:]:
-            if "=" not in tok:
-                self.err(ln, col, "expected key=value", tok)
-                ok = False
-                continue
-            key, _, val = tok.partition("=")
-            if key not in spec.keys:
-                self.err(ln, col, f"kind {kind} has no key {key!r}", tok)
-                ok = False
-                continue
-            if key in seen:
-                self.err(ln, col, f"key {key!r} given twice", tok)
-                ok = False
-                continue
-            seen.add(key)
-            try:
-                kv[key] = _number(val)
-            except ValueError:
-                self.err(ln, col, f"invalid number for {key!r}", val)
-                ok = False
-        for key in spec.required:
-            if key not in seen:
-                self.err(ln, kcol, f"kind {kind} requires key {key!r}", kind)
-                ok = False
-        if not ok:
+        values, bad = parse_params(kind, [tok for tok, _ in toks[3:]])
+        for e in bad:
+            self.err(ln, toks[3 + e.index][1], e.message, e.token)
+        given = set(values).union(e.key for e in bad if e.key)
+        missing = [key for key in spec.required if key not in given]
+        for key in missing:
+            self.err(ln, kcol, f"kind {kind} requires key {key!r}", kind)
+        if bad or missing:
             return
         try:
-            block = BlockInstance(bid, kind, spec.make_params(kv))
+            block = BlockInstance(bid, kind, spec.make_params(values))
         except (ShaperError, ValueError) as exc:
             self.err(ln, kcol, str(exc), kind)
             return
@@ -209,12 +236,7 @@ class _Parser:
 def parse_netlist(text: str) -> tuple[NetlistDocument, list[ParseError]]:
     """Parse netlist text; returns the document and all positioned errors."""
     p = _Parser()
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        hash_pos = raw.find("#")
-        line = raw if hash_pos < 0 else raw[:hash_pos]
-        toks = _tokenize(line)
-        if not toks:
-            continue
+    for ln, toks in _statements(text):
         kw = toks[0][0]
         if kw == "format":
             p.stmt_format(ln, toks)
@@ -241,8 +263,8 @@ def _block_line(block: BlockInstance) -> str:
                     + [f"{k}={_format_value(v)}" for k, v in items])
 
 
-def document_to_text(doc: NetlistDocument) -> str:
-    """Deterministic netlist text for a document (LF line endings)."""
+def document_to_text(doc: NetlistDocument | CircuitGraph) -> str:
+    """Deterministic netlist text of a document or graph (LF endings)."""
     lines = ["format 1"]
     for block in doc.blocks:
         lines.append(_block_line(block))
@@ -279,6 +301,17 @@ class ExperimentConfig:
         return out
 
 
+#: config statement -> its arguments, as the usage message shows them
+_CONFIG_USAGE = {
+    "experiment": "<name>",
+    "sweep": "<lo> <hi> <step>",
+    "heater": "<name> <value>",
+    "seed": "<integer>",
+    "outdir": "<path>",
+    "set": "<key> <value>",
+}
+
+
 def load_experiment_config(text: str) -> tuple[ExperimentConfig | None,
                                                list[ParseError]]:
     """Parse an experiment config; same line discipline as netlists.
@@ -290,64 +323,48 @@ def load_experiment_config(text: str) -> tuple[ExperimentConfig | None,
     errors: list[ParseError] = []
     name: str | None = None
     cfg = ExperimentConfig("")
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        hash_pos = raw.find("#")
-        line = raw if hash_pos < 0 else raw[:hash_pos]
-        toks = _tokenize(line)
-        if not toks:
-            continue
+    for ln, toks in _statements(text):
         kw, col = toks[0]
+        usage = _CONFIG_USAGE.get(kw)
+        if usage is None:
+            errors.append(ParseError(ln, col, f"unknown statement {kw!r}", kw))
+            continue
+        if len(toks) != 1 + len(usage.split()):
+            errors.append(ParseError(ln, col, f"expected: {kw} {usage}"))
+            continue
         if kw == "experiment":
-            if len(toks) != 2:
-                errors.append(ParseError(ln, col, "expected: experiment <name>"))
-            elif name is not None:
+            if name is not None:
                 errors.append(ParseError(ln, toks[1][1],
                                          "experiment given twice", toks[1][0]))
             else:
                 name = toks[1][0]
         elif kw == "sweep":
-            if len(toks) != 4:
-                errors.append(ParseError(ln, col, "expected: sweep <lo> <hi> <step>"))
-                continue
             try:
-                cfg.sweep = tuple(_number(t) for t, _ in toks[1:4])
+                cfg.sweep = tuple(parse_number(t) for t, _ in toks[1:])
             except ValueError:
                 errors.append(ParseError(ln, col, "invalid sweep numbers"))
         elif kw == "heater":
-            if len(toks) != 3:
-                errors.append(ParseError(ln, col, "expected: heater <name> <value>"))
-                continue
             try:
-                cfg.heaters[toks[1][0]] = _number(toks[2][0])
+                cfg.heaters[toks[1][0]] = parse_number(toks[2][0])
             except ValueError:
                 errors.append(ParseError(ln, toks[2][1], "invalid number",
                                          toks[2][0]))
         elif kw == "seed":
             try:
-                cfg.seed = int(toks[1][0]) if len(toks) == 2 else 0
-                if len(toks) != 2:
-                    raise ValueError
+                cfg.seed = int(toks[1][0])
             except ValueError:
-                errors.append(ParseError(ln, col, "expected: seed <integer>"))
+                errors.append(ParseError(ln, col, f"expected: {kw} {usage}"))
         elif kw == "outdir":
-            if len(toks) != 2:
-                errors.append(ParseError(ln, col, "expected: outdir <path>"))
-            else:
-                cfg.outdir = toks[1][0]
-        elif kw == "set":
-            if len(toks) != 3:
-                errors.append(ParseError(ln, col, "expected: set <key> <value>"))
-                continue
+            cfg.outdir = toks[1][0]
+        else:   # set
             key, val = toks[1][0], toks[2][0]
             try:
                 if "," in val:
-                    cfg.options[key] = tuple(_number(x) for x in val.split(","))
+                    cfg.options[key] = tuple(map(parse_number, val.split(",")))
                 else:
-                    cfg.options[key] = _number(val)
+                    cfg.options[key] = parse_number(val)
             except ValueError:
                 errors.append(ParseError(ln, toks[2][1], "invalid number", val))
-        else:
-            errors.append(ParseError(ln, col, f"unknown statement {kw!r}", kw))
     if name is None:
         errors.append(ParseError(1, 1, "missing required 'experiment' statement"))
         return None, errors

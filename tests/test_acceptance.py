@@ -235,9 +235,7 @@ def test_criterion_9_property_suites(tmp_path):
                    bool(np.max(np.abs(resp - prod)) < 1e-12)))
 
     # parse-print-parse idempotence on the shipped preset
-    from rfshaper.netlist import NetlistDocument
-    text = document_to_text(NetlistDocument.from_graph(
-        build_deinterleaver(DeinterleaverSpec.designed())))
+    text = document_to_text(build_deinterleaver(DeinterleaverSpec.designed()))
     doc, errs = parse_netlist(text)
     checks.append(("parse-print-parse", not errs
                    and document_to_text(doc) == text))

@@ -141,7 +141,7 @@ def test_parse_print_parse_idempotent():
 
 def test_print_parse_round_trip_for_builder_graphs():
     graph = build_deinterleaver(DeinterleaverSpec.designed())
-    text = document_to_text(NetlistDocument.from_graph(graph))
+    text = document_to_text(graph)
     doc, errors = parse_netlist(text)
     assert not errors
     rebuilt = doc.to_graph()
@@ -156,7 +156,7 @@ def test_shaper_round_trip_preserves_responses_exactly():
     from rfshaper.topologies import build_shaper
 
     graph = build_shaper()
-    text = document_to_text(NetlistDocument.from_graph(graph))
+    text = document_to_text(graph)
     doc, errors = parse_netlist(text)
     assert not errors
     rebuilt = doc.to_graph()
