@@ -293,12 +293,16 @@ def _mutated(draw, text):
     return "\n".join(lines) + "\n"
 
 
-def _run_on_file(text: str, name: str, argv) -> int:
+def _main_on_file(text: str, name: str, command: str, out_flag: str,
+                  *options: str) -> int:
+    """``rfshaper <command> <name holding text> <options> <out_flag> <path>``
+    in a scratch directory."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, name)
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
-        return main([argv[0], path, *argv[1:], os.path.join(d, "out")])
+        return main([command, path, *options, out_flag,
+                     os.path.join(d, "out")])
 
 
 @given(_mutated(VALID))
@@ -306,7 +310,7 @@ def _run_on_file(text: str, name: str, argv) -> int:
 def test_mutated_netlist_errors_are_positioned_and_exit_3(text):
     _, errors = parse_netlist(text)
     assert all(e.line >= 1 and e.column >= 1 for e in errors)
-    rc = _run_on_file(text, "m.nl", ["sweep", "--sweep=-1:1:1", "--out"])
+    rc = _main_on_file(text, "m.nl", "sweep", "--out", "--sweep=-1:1:1")
     assert rc == 3 if errors else rc in (0, 3, 4)
 
 
@@ -317,4 +321,4 @@ def test_mutated_config_errors_are_positioned_and_exit_3(text):
     assert all(e.line >= 1 and e.column >= 1 for e in errors)
     assert (cfg is None) == bool(errors)
     if errors:     # a valid config would run the whole preset
-        assert _run_on_file(text, "m.cfg", ["experiment", "--out-dir"]) == 3
+        assert _main_on_file(text, "m.cfg", "experiment", "--out-dir") == 3
