@@ -9,10 +9,11 @@ from rfshaper.blocks import (PhaseShifterState, RingParams,
                              critical_coupling_kappa)
 from rfshaper.blocks import FrequencyGrid
 from rfshaper.circuit import BlockInstance, CircuitGraph, Port, evaluate
+from rfshaper.constants import DEFAULT_CARRIER_THZ
 from rfshaper.constants import DEFAULT_RESPONSIVITY_A_PER_W as R
 from rfshaper.errors import ConfigurationError, DomainError
 from rfshaper.rflink import (LinkConfig, ModulatedSpectrum, ModulationFormat,
-                             detect_rf_phasor, make_spectrum,
+                             detect_rf_phasor, detector, make_spectrum,
                              rf_transmission_sweep, time_domain_oracle)
 
 
@@ -42,6 +43,13 @@ def test_make_spectrum_rejects_bad_index():
         ModulationFormat("IM", 0.0)
     with pytest.raises(ConfigurationError):
         ModulationFormat("AM", 0.1)
+
+
+def test_modulation_index_must_be_finite():
+    with pytest.raises(DomainError):
+        ModulationFormat("IM", math.inf)
+    with pytest.raises(DomainError):
+        ModulationFormat("PM", 1e999)
 
 
 def test_detect_rf_phasor_im_convention():
@@ -146,15 +154,33 @@ def test_sweep_identity_is_flat_zero_db():
                       output_port="out")
     resp = rf_transmission_sweep(link, 1.0, 30.0, 0.5)
     assert np.max(np.abs(resp.mag_db)) < 1e-9
-    assert resp.metadata["reference"] == "back_to_back_same_format"
 
 
 def test_sweep_pm_uses_im_reference():
     link = LinkConfig(ModulationFormat("PM", 0.1), identity_graph(),
                       output_port="out")
     resp = rf_transmission_sweep(link, 1.0, 10.0, 1.0)
-    assert resp.metadata["reference"] == "back_to_back_im_equivalent"
     assert np.all(resp.mag_db < -200.0)       # PM detects ~nothing
+
+
+def test_sweep_pm_is_referenced_to_im_back_to_back():
+    # a lossy all-pass ring is dispersive, so PM is partly detected as IM
+    ring = BlockInstance("r", "ring_allpass",
+                         RingParams(50.0, 0.2, round_trip_amplitude=0.9,
+                                    detune_ghz=-10.0))
+    g = CircuitGraph((ring,), (), {"in": Port("r", "in")},
+                     {"out": Port("r", "out")})
+    link = LinkConfig(ModulationFormat("PM", 0.1), g, output_port="out")
+    resp = rf_transmission_sweep(link, 1.0, 20.0, 0.5)
+    fs = resp.rf_freqs_ghz
+    n = fs.size
+    offsets = np.concatenate([-fs[::-1], [0.0], fs])
+    h = evaluate(g, FrequencyGrid(DEFAULT_CARRIER_THZ, offsets)).port("out")
+    pm = detector(ModulationFormat("PM", 0.1))(h[:n][::-1], h[n], h[n + 1:])
+    im = detector(ModulationFormat("IM", 0.1))(1.0, 1.0, 1.0)
+    expected = 20.0 * np.log10(np.abs(pm) / abs(im))
+    assert np.all(resp.mag_db > -60.0)
+    assert np.max(np.abs(resp.mag_db - expected)) <= 1e-9
 
 
 def test_sweep_deterministic():
