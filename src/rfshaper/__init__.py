@@ -21,9 +21,8 @@ from .errors import (AnalysisError, ConfigurationError, DomainError,
 from .experiments import ExperimentResult, run_experiment
 from .metrics import extinction_db, notch_depth_db, passband_width_3db, \
     peak_frequency_ghz, q_and_finesse
-from .rflink import (LinkConfig, ModulatedSpectrum, ModulationFormat,
-                     RfResponse, bind_sweep, detect_rf_phasor, detector,
-                     make_spectrum, rf_transmission_sweep, time_domain_oracle)
+from .rflink import (LinkConfig, ModulationFormat, RfResponse, bind_sweep,
+                     detector, rf_transmission_sweep)
 from .topologies import (DeinterleaverSpec, ShaperConfig, build_deinterleaver,
                          build_shaper, fit_round_trip_amplitude,
                          ring_kappa_for_rejection)

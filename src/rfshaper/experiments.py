@@ -21,7 +21,7 @@ from .constants import DEFAULT_CARRIER_THZ, DEFAULT_P_PI_MW, FILTER_RING_FSR_GHZ
 from .errors import ConfigurationError, DomainError
 from .metrics import band_mask, notch_depth_db, peak_frequency_ghz
 from .rflink import (LinkConfig, ModulationFormat, RfResponse, bind_sweep,
-                     detector, make_spectrum, rf_transmission_sweep)
+                     detector, rf_transmission_sweep)
 from .topologies import (FITTED_RING_AMPLITUDE, DeinterleaverSpec, ShaperConfig,
                          build_deinterleaver, build_shaper,
                          ring_kappa_for_rejection)
@@ -373,7 +373,7 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
     powers = np.arange(0.0, p_max + 1e-9, p_step)
     grid = FrequencyGrid(DEFAULT_CARRIER_THZ, np.array([-f0, 0.0, f0]))
     evaluate_at = bind(graph, grid, ("tc_bar.phase", "ps_bar.phase"))
-    probe = make_spectrum(fmt, f0)
+    e_minus, e_carrier, e_plus = fmt.tones
     beat = detector(fmt)
     headers = ("heater_power_mw", "coupler_phase_rad", "upper_power",
                "lower_power", "carrier_power", "rf_phasor_abs")
@@ -388,9 +388,9 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
                 "ps_bar.phase": phi_ps % _TWO_PI})
             h = resp.port("detector")
             rows.append((float(p), phi_tc % _TWO_PI,
-                         abs(h[2] * probe.e_plus) ** 2,
-                         abs(h[0] * probe.e_minus) ** 2,
-                         abs(h[1] * probe.e_carrier) ** 2,
+                         abs(h[2] * e_plus) ** 2,
+                         abs(h[0] * e_minus) ** 2,
+                         abs(h[1] * e_carrier) ** 2,
                          abs(beat(h[0], h[1], h[2]))))
         return rows
 

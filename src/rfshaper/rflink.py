@@ -1,26 +1,25 @@
 """End-to-end RF-photonic link model.
 
 A modulated optical spectrum is three complex tones: lower sideband,
-carrier, upper sideband, offset by the RF frequency.  After propagation
-through a circuit, square-law detection beats each sideband against the
-carrier; the component of the photocurrent at the RF frequency has
-complex amplitude
+carrier, upper sideband, offset by the RF frequency.
+:attr:`ModulationFormat.tones` gives them for a unit carrier.  After
+propagation through a circuit, square-law detection beats each sideband
+against the carrier; the component of the photocurrent at the RF
+frequency has complex amplitude
 
     ``R * (E0 * conj(E-) + conj(E0) * E+)``
 
 with ``R = DEFAULT_RESPONSIVITY_A_PER_W``.  :func:`detector` forms it
-from circuit responses and :func:`detect_rf_phasor` from a spectrum,
-both with :func:`rfshaper.kernels.beat_phasor_grid`.  The full cosine
-swing of the photocurrent is twice this phasor's magnitude (the two beat
-terms are reported one-sided).  :func:`time_domain_oracle` checks the
-same quantity by brute force: it synthesises the field over many RF
-periods, squares it, and projects out the fundamental.
+from a format and the circuit responses at the three tones, with
+:func:`rfshaper.kernels.beat_phasor_grid`.  The full cosine swing of the
+photocurrent is twice this phasor's magnitude (the two beat terms are
+reported one-sided).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -39,23 +38,6 @@ FORMAT_KINDS = ("IM", "PM", "SSB_upper", "SSB_lower")
 
 
 @dataclass(frozen=True)
-class ModulatedSpectrum:
-    """Three-tone spectrum: complex field amplitudes at -f_RF, 0, +f_RF."""
-
-    rf_freq_ghz: float
-    e_minus: complex
-    e_carrier: complex
-    e_plus: complex
-
-    def __post_init__(self):
-        if not (self.rf_freq_ghz > 0):
-            raise DomainError("rf_freq_ghz must be > 0")
-        for v in (self.e_minus, self.e_carrier, self.e_plus):
-            if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-                raise DomainError("tone amplitudes must be finite")
-
-
-@dataclass(frozen=True)
 class ModulationFormat:
     """Small-signal modulation format.
 
@@ -71,8 +53,24 @@ class ModulationFormat:
     def __post_init__(self):
         if self.kind not in FORMAT_KINDS:
             raise ConfigurationError(f"unknown modulation kind {self.kind!r}")
-        if not (self.modulation_index > 0):
-            raise DomainError("modulation_index must be > 0")
+        if not (math.isfinite(self.modulation_index)
+                and self.modulation_index > 0):
+            raise DomainError("modulation_index must be finite and > 0")
+
+    @property
+    def tones(self) -> tuple[complex, complex, complex]:
+        """``(e_minus, e_carrier, e_plus)`` for a unit carrier.  An absent
+        single sideband is the float ``0.0``, whose signed zeros keep the
+        beat's phase."""
+        a = complex(1.0)
+        m = self.modulation_index
+        if self.kind == "IM":
+            return m * a, a, m * a
+        if self.kind == "PM":
+            return -m * a, a, m * a
+        if self.kind == "SSB_upper":
+            return 0.0, a, m * a
+        return m * a, a, 0.0
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,6 @@ class RfResponse:
     rf_freqs_ghz: np.ndarray
     mag_db: np.ndarray
     phase_rad: np.ndarray
-    metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         f = np.asarray(self.rf_freqs_ghz, dtype=float)
@@ -93,23 +90,6 @@ class RfResponse:
         object.__setattr__(self, "rf_freqs_ghz", f)
         object.__setattr__(self, "mag_db", m)
         object.__setattr__(self, "phase_rad", p)
-        object.__setattr__(self, "metadata", dict(self.metadata))
-
-
-def make_spectrum(fmt: ModulationFormat, rf_freq_ghz: float,
-                  carrier_amplitude: complex = 1.0) -> ModulatedSpectrum:
-    """First-order three-tone spectrum for a modulation format."""
-    a = complex(carrier_amplitude)
-    m = fmt.modulation_index
-    if fmt.kind == "IM":
-        em, ep = m * a, m * a
-    elif fmt.kind == "PM":
-        em, ep = -m * a, m * a
-    elif fmt.kind == "SSB_upper":
-        em, ep = 0.0, m * a
-    else:
-        em, ep = m * a, 0.0
-    return ModulatedSpectrum(rf_freq_ghz, em, a, ep)
 
 
 def detector(fmt: ModulationFormat) -> Callable[..., np.ndarray]:
@@ -117,36 +97,13 @@ def detector(fmt: ModulationFormat) -> Callable[..., np.ndarray]:
     format's unit-carrier tones after a circuit whose responses at the
     lower sideband, the carrier and the upper sideband are given (scalars
     or arrays that broadcast together)."""
-    probe = make_spectrum(fmt, 1.0)
+    e_minus, e_carrier, e_plus = fmt.tones
 
     def beat(h_minus, h_zero, h_plus) -> np.ndarray:
         return kernels.beat_phasor_grid(
-            h_zero, h_minus, h_plus, probe.e_minus, probe.e_carrier,
-            probe.e_plus, DEFAULT_RESPONSIVITY_A_PER_W)
+            h_zero, h_minus, h_plus, e_minus, e_carrier, e_plus,
+            DEFAULT_RESPONSIVITY_A_PER_W)
     return beat
-
-
-def detect_rf_phasor(spec: ModulatedSpectrum) -> complex:
-    """Complex amplitude of the photocurrent component at the RF frequency."""
-    return kernels.beat_phasor_grid(
-        1.0, 1.0, 1.0, spec.e_minus, spec.e_carrier, spec.e_plus,
-        DEFAULT_RESPONSIVITY_A_PER_W)
-
-
-def time_domain_oracle(spec: ModulatedSpectrum) -> complex:
-    """Brute-force check of :func:`detect_rf_phasor`.
-
-    Synthesises the three tones in the rotating carrier frame (the
-    carrier phasor drops out of the squared magnitude), forms the
-    photocurrent, and projects onto the RF fundamental by a discrete
-    inner product over 8 whole periods of 64 samples.
-    """
-    n = 64 * 8
-    w_t = 2.0 * math.pi * np.arange(n) / 64  # omega * t
-    field = (spec.e_minus * np.exp(-1j * w_t) + spec.e_carrier
-             + spec.e_plus * np.exp(1j * w_t))
-    current = DEFAULT_RESPONSIVITY_A_PER_W * (field * field.conj()).real
-    return complex(np.sum(current * np.exp(-1j * w_t)) / n)
 
 
 @dataclass(frozen=True)
@@ -158,17 +115,17 @@ class LinkConfig:
     output_port: str = "detector"
 
 
-def back_to_back_reference(link: LinkConfig) -> tuple[float, str]:
-    """0 dB reference: the same link without the circuit.
+def back_to_back_reference(fmt: ModulationFormat) -> float:
+    """0 dB reference: the detected beat of the format without a circuit.
 
     A phase-modulated back-to-back link detects nothing, so PM traces are
     referenced to the equivalent intensity-modulated link instead.
     """
-    b2b = abs(detector(link.fmt)(1.0, 1.0, 1.0))
+    b2b = abs(detector(fmt)(1.0, 1.0, 1.0))
     if b2b > 1e-12:
-        return b2b, "back_to_back_same_format"
-    im = detector(ModulationFormat("IM", link.fmt.modulation_index))
-    return abs(im(1.0, 1.0, 1.0)), "back_to_back_im_equivalent"
+        return b2b
+    im = detector(ModulationFormat("IM", fmt.modulation_index))
+    return abs(im(1.0, 1.0, 1.0))
 
 
 def magnitude_db(phasor: np.ndarray, ref: float) -> np.ndarray:
@@ -213,14 +170,12 @@ def bind_sweep(link: LinkConfig, rf_lo_ghz: float, rf_hi_ghz: float,
     fs.flags.writeable = False
 
     phasor_at = bind_beat_phasor(link, fs, heater_names)
-    ref, ref_name = back_to_back_reference(link)
-    metadata = {"reference": ref_name, "output_port": link.output_port,
-                "format": link.fmt.kind}
+    ref = back_to_back_reference(link.fmt)
 
     def sweep(heaters: Mapping[str, float] | None = None) -> RfResponse:
         phasor = phasor_at(heaters)
         return RfResponse(fs, magnitude_db(phasor, ref),
-                          np.unwrap(np.angle(phasor)), metadata)
+                          np.unwrap(np.angle(phasor)))
     return sweep
 
 

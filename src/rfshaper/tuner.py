@@ -147,7 +147,7 @@ class Objective:
         if self.kind == "notch_depth":
             link = LinkConfig(self.fmt, graph, self.port)
             f0 = np.array([float(self.rf_freq_ghz)])
-            ref, _ = back_to_back_reference(link)
+            ref = back_to_back_reference(self.fmt)
             bound = _bound_per_names(
                 lambda names: bind_beat_phasor(link, f0, names))
 

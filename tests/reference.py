@@ -1,9 +1,10 @@
-"""Scalar closed forms of the waveguide and ring responses.
+"""Scalar closed forms of the waveguide and ring responses, and a
+brute-force RF beat.
 
 Test-only reference for :mod:`rfshaper.kernels`, which holds the one
-implementation the simulator runs.  These are the z-domain forms of
-Madsen & Zhao, *Optical Filter Design and Analysis* (1999), written out
-per offset so that a kernel bug cannot hide in shared code.
+implementation the simulator runs.  The responses are the z-domain forms
+of Madsen & Zhao, *Optical Filter Design and Analysis* (1999), written
+out per offset so that a kernel bug cannot hide in shared code.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from rfshaper.blocks import RingParams, WaveguideParams, _require_finite
+from rfshaper.constants import DEFAULT_RESPONSIVITY_A_PER_W
 from rfshaper.errors import ConfigurationError, DomainError, SingularityError
 
 _TWO_PI = 2.0 * math.pi
@@ -86,3 +88,21 @@ def h_ring_adddrop(offset_ghz, params: RingParams):
     if np.isscalar(offset_ghz):
         return complex(through), complex(drop)
     return through, drop
+
+
+def time_domain_oracle(e_minus: complex, e_carrier: complex,
+                       e_plus: complex) -> complex:
+    """Brute-force RF beat phasor of three tones, the check on
+    :func:`rfshaper.kernels.beat_phasor_grid`.
+
+    Synthesises the three tones in the rotating carrier frame (the
+    carrier phasor drops out of the squared magnitude), forms the
+    photocurrent, and projects onto the RF fundamental by a discrete
+    inner product over 8 whole periods of 64 samples.
+    """
+    n = 64 * 8
+    w_t = 2.0 * math.pi * np.arange(n) / 64  # omega * t
+    field = (e_minus * np.exp(-1j * w_t) + e_carrier
+             + e_plus * np.exp(1j * w_t))
+    current = DEFAULT_RESPONSIVITY_A_PER_W * (field * field.conj()).real
+    return complex(np.sum(current * np.exp(-1j * w_t)) / n)
