@@ -9,7 +9,7 @@ targets.
 """
 
 from .blocks import (BLOCK_KINDS, FrequencyGrid, PhaseShifterState,
-                     RingParams, TransferMatrix2x2, WaveguideParams,
+                     RingParams, WaveguideParams,
                      amplitude_from_db_loss, critical_coupling_kappa,
                      h_coupler_3db, h_phase_shifter, h_tunable_coupler,
                      heater_phase_from_power)

@@ -139,30 +139,6 @@ class RingParams:
 
 
 @dataclass(frozen=True)
-class TransferMatrix2x2:
-    """Transfer matrix of a 2-input/2-output element.
-
-    Entry ``mij`` maps input port j to output port i.
-    """
-
-    m00: complex
-    m01: complex
-    m10: complex
-    m11: complex
-
-    @property
-    def rows(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        return ((self.m00, self.m01), (self.m10, self.m11))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.m00, self.m01], [self.m10, self.m11]])
-
-    def unitarity_defect(self) -> float:
-        m = self.as_array()
-        return float(np.max(np.abs(m @ m.conj().T - np.eye(2))))
-
-
-@dataclass(frozen=True)
 class FrequencyGrid:
     """Optical frequency grid: a carrier plus sorted offsets in GHz."""
 
@@ -216,14 +192,16 @@ def h_phase_shifter(phase_rad: float) -> complex:
     return complex(math.cos(phase_rad), -math.sin(phase_rad))
 
 
-def h_coupler_3db() -> TransferMatrix2x2:
-    """Ideal 3-dB directional coupler."""
+def h_coupler_3db() -> tuple:
+    """Ideal 3-dB directional coupler, as transfer-matrix rows: entry
+    ``[i][j]`` maps input port j to output port i."""
     a = math.sqrt(0.5)
-    return TransferMatrix2x2(a, -1j * a, -1j * a, a)
+    return ((a, -1j * a), (-1j * a, a))
 
 
-def h_tunable_coupler(phase_rad: float) -> TransferMatrix2x2:
-    """Balanced-MZI tunable coupler: two 3-dB couplers around a phase arm.
+def h_tunable_coupler(phase_rad: float) -> tuple:
+    """Balanced-MZI tunable coupler: two 3-dB couplers around a phase arm,
+    as rows ``((bar, cross), (cross, -bar))``.
 
     Bar amplitude is ``0.5*(1 - exp(-1j*phi))`` (power ``sin^2(phi/2)``)
     and carries a phase ``pi/2 - phi/2`` that rotates with the setting;
@@ -234,7 +212,7 @@ def h_tunable_coupler(phase_rad: float) -> TransferMatrix2x2:
     e = complex(math.cos(phase_rad), -math.sin(phase_rad))
     bar = 0.5 * (1.0 - e)
     cross = -0.5j * (1.0 + e)
-    return TransferMatrix2x2(bar, cross, cross, -bar)
+    return ((bar, cross), (cross, -bar))
 
 
 def heater_phase_from_power(power_mw: float, p_pi_mw: float) -> float:
@@ -333,7 +311,7 @@ def _ring_adddrop_rows(p: RingParams, offsets):
     return ((through_in, drop), (drop, through_add))
 
 
-_COUPLER_3DB_ROWS = h_coupler_3db().rows
+_COUPLER_3DB_ROWS = h_coupler_3db()
 _RING_KEYS = ("kappa", "fsr_ghz", "round_trip_amplitude", "detune_ghz")
 _ONE_PORT = {"inputs": ("in",), "outputs": ("out",)}
 _TWO_PORT = {"inputs": ("in0", "in1"), "outputs": ("out0", "out1")}
@@ -368,7 +346,7 @@ BLOCK_KINDS: dict[str, BlockKind] = {
         **_TWO_PORT, params_type=PhaseShifterState,
         keys=("phase_rad",), required=("phase_rad",),
         heaters=(_PHASE_HEATER,),
-        response=lambda p, offsets: h_tunable_coupler(p.phase_rad).rows,
+        response=lambda p, offsets: h_tunable_coupler(p.phase_rad),
         cli_ports=("bar", "cross")),
     # in0 input bus, in1 add bus, out0 through, out1 drop
     "ring_adddrop": BlockKind(

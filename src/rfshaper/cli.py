@@ -103,10 +103,10 @@ def cmd_block(args) -> int:
     if args.phase_sweep:
         rows = []
         for phi in _parse_range(args.phase_sweep).offsets_ghz:
-            m = h_tunable_coupler(float(phi))
-            rows.append((float(phi), abs(m.m00) ** 2, abs(m.m10) ** 2,
-                         math.atan2(m.m00.imag, m.m00.real),
-                         math.atan2(m.m10.imag, m.m10.real)))
+            (bar, _), (cross, _) = h_tunable_coupler(float(phi))
+            rows.append((float(phi), abs(bar) ** 2, abs(cross) ** 2,
+                         math.atan2(bar.imag, bar.real),
+                         math.atan2(cross.imag, cross.real)))
         write_table_csv(("phase_rad", "bar_power", "cross_power",
                          "bar_phase_rad", "cross_phase_rad"), rows, args.out)
         return EXIT_OK

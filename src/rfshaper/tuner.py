@@ -348,7 +348,7 @@ def compensate_coupler_phase(target_bar_power: float) -> tuple[float, float]:
     if target_bar_power == 0.0:
         return 0.0, 0.0
     phi = 2.0 * math.asin(math.sqrt(target_bar_power))
-    bar = h_tunable_coupler(phi).m00
+    (bar, _), _ = h_tunable_coupler(phi)
     compensation = -math.atan2(bar.imag, bar.real)
     return phi, compensation
 

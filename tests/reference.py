@@ -90,6 +90,12 @@ def h_ring_adddrop(offset_ghz, params: RingParams):
     return through, drop
 
 
+def unitarity_defect(rows) -> float:
+    """Largest entry of ``M @ M^H - I`` for transfer-matrix rows ``M``."""
+    m = np.array(rows)
+    return float(np.max(np.abs(m @ m.conj().T - np.eye(len(m)))))
+
+
 def time_domain_oracle(e_minus: complex, e_carrier: complex,
                        e_plus: complex) -> complex:
     """Brute-force RF beat phasor of three tones, the check on

@@ -221,7 +221,7 @@ def test_optimize_from_naive_start_reaches_target():
 def test_compensation_round_trip():
     for target in np.linspace(0.0, 1.0, 101):
         phi, comp = compensate_coupler_phase(float(target))
-        bar = h_tunable_coupler(phi).m00 * np.exp(1j * comp)
+        bar = h_tunable_coupler(phi)[0][0] * np.exp(1j * comp)
         assert abs(bar) ** 2 == pytest.approx(float(target), abs=1e-12)
         if target > 0:
             assert abs(math.atan2(bar.imag, bar.real)) < 1e-12
@@ -243,7 +243,7 @@ def test_cancellation_settings_seven_db():
     s = synthesize_cancellation_settings(7.0)
     assert s.attenuation_amplitude == pytest.approx(0.4467, abs=1e-4)
     # applying shifter + coupler rotates the bar field by exactly pi
-    bar = h_tunable_coupler(s.coupler_phase_rad).m00 * \
+    bar = h_tunable_coupler(s.coupler_phase_rad)[0][0] * \
         h_phase_shifter(s.shifter_phase_rad)
     assert abs(bar) == pytest.approx(s.attenuation_amplitude, abs=1e-12)
     assert abs(abs(math.atan2(bar.imag, bar.real)) - math.pi) < 1e-12
@@ -252,6 +252,6 @@ def test_cancellation_settings_seven_db():
 def test_cancellation_settings_zero_db_is_pure_antiphase():
     s = synthesize_cancellation_settings(0.0)
     assert s.attenuation_amplitude == pytest.approx(1.0)
-    bar = h_tunable_coupler(s.coupler_phase_rad).m00 * \
+    bar = h_tunable_coupler(s.coupler_phase_rad)[0][0] * \
         h_phase_shifter(s.shifter_phase_rad)
     assert bar == pytest.approx(-1.0 + 0.0j, abs=1e-12)
