@@ -14,8 +14,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .blocks import (FrequencyGrid, RingParams, heater_phase_from_power,
-                     require_grid_size)
+from .blocks import (FrequencyGrid, RingParams, critical_coupling_kappa,
+                     heater_phase_from_power, require_grid_size)
 from .circuit import CircuitGraph, CircuitResponse, bind
 from .constants import DEFAULT_CARRIER_THZ, DEFAULT_P_PI_MW, FILTER_RING_FSR_GHZ
 from .errors import ConfigurationError, DomainError
@@ -66,11 +66,18 @@ def _get(overrides: Mapping[str, object], key: str, default):
     return int(v) if isinstance(default, int) else v
 
 
-def _check_keys(name: str, overrides: Mapping[str, object], allowed: set[str]):
-    unknown = set(overrides) - allowed - {"heaters"}
+def _options(name: str, overrides: Mapping[str, object],
+             defaults: Mapping[str, object]) -> list:
+    """Preset ``name``'s option values, in the order of ``defaults``.
+
+    Rejects a key that is not an option of the preset (``heaters`` is
+    always accepted), then reads each option with :func:`_get`.
+    """
+    unknown = set(overrides) - set(defaults) - {"heaters"}
     if unknown:
         raise ConfigurationError(
             f"preset {name!r} does not accept option(s) {sorted(unknown)}")
+    return [_get(overrides, key, default) for key, default in defaults.items()]
 
 
 def _apply_user_heaters(graph: CircuitGraph,
@@ -120,12 +127,9 @@ def _beat_vs_phase(graph: CircuitGraph, f0: float, fmt: ModulationFormat,
 def _conversion_preset(name: str, fmt_kind: str,
                        overrides: Mapping[str, object],
                        seed: int) -> ExperimentResult:
-    _check_keys(name, overrides, {"sweep", "modulation_index",
-                                  "anchor_freq_ghz", "band"})
-    lo, hi, step = _get(overrides, "sweep", (1.0, 30.0, 0.05))
-    m = _get(overrides, "modulation_index", 0.1)
-    f_anchor = _get(overrides, "anchor_freq_ghz", 20.0)
-    band = _get(overrides, "band", (15.0, 25.0))
+    (lo, hi, step), m, f_anchor, band = _options(name, overrides, {
+        "sweep": (1.0, 30.0, 0.05), "modulation_index": 0.1,
+        "anchor_freq_ghz": 20.0, "band": (15.0, 25.0)})
 
     # carrier mid-transition (crossover at zero): the +/-f dispersion of
     # the two paths stays mirror-symmetric, so one shifter phase cancels
@@ -189,13 +193,9 @@ def _notch_shaper(notch_freq_ghz: float, rejection_db: float,
 def ssb_notch(overrides: Mapping[str, object], seed: int = 0) -> ExperimentResult:
     """Single-sideband notch: bar path blocked, the all-pass ring notches
     the surviving lower sideband; RF rejection equals the optical one."""
-    _check_keys("ssb_notch", overrides,
-                {"sweep", "notch_freq_ghz", "optical_rejection_db",
-                 "modulation_index"})
-    lo, hi, step = _get(overrides, "sweep", (2.0, 28.0, 0.01))
-    f0 = _get(overrides, "notch_freq_ghz", 10.0)
-    rej = _get(overrides, "optical_rejection_db", 7.0)
-    m = _get(overrides, "modulation_index", 0.1)
+    (lo, hi, step), f0, rej, m = _options("ssb_notch", overrides, {
+        "sweep": (2.0, 28.0, 0.01), "notch_freq_ghz": 10.0,
+        "optical_rejection_db": 7.0, "modulation_index": 0.1})
 
     graph = _apply_user_heaters(
         _notch_shaper(f0, rej, bar_coupler_rad=0.0, bar_phase_rad=0.0),
@@ -218,14 +218,11 @@ def cancel_notch(overrides: Mapping[str, object], seed: int = 0) -> ExperimentRe
     heaters on the actual circuit (the split carrier also feels the phase
     shifter, which the closed form ignores).
     """
-    _check_keys("cancel_notch", overrides,
-                {"sweep", "notch_freq_ghz", "optical_rejection_db",
-                 "modulation_index", "polish_evals"})
-    lo, hi, step = _get(overrides, "sweep", (2.0, 28.0, 0.01))
-    f0 = _get(overrides, "notch_freq_ghz", 10.0)
-    rej = _get(overrides, "optical_rejection_db", 7.0)
-    m = _get(overrides, "modulation_index", 0.1)
-    polish_evals = _get(overrides, "polish_evals", 600)
+    (lo, hi, step), f0, rej, m, polish_evals = _options(
+        "cancel_notch", overrides, {
+            "sweep": (2.0, 28.0, 0.01), "notch_freq_ghz": 10.0,
+            "optical_rejection_db": 7.0, "modulation_index": 0.1,
+            "polish_evals": 600})
 
     settings = synthesize_cancellation_settings(rej)
     graph = _apply_user_heaters(
@@ -264,14 +261,12 @@ def cancel_notch(overrides: Mapping[str, object], seed: int = 0) -> ExperimentRe
 def bandpass_tune(overrides: Mapping[str, object], seed: int = 0) -> ExperimentResult:
     """Tunable bandpass: carrier re-inserted through the bar path while
     the lower sideband is filtered by the add-drop ring's drop port."""
-    _check_keys("bandpass_tune", overrides,
-                {"sweep", "detunes_ghz", "modulation_index", "drop_kappa"})
-    # start above the crossover guard: below it the lower sideband is
-    # still inside the bar channel and leaks past the open coupler.
-    lo, hi, step = _get(overrides, "sweep", (5.0, 27.0, 0.1))
-    detunes = _get(overrides, "detunes_ghz", [8.0, 12.0, 16.0, 20.0])
-    m = _get(overrides, "modulation_index", 0.1)
-    kappa = _get(overrides, "drop_kappa", 0.1)
+    # the sweep starts above the crossover guard: below it the lower
+    # sideband is still inside the bar channel and leaks past the open
+    # coupler.
+    (lo, hi, step), detunes, m, kappa = _options("bandpass_tune", overrides, {
+        "sweep": (5.0, 27.0, 0.1), "detunes_ghz": [8.0, 12.0, 16.0, 20.0],
+        "modulation_index": 0.1, "drop_kappa": 0.1})
 
     # carrier parked inside the bar channel here: the coupler path
     # re-inserts it while the cross path filters the lower sideband.
@@ -306,9 +301,8 @@ def deint_phase_probe(overrides: Mapping[str, object], seed: int = 0
     """Single-sideband probe of the de-interleaver: dividing the detected
     beat by the back-to-back one extracts the port's complex response
     relative to the carrier."""
-    _check_keys("deint_phase_probe", overrides, {"sweep", "modulation_index"})
-    lo, hi, step = _get(overrides, "sweep", (0.5, 29.5, 0.05))
-    m = _get(overrides, "modulation_index", 0.1)
+    (lo, hi, step), m = _options("deint_phase_probe", overrides, {
+        "sweep": (0.5, 29.5, 0.05), "modulation_index": 0.1})
 
     # per-port carrier placement: just inside the probed channel's start,
     # so the carrier beat reference stays strong across the whole band.
@@ -340,16 +334,11 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
     from the sideband-power balance point; co-tuning the phase shifter
     pins them together.
     """
-    _check_keys("amplitude_tuning", overrides,
-                {"rf_freq_ghz", "power_max_mw", "power_step_mw",
-                 "modulation_index", "sideband_attenuation_db",
-                 "anchor_power_mw"})
-    f0 = _get(overrides, "rf_freq_ghz", 20.0)
-    p_max = _get(overrides, "power_max_mw", DEFAULT_P_PI_MW)
-    p_step = _get(overrides, "power_step_mw", 0.25)
-    m = _get(overrides, "modulation_index", 0.1)
-    att_db = _get(overrides, "sideband_attenuation_db", 6.0)
-    p_anchor = _get(overrides, "anchor_power_mw", 22.0)
+    f0, p_max, p_step, m, att_db, p_anchor = _options(
+        "amplitude_tuning", overrides, {
+            "rf_freq_ghz": 20.0, "power_max_mw": DEFAULT_P_PI_MW,
+            "power_step_mw": 0.25, "modulation_index": 0.1,
+            "sideband_attenuation_db": 6.0, "anchor_power_mw": 22.0})
     if not (p_step > 0 and p_max >= 0):
         raise DomainError("amplitude_tuning needs power_step_mw > 0 and "
                           "power_max_mw >= 0")
@@ -413,12 +402,11 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
 def coupling_sweep(overrides: Mapping[str, object], seed: int = 0
                    ) -> ExperimentResult:
     """All-pass ring through under-, critical and over-coupling."""
-    _check_keys("coupling_sweep", overrides, {"kappas", "span_ghz", "step_ghz"})
     gamma = FITTED_RING_AMPLITUDE
-    kappa_crit = 1.0 - gamma * gamma
-    kappas = _get(overrides, "kappas", [0.05, 0.10, kappa_crit, 0.25, 0.40])
-    span = _get(overrides, "span_ghz", 5.0)
-    step = _get(overrides, "step_ghz", 0.01)
+    kappa_crit = critical_coupling_kappa(gamma)
+    kappas, span, step = _options("coupling_sweep", overrides, {
+        "kappas": [0.05, 0.10, kappa_crit, 0.25, 0.40], "span_ghz": 5.0,
+        "step_ghz": 0.01})
     if not (step > 0 and all(0.0 <= k <= 1.0 for k in kappas)):
         raise DomainError("coupling_sweep needs step_ghz > 0 and kappas in [0, 1]")
     require_grid_size("coupling_sweep 2*span_ghz over step_ghz", 2 * span, step)
