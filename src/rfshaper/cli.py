@@ -23,7 +23,7 @@ from .csvout import (format_summary_value, write_optical_csv, write_rf_csv,
                      write_summary, write_table_csv)
 from .errors import ConfigurationError, ShaperError, TopologyError
 from .experiments import run_experiment
-from .netlist import (document_to_text, load_experiment_config,
+from .netlist import (document_to_text, load_experiment_config, missing_keys,
                       parse_netlist, parse_number, parse_params)
 from .topologies import DeinterleaverSpec, build_deinterleaver, build_shaper
 from .tuner import Objective, OptimizerConfig, optimize
@@ -94,9 +94,9 @@ def cmd_block(args) -> int:
     errors = [f"invalid number in {args.params[e.index]!r}" if e.key else
               f"bad parameter {args.params[e.index]!r} for kind {args.kind}"
               for e in bad]
-    for key in BLOCK_KINDS[args.kind].required:
-        if key not in kv and not args.phase_sweep:
-            errors.append(f"kind {args.kind} requires {key}")
+    if not args.phase_sweep:
+        errors += [f"kind {args.kind} requires {key}"
+                   for key in missing_keys(args.kind, kv, bad)]
     if errors:
         raise _ParseFailure(errors)
 

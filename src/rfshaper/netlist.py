@@ -122,6 +122,15 @@ def parse_params(kind: str, tokens) -> tuple[dict[str, float],
     return values, errors
 
 
+def missing_keys(kind: str, values: dict[str, float],
+                 bad: list[ParamError]) -> list[str]:
+    """Required keys of ``kind`` that :func:`parse_params` found no token
+    for.  A key given with a bad value is not missing: its error already
+    names it."""
+    given = set(values).union(e.key for e in bad if e.key)
+    return [key for key in BLOCK_KINDS[kind].required if key not in given]
+
+
 class _Parser:
     def __init__(self):
         self.doc = NetlistDocument()
@@ -179,8 +188,7 @@ class _Parser:
         values, bad = parse_params(kind, [tok for tok, _ in toks[3:]])
         for e in bad:
             self.err(ln, toks[3 + e.index][1], e.message, e.token)
-        given = set(values).union(e.key for e in bad if e.key)
-        missing = [key for key in spec.required if key not in given]
+        missing = missing_keys(kind, values, bad)
         for key in missing:
             self.err(ln, kcol, f"kind {kind} requires key {key!r}", kind)
         if bad or missing:
