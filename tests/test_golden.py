@@ -290,15 +290,13 @@ ERROR_CASES = {
         "error: bad parameter 'bogus=1' for kind ring_allpass\n"),
     "block_bad_number": (
         {}, block("ring_allpass", "kappa=abc", "fsr_ghz=50"), 3,
-        "error: invalid number in 'kappa=abc'\n"
-        "error: kind ring_allpass requires kappa\n"),
+        "error: invalid number in 'kappa=abc'\n"),
     "block_repeated_key": (
         {}, block("ring_allpass", "kappa=0.1", "kappa=0.2", "fsr_ghz=50"), 3,
         "error: bad parameter 'kappa=0.2' for kind ring_allpass\n"),
     "block_nan": (
         {}, block("ring_allpass", "kappa=nan", "fsr_ghz=50"), 3,
-        "error: invalid number in 'kappa=nan'\n"
-        "error: kind ring_allpass requires kappa\n"),
+        "error: invalid number in 'kappa=nan'\n"),
     "block_missing_key": (
         {}, block("ring_allpass", "fsr_ghz=50"), 3,
         "error: kind ring_allpass requires kappa\n"),
