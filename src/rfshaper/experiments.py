@@ -16,7 +16,7 @@ import numpy as np
 
 from .blocks import (FrequencyGrid, RingParams, critical_coupling_kappa,
                      heater_phase_from_power, require_grid_size)
-from .circuit import CircuitGraph, CircuitResponse, bind
+from .circuit import BlockInstance, CircuitGraph, CircuitResponse, Port, bind
 from .constants import DEFAULT_CARRIER_THZ, DEFAULT_P_PI_MW, FILTER_RING_FSR_GHZ
 from .errors import ConfigurationError, DomainError
 from .metrics import band_mask, notch_depth_db, peak_frequency_ghz
@@ -261,9 +261,8 @@ def cancel_notch(overrides: Mapping[str, object], seed: int = 0) -> ExperimentRe
 def bandpass_tune(overrides: Mapping[str, object], seed: int = 0) -> ExperimentResult:
     """Tunable bandpass: carrier re-inserted through the bar path while
     the lower sideband is filtered by the add-drop ring's drop port."""
-    # the sweep starts above the crossover guard: below it the lower
-    # sideband is still inside the bar channel and leaks past the open
-    # coupler.
+    # start above the crossover guard: below it the lower sideband is
+    # still inside the bar channel and leaks past the open coupler.
     (lo, hi, step), detunes, m, kappa = _options("bandpass_tune", overrides, {
         "sweep": (5.0, 27.0, 0.1), "detunes_ghz": [8.0, 12.0, 16.0, 20.0],
         "modulation_index": 0.1, "drop_kappa": 0.1})
@@ -411,7 +410,6 @@ def coupling_sweep(overrides: Mapping[str, object], seed: int = 0
         raise DomainError("coupling_sweep needs step_ghz > 0 and kappas in [0, 1]")
     require_grid_size("coupling_sweep 2*span_ghz over step_ghz", 2 * span, step)
 
-    from .circuit import BlockInstance, Port
     ring = BlockInstance("ring", "ring_allpass",
                          RingParams(FILTER_RING_FSR_GHZ, kappas[0],
                                     round_trip_amplitude=gamma))

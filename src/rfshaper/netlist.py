@@ -124,9 +124,8 @@ def parse_params(kind: str, tokens) -> tuple[dict[str, float],
 
 def missing_keys(kind: str, values: dict[str, float],
                  bad: list[ParamError]) -> list[str]:
-    """Required keys of ``kind`` that :func:`parse_params` found no token
-    for.  A key given with a bad value is not missing: its error already
-    names it."""
+    """Required keys of ``kind`` that no token names; a key given with a
+    bad value is not missing, since its own error names it."""
     given = set(values).union(e.key for e in bad if e.key)
     return [key for key in BLOCK_KINDS[kind].required if key not in given]
 

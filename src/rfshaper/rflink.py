@@ -1,11 +1,10 @@
 """End-to-end RF-photonic link model.
 
 A modulated optical spectrum is three complex tones: lower sideband,
-carrier, upper sideband, offset by the RF frequency.
-:attr:`ModulationFormat.tones` gives them for a unit carrier.  After
-propagation through a circuit, square-law detection beats each sideband
-against the carrier; the component of the photocurrent at the RF
-frequency has complex amplitude
+carrier, upper sideband, offset by the RF frequency
+(:attr:`ModulationFormat.tones`).  After propagation through a circuit,
+square-law detection beats each sideband against the carrier; the
+component of the photocurrent at the RF frequency has complex amplitude
 
     ``R * (E0 * conj(E-) + conj(E0) * E+)``
 
@@ -53,8 +52,7 @@ class ModulationFormat:
     def __post_init__(self):
         if self.kind not in FORMAT_KINDS:
             raise ConfigurationError(f"unknown modulation kind {self.kind!r}")
-        if not (math.isfinite(self.modulation_index)
-                and self.modulation_index > 0):
+        if not (0.0 < self.modulation_index < math.inf):
             raise DomainError("modulation_index must be finite and > 0")
 
     @property

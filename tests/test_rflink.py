@@ -10,8 +10,8 @@ from rfshaper.blocks import (PhaseShifterState, RingParams,
                              critical_coupling_kappa)
 from rfshaper.blocks import FrequencyGrid
 from rfshaper.circuit import BlockInstance, CircuitGraph, Port, evaluate
-from rfshaper.constants import DEFAULT_CARRIER_THZ
-from rfshaper.constants import DEFAULT_RESPONSIVITY_A_PER_W as R
+from rfshaper.constants import (DEFAULT_CARRIER_THZ,
+                                DEFAULT_RESPONSIVITY_A_PER_W as R)
 from rfshaper.errors import ConfigurationError, DomainError
 from rfshaper.rflink import (LinkConfig, ModulationFormat, detector,
                              rf_transmission_sweep)
