@@ -283,6 +283,23 @@ set detunes_ghz 8,,16
 frob 1
 """
 
+SHORT_NETLIST = """\
+format 1
+block r
+block p phase_shifter phase_rad=0
+connect p.out
+input in
+output o p.out
+"""
+
+OPTIMIZE_ERROR = ["optimize", "preset:deinterleaver", "--objective",
+                  "deinterleaver_extinction", "--out", "tuned.nl"]
+
+
+def sweep_range(option: str) -> list[str]:
+    return ["sweep", "preset:deinterleaver", option, "--out", "x.csv"]
+
+
 #: case -> (files written first, argv, exit code, exact standard error)
 ERROR_CASES = {
     "block_unknown_key": (
@@ -346,6 +363,24 @@ ERROR_CASES = {
         "error: line 10, col 1: expected: set <key> <value>\n"
         "error: line 11, col 17: invalid number near '8,,16'\n"
         "error: line 12, col 1: unknown statement 'frob' near 'frob'\n"),
+    "optimize_stopband_three_parts": (
+        {}, OPTIMIZE_ERROR + ["--stopband", "1:2:3"], 3,
+        "error: expected lo:hi, got '1:2:3'\n"),
+    "sweep_range_not_numbers": (
+        {}, sweep_range("--sweep=a:1:1"), 3,
+        "error: expected numbers in lo:hi:step, got 'a:1:1'\n"),
+    "sweep_range_two_parts": (
+        {}, sweep_range("--sweep=1:2"), 3,
+        "error: expected lo:hi:step, got '1:2'\n"),
+    "sweep_range_reversed": (
+        {}, sweep_range("--sweep=2:1:1"), 3,
+        "error: need step > 0 and hi > lo\n"),
+    "sweep_netlist_short_statements": (
+        {"short.nl": SHORT_NETLIST},
+        ["sweep", "short.nl", OFFSET_SWEEP, "--out", "x.csv"], 3,
+        "error: line 2, col 1: expected: block <id> <kind> key=value ...\n"
+        "error: line 4, col 1: expected: connect <id>.<port> <id>.<port>\n"
+        "error: line 5, col 1: expected: input <name> <id>.<port>\n"),
 }
 
 
