@@ -24,7 +24,7 @@ from .csvout import (format_summary_value, write_optical_csv, write_rf_csv,
 from .errors import ConfigurationError, ShaperError, TopologyError
 from .experiments import run_experiment
 from .netlist import (document_to_text, load_experiment_config, missing_keys,
-                      parse_netlist, parse_number, parse_params)
+                      parse_netlist, parse_numbers, parse_params)
 from .topologies import DeinterleaverSpec, build_deinterleaver, build_shaper
 from .tuner import Objective, OptimizerConfig, optimize
 
@@ -44,13 +44,7 @@ class _ParseFailure(Exception):
 
 def _parse_range(text: str) -> FrequencyGrid:
     """The uniform grid that ``lo:hi:step`` spells."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigurationError(f"expected lo:hi:step, got {text!r}")
-    try:
-        lo, hi, step = (parse_number(p) for p in parts)
-    except ValueError:
-        raise ConfigurationError(f"expected numbers in lo:hi:step, got {text!r}")
+    lo, hi, step = parse_numbers(text, "lo:hi:step")
     if not (step > 0 and hi > lo):
         raise ConfigurationError("need step > 0 and hi > lo")
     return FrequencyGrid.sweep(lo, hi, step)
@@ -58,7 +52,7 @@ def _parse_range(text: str) -> FrequencyGrid:
 
 def _load_graph(path: str) -> CircuitGraph:
     if path.startswith("preset:"):
-        name = path.split(":", 1)[1]
+        name = path.removeprefix("preset:")
         if name == "deinterleaver":
             return build_deinterleaver(DeinterleaverSpec.designed())
         if name == "shaper":
@@ -134,10 +128,10 @@ def cmd_experiment(args) -> int:
     cfg, errors = load_experiment_config(text)
     if errors:
         raise _ParseFailure(errors)
-    outdir = Path(args.out_dir or cfg.outdir or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else cfg.seed
     result = run_experiment(cfg.experiment, cfg.overrides(), seed=seed)
+    outdir = Path(args.out_dir or cfg.outdir or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
 
     written = []
     for name, trace in sorted(result.traces.items()):
@@ -158,31 +152,20 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _parse_band(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    try:
-        lo, hi = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigurationError(f"expected lo:hi, got {text!r}")
-    if not hi > lo:
-        raise ConfigurationError("need hi > lo")
-    return lo, hi
-
-
 def _objective_from_args(args) -> Objective:
     kw: dict[str, object] = {"kind": args.objective}
     if args.port:
         kw["port"] = args.port
     if args.passband:
-        kw["passband"] = _parse_band(args.passband)
+        kw["passband"] = parse_numbers(args.passband, "lo:hi")
     if args.stopband:
-        kw["stopband"] = _parse_band(args.stopband)
+        kw["stopband"] = parse_numbers(args.stopband, "lo:hi")
     if args.rf_freq is not None:
         kw["rf_freq_ghz"] = args.rf_freq
     if args.offset is not None:
         kw["offset_ghz"] = args.offset
     if args.band:
-        kw["band"] = _parse_band(args.band)
+        kw["band"] = parse_numbers(args.band, "lo:hi")
     return Objective(**kw)
 
 

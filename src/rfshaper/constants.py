@@ -14,8 +14,5 @@ DEFAULT_RESPONSIVITY_A_PER_W = 0.8
 #: Free spectral range of the filter-network rings (GHz).
 FILTER_RING_FSR_GHZ = 50.0
 
-#: Nominal waveguide propagation loss (power dB per cm).
-WAVEGUIDE_LOSS_DB_PER_CM = 1.2
-
 #: De-interleaver channel width (GHz): pass and stop bands are this wide.
 DEINTERLEAVER_PASSBAND_GHZ = 30.0

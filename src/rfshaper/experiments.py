@@ -84,7 +84,10 @@ def _apply_user_heaters(graph: CircuitGraph,
                         overrides: Mapping[str, object]) -> CircuitGraph:
     """User heater overrides rebase the circuit before the preset runs;
     heaters the preset itself drives are still swept on top."""
-    heaters = overrides.get("heaters") or {}
+    heaters = overrides.get("heaters", {})
+    if not isinstance(heaters, Mapping):
+        raise ConfigurationError(
+            f"option 'heaters' takes heater names and values, got {heaters!r}")
     return graph.with_heaters(heaters) if heaters else graph
 
 
@@ -458,4 +461,5 @@ def run_experiment(name: str, overrides: Mapping[str, object] | None = None,
         raise ConfigurationError(
             f"unknown experiment {name!r}; presets: {', '.join(sorted(PRESETS))}"
         ) from None
+    OptimizerConfig(seed=seed)      # rejects a bad seed before the preset runs
     return preset(dict(overrides or {}), seed=seed)

@@ -12,19 +12,22 @@ Parsing collects *all* errors with 1-based line/column positions instead
 of failing fast.  A block whose parameters are rejected still reserves
 its id and kind so later statements refer to it without cascading
 errors.  This module is the one reader of user text: netlists and
-experiment configs share :func:`_statements`, and ``key=value`` block
-parameters, netlist or ``rfshaper block``, go through :func:`parse_params`.
+experiment configs share :func:`_statements`, which checks each line
+against the format's usage table; ``key=value`` block parameters,
+netlist or ``rfshaper block``, go through :func:`parse_params`; and the
+CLI's colon-separated ranges go through :func:`parse_numbers`.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .blocks import BLOCK_KINDS
 from .circuit import BlockInstance, CircuitGraph, Port
-from .errors import ShaperError
+from .errors import ConfigurationError, ShaperError
 
 
 @dataclass(frozen=True)
@@ -53,17 +56,7 @@ class NetlistDocument:
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
     """Whitespace tokens with their 1-based column."""
-    out, i = [], 0
-    while i < len(line):
-        if line[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < len(line) and not line[j].isspace():
-            j += 1
-        out.append((line[i:j], i + 1))
-        i = j
-    return out
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
 
 
 def parse_number(tok: str) -> float:
@@ -74,13 +67,43 @@ def parse_number(tok: str) -> float:
     return v
 
 
-def _statements(text: str):
-    """(line number, tokens) of each line left non-blank by removing its
-    ``#`` comment."""
+def parse_numbers(text: str, form: str) -> tuple[float, ...]:
+    """The numbers of colon-separated ``text`` laid out as ``form``, such
+    as ``lo:hi``; ConfigurationError for a wrong count or a bad number."""
+    parts = text.split(":")
+    if len(parts) != len(form.split(":")):
+        raise ConfigurationError(f"expected {form}, got {text!r}")
+    try:
+        return tuple(map(parse_number, parts))
+    except ValueError:
+        raise ConfigurationError(
+            f"expected numbers in {form}, got {text!r}") from None
+
+
+def _statements(text: str, usage: dict[str, str],
+                errors: list[ParseError]):
+    """(line number, tokens) of each statement that fits ``usage``.
+
+    ``usage`` maps each keyword to its arguments as the usage message
+    shows them; a trailing ``x ...`` stands for any number of ``x``.
+    Lines blank once their ``#`` comment is removed are skipped; any
+    other line that does not fit adds a ParseError at its keyword.
+    """
     for ln, raw in enumerate(text.splitlines(), start=1):
         toks = _tokenize(raw.partition("#")[0])
-        if toks:
+        if not toks:
+            continue
+        kw, col = toks[0]
+        args = usage.get(kw)
+        if args is None:
+            errors.append(ParseError(ln, col, f"unknown statement {kw!r}", kw))
+            continue
+        words = args.split()
+        if (len(toks) >= len(words) - 1 if words[-1] == "..."
+                else len(toks) == 1 + len(words)):
             yield ln, toks
+        else:
+            errors.append(ParseError(ln, col, f"expected: {kw} {args}"))
 
 
 class ParamError(NamedTuple):
@@ -145,10 +168,9 @@ class _Parser:
     # -- statement handlers --------------------------------------------
 
     def stmt_format(self, ln, toks):
-        if len(toks) != 2 or toks[1][0] != "1":
-            col = toks[1][1] if len(toks) > 1 else toks[0][1]
-            self.err(ln, col, "only 'format 1' is supported",
-                     toks[1][0] if len(toks) > 1 else "")
+        version, col = toks[1]
+        if version != "1":
+            self.err(ln, col, "only 'format 1' is supported", version)
 
     def _parse_port(self, ln, tok, col, direction) -> Port | None:
         if "." not in tok:
@@ -169,9 +191,6 @@ class _Parser:
         return Port(bid, pname)
 
     def stmt_block(self, ln, toks):
-        if len(toks) < 3:
-            self.err(ln, toks[0][1], "expected: block <id> <kind> key=value ...")
-            return
         (bid, bcol), (kind, kcol) = toks[1], toks[2]
         if bid in self.kinds:
             self.err(ln, bcol,
@@ -200,9 +219,6 @@ class _Parser:
         self.doc.blocks.append(block)
 
     def stmt_connect(self, ln, toks):
-        if len(toks) != 3:
-            self.err(ln, toks[0][1], "expected: connect <id>.<port> <id>.<port>")
-            return
         src = self._parse_port(ln, toks[1][0], toks[1][1], "out")
         dst = self._parse_port(ln, toks[2][0], toks[2][1], "in")
         if src is None or dst is None:
@@ -219,12 +235,9 @@ class _Parser:
         self.used_sinks[dst] = ln
         self.doc.connections.append((src, dst))
 
-    def stmt_io(self, ln, toks, direction):
-        kw = toks[0][0]
-        if len(toks) != 3:
-            self.err(ln, toks[0][1], f"expected: {kw} <name> <id>.<port>")
-            return
-        name = toks[1][0]
+    def stmt_io(self, ln, toks):
+        kw, name = toks[0][0], toks[1][0]
+        direction = "in" if kw == "input" else "out"
         table = self.doc.inputs if direction == "in" else self.doc.outputs
         if name in table:
             self.err(ln, toks[1][1], f"duplicate {kw} name {name!r}", name)
@@ -240,23 +253,24 @@ class _Parser:
         table[name] = port
 
 
+#: netlist statement -> its arguments, as the usage message shows them
+_NETLIST_USAGE = {
+    "format": "1",
+    "block": "<id> <kind> key=value ...",
+    "connect": "<id>.<port> <id>.<port>",
+    "input": "<name> <id>.<port>",
+    "output": "<name> <id>.<port>",
+}
+
+
 def parse_netlist(text: str) -> tuple[NetlistDocument, list[ParseError]]:
     """Parse netlist text; returns the document and all positioned errors."""
     p = _Parser()
-    for ln, toks in _statements(text):
-        kw = toks[0][0]
-        if kw == "format":
-            p.stmt_format(ln, toks)
-        elif kw == "block":
-            p.stmt_block(ln, toks)
-        elif kw == "connect":
-            p.stmt_connect(ln, toks)
-        elif kw == "input":
-            p.stmt_io(ln, toks, "in")
-        elif kw == "output":
-            p.stmt_io(ln, toks, "out")
-        else:
-            p.err(ln, toks[0][1], f"unknown statement {kw!r}", kw)
+    handlers = {"format": p.stmt_format, "block": p.stmt_block,
+                "connect": p.stmt_connect, "input": p.stmt_io,
+                "output": p.stmt_io}
+    for ln, toks in _statements(text, _NETLIST_USAGE, p.errors):
+        handlers[toks[0][0]](ln, toks)
     return p.doc, p.errors
 
 
@@ -330,15 +344,8 @@ def load_experiment_config(text: str) -> tuple[ExperimentConfig | None,
     errors: list[ParseError] = []
     name: str | None = None
     cfg = ExperimentConfig("")
-    for ln, toks in _statements(text):
+    for ln, toks in _statements(text, _CONFIG_USAGE, errors):
         kw, col = toks[0]
-        usage = _CONFIG_USAGE.get(kw)
-        if usage is None:
-            errors.append(ParseError(ln, col, f"unknown statement {kw!r}", kw))
-            continue
-        if len(toks) != 1 + len(usage.split()):
-            errors.append(ParseError(ln, col, f"expected: {kw} {usage}"))
-            continue
         if kw == "experiment":
             if name is not None:
                 errors.append(ParseError(ln, toks[1][1],
@@ -360,7 +367,8 @@ def load_experiment_config(text: str) -> tuple[ExperimentConfig | None,
             try:
                 cfg.seed = int(toks[1][0])
             except ValueError:
-                errors.append(ParseError(ln, col, f"expected: {kw} {usage}"))
+                errors.append(ParseError(ln, col,
+                                         f"expected: {kw} {_CONFIG_USAGE[kw]}"))
         elif kw == "outdir":
             cfg.outdir = toks[1][0]
         else:   # set

@@ -119,11 +119,9 @@ def back_to_back_reference(fmt: ModulationFormat) -> float:
     A phase-modulated back-to-back link detects nothing, so PM traces are
     referenced to the equivalent intensity-modulated link instead.
     """
-    b2b = abs(detector(fmt)(1.0, 1.0, 1.0))
-    if b2b > 1e-12:
-        return b2b
-    im = detector(ModulationFormat("IM", fmt.modulation_index))
-    return abs(im(1.0, 1.0, 1.0))
+    if fmt.kind == "PM":
+        fmt = ModulationFormat("IM", fmt.modulation_index)
+    return abs(detector(fmt)(1.0, 1.0, 1.0))
 
 
 def magnitude_db(phasor: np.ndarray, ref: float) -> np.ndarray:

@@ -60,32 +60,29 @@ class DeinterleaverSpec:
     across the ring FSR.  :meth:`designed` returns the curated solution.
     """
 
-    passband_ghz: float = DEINTERLEAVER_PASSBAND_GHZ
     ring_kappas: tuple[float, float, float] = (0.5, 0.5, 0.5)
     ring_detunes_ghz: tuple[float, float, float] = (0.0, 10.0, 20.0)
     arm_trim_rad: float = 0.0
-    coupler_in_rad: float = math.pi / 2
-    coupler_out_rad: float = math.pi / 2
+    # both tunable couplers sit at 3 dB (class constants, not fields)
+    coupler_in_rad = math.pi / 2
+    coupler_out_rad = math.pi / 2
 
     def __post_init__(self):
-        if not (self.passband_ghz > 0):
-            raise ConfigurationError("passband_ghz must be > 0")
         if len(self.ring_kappas) != 3 or len(self.ring_detunes_ghz) != 3:
             raise ConfigurationError("exactly three rings are expected")
 
     @property
     def ring_fsr_ghz(self) -> float:
         """Ring FSR equals the channel width."""
-        return self.passband_ghz
+        return DEINTERLEAVER_PASSBAND_GHZ
 
     @property
     def arm_fsr_ghz(self) -> float:
         """Arm-imbalance FSR: twice the channel width (half a ring period)."""
-        return 2.0 * self.passband_ghz
+        return 2.0 * DEINTERLEAVER_PASSBAND_GHZ
 
     @classmethod
-    def designed(cls, passband_ghz: float = DEINTERLEAVER_PASSBAND_GHZ,
-                 crossover_offset_ghz: float = 0.0) -> "DeinterleaverSpec":
+    def designed(cls, crossover_offset_ghz: float = 0.0) -> "DeinterleaverSpec":
         """Curated equiripple design.
 
         With zero ``crossover_offset_ghz`` the bar/cross crossover sits at
@@ -96,9 +93,9 @@ class DeinterleaverSpec:
         detunes shift and the arm delay contributes only a constant trim.
         """
         c = crossover_offset_ghz
+        passband_ghz = DEINTERLEAVER_PASSBAND_GHZ
         detune = c % passband_ghz
         return cls(
-            passband_ghz=passband_ghz,
             ring_kappas=(_kappa(DESIGN_SELF_COUPLING_DELAY_ARM),
                          _kappa(DESIGN_SELF_COUPLING_SHORT_A),
                          _kappa(DESIGN_SELF_COUPLING_SHORT_B)),

@@ -49,6 +49,9 @@ class OptimizerConfig:
                 raise ConfigurationError(f"{name} must be an integer, got {v!r}")
         if self.max_evals < 1 or self.restarts < 1:
             raise ConfigurationError("optimizer budgets must be positive")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigurationError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,18 @@ def test_coupling_sweep_states():
     assert len(result.optical) == 5
 
 
+def test_negative_seed_is_named_before_the_preset_runs():
+    with pytest.raises(ConfigurationError,
+                       match="^seed must be a non-negative integer, got -1$"):
+        run_experiment("cancel_notch", seed=-1)
+
+
+@pytest.mark.parametrize("heaters", [1.0, 0, (0.3,)])
+def test_heaters_option_must_be_a_mapping(heaters):
+    with pytest.raises(ConfigurationError, match="option 'heaters'"):
+        run_experiment("ssb_notch", {"heaters": heaters})
+
+
 def test_heater_override_accepted():
     result = run_experiment("ssb_notch", {"sweep": (8.0, 12.0, 0.01),
                                           "heaters": {"ps_bar.phase": 0.3}})

@@ -381,6 +381,38 @@ ERROR_CASES = {
         "error: line 2, col 1: expected: block <id> <kind> key=value ...\n"
         "error: line 4, col 1: expected: connect <id>.<port> <id>.<port>\n"
         "error: line 5, col 1: expected: input <name> <id>.<port>\n"),
+    "sweep_netlist_format_arity": (
+        {"f.nl": "format\nformat 1 2\n"},
+        ["sweep", "f.nl", OFFSET_SWEEP, "--out", "x.csv"], 3,
+        "error: line 1, col 1: expected: format 1\n"
+        "error: line 2, col 1: expected: format 1\n"),
+    "optimize_passband_reversed": (
+        {}, OPTIMIZE_ERROR + ["--passband", "5:3"], 3,
+        "error: passband must be finite with hi > lo, got (5.0, 3.0)\n"),
+    "optimize_passband_inf": (
+        {}, OPTIMIZE_ERROR + ["--passband", "3:inf"], 3,
+        "error: expected numbers in lo:hi, got '3:inf'\n"),
+    "optimize_band_nan": (
+        {}, SHAPER_OPTIMIZE + ["conversion_extinction", "--band", "nan:25"], 3,
+        "error: expected numbers in lo:hi, got 'nan:25'\n"),
+    "optimize_band_not_numbers": (
+        {}, SHAPER_OPTIMIZE + ["conversion_extinction", "--band", "a:b"], 3,
+        "error: expected numbers in lo:hi, got 'a:b'\n"),
+    "optimize_negative_seed": (
+        {}, OPTIMIZE_ERROR + ["--seed", "-1"], 3,
+        "error: seed must be a non-negative integer, got -1\n"),
+    "experiment_negative_seed_option": (
+        {"e.cfg": "experiment cancel_notch\n"},
+        ["experiment", "e.cfg", "--out-dir", "out", "--seed", "-3"], 3,
+        "error: seed must be a non-negative integer, got -3\n"),
+    "experiment_negative_seed_statement": (
+        {"e.cfg": "experiment cancel_notch\nseed -1\n"},
+        ["experiment", "e.cfg"], 3,
+        "error: seed must be a non-negative integer, got -1\n"),
+    "experiment_set_heaters_number": (
+        {"e.cfg": "experiment ssb_notch\nset heaters 1\n"},
+        ["experiment", "e.cfg"], 3,
+        "error: option 'heaters' takes heater names and values, got 1.0\n"),
 }
 
 

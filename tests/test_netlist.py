@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from rfshaper.blocks import BLOCK_KINDS, PhaseShifterState, RingParams
 from rfshaper.cli import main
 from rfshaper.circuit import BlockInstance, Port
-from rfshaper.netlist import (NetlistDocument, document_to_text,
-                              load_experiment_config, parse_netlist)
+from rfshaper.errors import ConfigurationError
+from rfshaper.netlist import (NetlistDocument, _tokenize, document_to_text,
+                              load_experiment_config, parse_netlist,
+                              parse_numbers)
 from rfshaper.topologies import DeinterleaverSpec, build_deinterleaver
 
 VALID = """\
@@ -64,6 +66,35 @@ def test_removed_netlist_data_is_a_positioned_error(text, column, message):
     _, errors = parse_netlist(text)
     assert [(e.line, e.column, e.message) for e in errors] == \
         [(1, column, message)]
+
+
+@pytest.mark.parametrize("text, column, message", [
+    ("format", 1, "expected: format 1"),
+    ("format 1 2", 1, "expected: format 1"),
+    ("format 2", 8, "only 'format 1' is supported"),
+    ("block r", 1, "expected: block <id> <kind> key=value ..."),
+    ("  output o", 3, "expected: output <name> <id>.<port>"),
+])
+def test_statement_usage_is_checked_at_the_keyword(text, column, message):
+    _, errors = parse_netlist(text)
+    assert [(e.line, e.column, e.message) for e in errors] == \
+        [(1, column, message)]
+
+
+def test_tokens_split_on_every_unicode_space():
+    spaces = "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+    assert _tokenize(f"a{spaces}b\u200bc {spaces}") == \
+        [("a", 1), ("b\u200bc", len(spaces) + 2)]
+
+
+def test_parse_numbers():
+    assert parse_numbers("1:2.5e1", "lo:hi") == (1.0, 25.0)
+    with pytest.raises(ConfigurationError, match="^expected lo:hi, got '1'$"):
+        parse_numbers("1", "lo:hi")
+    for text in ("1:nan", "-inf:1", "1:", "1:1e999"):
+        with pytest.raises(ConfigurationError,
+                           match=f"^expected numbers in lo:hi, got '{text}'$"):
+            parse_numbers(text, "lo:hi")
 
 
 def test_kappa_out_of_range_reports_line():

@@ -153,6 +153,14 @@ def test_sweep_identity_is_flat_zero_db():
     assert np.max(np.abs(resp.mag_db)) < 1e-9
 
 
+@pytest.mark.parametrize("kind", ["IM", "SSB_upper", "SSB_lower"])
+def test_sweep_identity_is_zero_db_at_tiny_index(kind):
+    link = LinkConfig(ModulationFormat(kind, 1e-12), identity_graph(),
+                      output_port="out")
+    resp = rf_transmission_sweep(link, 1.0, 10.0, 1.0)
+    assert np.max(np.abs(resp.mag_db)) < 1e-9
+
+
 def test_sweep_pm_uses_im_reference():
     link = LinkConfig(ModulationFormat("PM", 0.1), identity_graph(),
                       output_port="out")

@@ -74,6 +74,13 @@ def test_optimizer_config_rejects_non_integer_budgets(kwargs, field):
         OptimizerConfig(**kwargs)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3"])
+def test_optimizer_config_rejects_bad_seed(seed):
+    with pytest.raises(ConfigurationError,
+                       match="seed must be a non-negative integer"):
+        OptimizerConfig(seed=seed)
+
+
 @pytest.mark.parametrize("max_evals, restarts", [(20, 1), (45, 2), (70, 3)])
 def test_optimize_stays_within_max_evals(max_evals, restarts):
     result = optimize(build_deinterleaver(DeinterleaverSpec()),
