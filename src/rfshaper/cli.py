@@ -156,16 +156,13 @@ def _objective_from_args(args) -> Objective:
     kw: dict[str, object] = {"kind": args.objective}
     if args.port:
         kw["port"] = args.port
-    if args.passband:
-        kw["passband"] = parse_numbers(args.passband, "lo:hi")
-    if args.stopband:
-        kw["stopband"] = parse_numbers(args.stopband, "lo:hi")
+    for name in ("passband", "stopband", "band"):
+        if getattr(args, name):
+            kw[name] = parse_numbers(getattr(args, name), "lo:hi")
     if args.rf_freq is not None:
         kw["rf_freq_ghz"] = args.rf_freq
     if args.offset is not None:
         kw["offset_ghz"] = args.offset
-    if args.band:
-        kw["band"] = parse_numbers(args.band, "lo:hi")
     return Objective(**kw)
 
 
