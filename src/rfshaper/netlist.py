@@ -98,9 +98,12 @@ def _statements(text: str, usage: dict[str, str],
         if args is None:
             errors.append(ParseError(ln, col, f"unknown statement {kw!r}", kw))
             continue
-        words = args.split()
-        if (len(toks) >= len(words) - 1 if words[-1] == "..."
-                else len(toks) == 1 + len(words)):
+        words, given = args.split(), len(toks) - 1
+        if words[-1] == "...":
+            fits = given >= len(words) - 2
+        else:
+            fits = given == len(words)
+        if fits:
             yield ln, toks
         else:
             errors.append(ParseError(ln, col, f"expected: {kw} {args}"))
