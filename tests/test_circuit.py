@@ -228,6 +228,32 @@ def test_unknown_heater_rejected():
         evaluate(g, GRID, heaters={"w.phase": 1.0})
 
 
+def two_input_graph():
+    tc = BlockInstance("tc", "tunable_coupler", PhaseShifterState(1.0))
+    return CircuitGraph((tc,), (),
+                        inputs={"a": Port("tc", "in0"), "b": Port("tc", "in1")},
+                        outputs={"bar": Port("tc", "out0"),
+                                 "cross": Port("tc", "out1")})
+
+
+def test_evaluate_needs_a_named_input_of_a_two_input_graph():
+    graph = two_input_graph()
+    with pytest.raises(ConfigurationError, match=r"\['a', 'b'\]"):
+        evaluate(graph, GRID)
+    with pytest.raises(ConfigurationError, match="unknown input 'c'"):
+        evaluate(graph, GRID, input_name="c")
+    bar_a = evaluate(graph, GRID, input_name="a").port("bar")
+    bar_b = evaluate(graph, GRID, input_name="b").port("bar")
+    assert not np.allclose(bar_a, bar_b)
+
+
+def test_evaluate_rejects_a_graph_without_inputs():
+    ps = BlockInstance("ps", "phase_shifter", PhaseShifterState(0.0))
+    graph = CircuitGraph((ps,), (), outputs={"out": Port("ps", "out")})
+    with pytest.raises(TopologyError, match="no external inputs"):
+        evaluate(graph, GRID)
+
+
 def notch_shaper():
     """The cancel_notch preset's circuit at its closed-form settings."""
     s = synthesize_cancellation_settings(7.0)

@@ -315,3 +315,36 @@ def test_range_not_finite_or_too_large(tmp_path, capsys, argv, code, message):
     assert run([*argv, "--out", str(tmp_path / "x.csv")]) == code
     assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+TWO_INPUT_NETLIST = ("block tc tunable_coupler phase_rad=1\n"
+                     "input a tc.in0\ninput b tc.in1\n"
+                     "output bar tc.out0\noutput cross tc.out1\n")
+
+
+def test_sweep_input_picks_the_input_of_a_two_input_netlist(tmp_path, capsys):
+    nl = tmp_path / "two.nl"
+    nl.write_text(TWO_INPUT_NETLIST)
+    doc, errors = parse_netlist(TWO_INPUT_NETLIST)
+    assert not errors
+    from rfshaper.blocks import FrequencyGrid
+    from rfshaper.circuit import evaluate
+    grid = FrequencyGrid.sweep(-2.0, 2.0, 1.0)
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.csv"
+        assert run(["sweep", str(nl), "--sweep=-2:2:1", "--input", name,
+                    "--port", "bar", "--out", str(out)]) == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        want = evaluate(doc.to_graph(), grid, input_name=name).port("bar")
+        np.testing.assert_allclose(data[:, 1] + 1j * data[:, 2], want,
+                                   atol=1e-8)
+    a, b = (np.loadtxt(tmp_path / f"{n}.csv", delimiter=",", skiprows=1)
+            for n in "ab")
+    assert not np.allclose(a, b)
+
+    out = tmp_path / "none.csv"
+    assert run(["sweep", str(nl), "--sweep=-2:2:1", "--port", "bar",
+                "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "'a'" in err and "'b'" in err
+    assert not out.exists()

@@ -409,6 +409,14 @@ ERROR_CASES = {
         {"e.cfg": "experiment cancel_notch\nseed -1\n"},
         ["experiment", "e.cfg"], 3,
         "error: seed must be a non-negative integer, got -1\n"),
+    "optimize_deinterleaver_conversion_extinction": (
+        {}, ["optimize", "preset:deinterleaver", "--objective",
+             "conversion_extinction", "--out", "tuned.nl"], 3,
+        "error: unknown heaters: ['ps_bar.phase']\n"),
+    "optimize_deinterleaver_notch_depth": (
+        {}, ["optimize", "preset:deinterleaver", "--objective",
+             "notch_depth", "--out", "tuned.nl"], 3,
+        "error: unknown output port 'detector'; available: bar, cross\n"),
     "experiment_set_heaters_number": (
         {"e.cfg": "experiment ssb_notch\nset heaters 1\n"},
         ["experiment", "e.cfg"], 3,
