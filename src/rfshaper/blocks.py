@@ -39,15 +39,16 @@ def _require_finite(name: str, *values) -> None:
             raise DomainError(f"{name}: non-finite value {v!r}")
 
 
-#: The most points a complex field array can hold.
-MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
+#: The most points a sweep or preset range may have; one complex field
+#: of this many points takes 160 MB.
+MAX_GRID_POINTS = 10**7
 
 
 def require_grid_size(name: str, span: float, step: float) -> None:
     """DomainError naming ``name`` unless ``span / step`` points fit."""
     if not span / step < MAX_GRID_POINTS:
         raise DomainError(f"{name} gives {span / step:.3g} points, more "
-                          "than an array can hold")
+                          f"than the limit of {MAX_GRID_POINTS:.0e}")
 
 
 # ---------------------------------------------------------------------------

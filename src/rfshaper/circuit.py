@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -219,20 +219,21 @@ class CircuitGraph:
 
 
 def bind(graph: CircuitGraph, grid: FrequencyGrid,
-         heater_names: Iterable[str], input_name: str | None = None
+         input_name: str | None = None
          ) -> Callable[[Mapping[str, float] | None], CircuitResponse]:
-    """Evaluate ``graph`` over ``grid`` once, keeping what the named
-    heaters cannot change.
+    """Evaluate ``graph`` over ``grid`` as a function of heater settings
+    ``{"<block id>.<heater>": phase}``.
 
-    Propagates a unit field from one external input through every block
-    that no heater in ``heater_names`` reaches and keeps those fields as
-    read-only arrays.  The returned function takes settings
-    ``{"<block id>.<heater>": phase}`` of some or all of the bound
-    heaters (one left out keeps the graph's phase) and recomputes only
-    the blocks downstream of a bound heater, with the arithmetic of a
-    full pass, so its fields equal ``evaluate(graph.with_heaters(
-    settings), grid)`` bit for bit.  Output arrays that no bound heater
-    reaches are the shared read-only ones.
+    The bound set is every heater the calls have named so far.  The first
+    call, and a call naming a heater outside the set, propagate a unit
+    field from one external input through every block that no bound
+    heater reaches and keep those fields as read-only arrays.  Each call
+    recomputes only the blocks downstream of a bound heater (one it
+    leaves out keeps the graph's phase) with the arithmetic of a full
+    pass, so its fields equal ``evaluate(graph.with_heaters(settings),
+    grid)`` bit for bit; output arrays that no bound heater reaches are
+    the shared read-only ones.  The binding is one tuple, replaced whole
+    and read once per call, so concurrent calls each see a consistent one.
     """
     if not graph.inputs:
         raise TopologyError("graph declares no external inputs")
@@ -243,11 +244,6 @@ def bind(graph: CircuitGraph, grid: FrequencyGrid,
         input_name = next(iter(graph.inputs))
     if input_name not in graph.inputs:
         raise ConfigurationError(f"unknown input {input_name!r}")
-    bound = frozenset(heater_names)
-    unknown = bound - set(graph.heater_names()) if bound else ()
-    if unknown:
-        raise ConfigurationError(f"unknown heaters: {sorted(unknown)}")
-    tuned = {name.partition(".")[0] for name in bound}
 
     offsets = grid.offsets_ghz
     n = offsets.size
@@ -255,44 +251,56 @@ def bind(graph: CircuitGraph, grid: FrequencyGrid,
     # zero field kept under None
     entry = graph.inputs[input_name]
     start = (entry.block, entry.name)
-    fields = {None: np.zeros(n, dtype=np.complex128),
-              start: np.full(n, 1.0 + 0.0j)}
     source = {(dst.block, dst.name): (src.block, src.name)
               for src, dst in graph.connections}
-    # blocks a bound heater reaches: (block, input keys, output keys,
-    # the rows of a block without a bound heater)
-    live: list[tuple[BlockInstance, list, list, tuple | None]] = []
-    live_keys: set = set()
-    for block_id in graph._order:
-        blk = graph.block(block_id)
-        spec = BLOCK_KINDS[blk.kind]
-        in_keys = []
-        for name in spec.inputs:
-            key = (block_id, name)
-            in_keys.append(key if key == start else source.get(key))
-        out_keys = [(block_id, out) for out in spec.outputs]
-        if block_id in tuned:
-            live.append((blk, in_keys, out_keys, None))
-        elif live_keys.intersection(in_keys):
-            live.append((blk, in_keys, out_keys,
-                         spec.response(blk.params, offsets)))
-        else:
-            fields.update(zip(out_keys, _mix(
-                spec.response(blk.params, offsets),
-                [fields[k] for k in in_keys])))
-            continue
-        live_keys.update(out_keys)
-    for f in fields.values():
-        f.flags.writeable = False
     outputs = {name: (port.block, port.name)
                for name, port in graph.outputs.items()}
 
+    def propagate(names: frozenset[str]):
+        """``(names, fields, live)``: the read-only fields of every block
+        that no heater in ``names`` reaches, and the blocks it reaches as
+        (block, input keys, output keys, the rows of a block without a
+        heater in ``names``)."""
+        tuned = {name.partition(".")[0] for name in names}
+        fields = {None: np.zeros(n, dtype=np.complex128),
+                  start: np.full(n, 1.0 + 0.0j)}
+        live: list[tuple[BlockInstance, list, list, tuple | None]] = []
+        live_keys: set = set()
+        for block_id in graph._order:
+            blk = graph.block(block_id)
+            spec = BLOCK_KINDS[blk.kind]
+            in_keys = []
+            for name in spec.inputs:
+                key = (block_id, name)
+                in_keys.append(key if key == start else source.get(key))
+            out_keys = [(block_id, out) for out in spec.outputs]
+            if block_id in tuned:
+                live.append((blk, in_keys, out_keys, None))
+            elif live_keys.intersection(in_keys):
+                live.append((blk, in_keys, out_keys,
+                             spec.response(blk.params, offsets)))
+            else:
+                fields.update(zip(out_keys, _mix(
+                    spec.response(blk.params, offsets),
+                    [fields[k] for k in in_keys])))
+                continue
+            live_keys.update(out_keys)
+        for f in fields.values():
+            f.flags.writeable = False
+        return names, fields, live
+
+    binding = None
+
     def evaluate_bound(heaters: Mapping[str, float] | None = None
                        ) -> CircuitResponse:
-        if heaters and not bound.issuperset(heaters):
-            raise ConfigurationError(
-                f"heaters {sorted(set(heaters) - bound)} are not bound")
-        changed = graph._blocks_with_heaters(heaters) if heaters else {}
+        nonlocal binding
+        heaters = heaters or {}
+        changed = graph._blocks_with_heaters(heaters)
+        current = binding
+        if current is None or not current[0].issuperset(heaters):
+            current = binding = propagate(frozenset(heaters).union(
+                current[0] if current else ()))
+        _, fields, live = current
         out = dict(fields)
         for blk, in_keys, out_keys, rows in live:
             if rows is None:
@@ -324,4 +332,4 @@ def evaluate(graph: CircuitGraph, grid: FrequencyGrid,
     A caller that evaluates one graph and grid many times should
     :func:`bind` it once instead.
     """
-    return bind(graph, grid, tuple(heaters or ()), input_name)(heaters)
+    return bind(graph, grid, input_name)(heaters)

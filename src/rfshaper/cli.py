@@ -170,7 +170,7 @@ def cmd_optimize(args) -> int:
     graph = _load_graph(args.netlist)
     objective = _objective_from_args(args)
     config = OptimizerConfig(max_evals=args.max_evals, restarts=args.restarts,
-                             seed=args.seed or 0)
+                             seed=args.seed)
     heaters = args.heaters.split(",") if args.heaters else None
     result = optimize(graph, objective, config, heater_names=heaters)
     tuned = graph.with_heaters(result.best)

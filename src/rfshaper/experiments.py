@@ -97,31 +97,24 @@ def _parked_adddrop() -> RingParams:
                       detune_ghz=25.0)
 
 
-def _phase_family(graph: CircuitGraph, offsets: np.ndarray, heater: str,
-                  base_heaters: Mapping[str, float] | None = None):
-    """Decompose H(f; phi) = even(f) + exp(-1j*phi) * odd(f).
-
-    Valid because the swept phase element appears exactly once in any
-    path, so the port response is affine in its phasor.
-    """
-    grid = FrequencyGrid(DEFAULT_CARRIER_THZ, offsets)
-    h0 = dict(base_heaters or {})
-    h0[heater] = 0.0
-    hpi = dict(base_heaters or {})
-    hpi[heater] = math.pi
-    evaluate_at = bind(graph, grid, h0)
-    r0 = evaluate_at(h0).port("detector")
-    rpi = evaluate_at(hpi).port("detector")
-    return 0.5 * (r0 + rpi), 0.5 * (r0 - rpi)
-
-
 def _beat_vs_phase(graph: CircuitGraph, f0: float, fmt: ModulationFormat,
                    heater: str, phis: np.ndarray,
                    base_heaters: Mapping[str, float] | None = None
                    ) -> np.ndarray:
-    """Detector |RF phasor| at one frequency versus one heater phase."""
-    offs = np.array([-f0, 0.0, f0])
-    even, odd = _phase_family(graph, offs, heater, base_heaters)
+    """Detector |RF phasor| at one frequency versus one heater phase.
+
+    The swept phase element appears exactly once in any path, so the port
+    response is affine in its phasor: H(f; phi) = even(f) +
+    exp(-1j*phi) * odd(f), found from the responses at 0 and pi.
+    """
+    grid = FrequencyGrid(DEFAULT_CARRIER_THZ, np.array([-f0, 0.0, f0]))
+    evaluate_at = bind(graph, grid)
+    settings = dict(base_heaters or {})
+    settings[heater] = 0.0
+    r0 = evaluate_at(settings).port("detector")
+    settings[heater] = math.pi
+    rpi = evaluate_at(settings).port("detector")
+    even, odd = 0.5 * (r0 + rpi), 0.5 * (r0 - rpi)
     u = np.exp(-1j * phis)
     hm, h0, hp = (even[i] + u * odd[i] for i in range(3))
     return np.abs(detector(fmt)(hm, h0, hp))
@@ -147,7 +140,7 @@ def _conversion_preset(name: str, fmt_kind: str,
     phi_high = float(phis[np.argmax(mags)])
     phi_low = float(phis[np.argmin(mags)])
 
-    sweep = bind_sweep(link, lo, hi, step, ("ps_bar.phase",))
+    sweep = bind_sweep(link, lo, hi, step)
     high = sweep({"ps_bar.phase": phi_high})
     low = sweep({"ps_bar.phase": phi_low})
     mask = band_mask(high.rf_freqs_ghz, band)
@@ -285,7 +278,7 @@ def bandpass_tune(overrides: Mapping[str, object], seed: int = 0) -> ExperimentR
     traces: dict[str, RfResponse] = {}
     summary: dict[str, object] = {"detunes_ghz": ",".join(f"{d:g}" for d in detunes)}
     worst = 0.0
-    sweep = bind_sweep(link, lo, hi, step, ("ad.detune",))
+    sweep = bind_sweep(link, lo, hi, step)
     for d in detunes:
         heater = _TWO_PI * (((-d) % FILTER_RING_FSR_GHZ) / FILTER_RING_FSR_GHZ)
         trace = sweep({"ad.detune": heater})
@@ -363,7 +356,7 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
 
     powers = np.arange(0.0, p_max + 1e-9, p_step)
     grid = FrequencyGrid(DEFAULT_CARRIER_THZ, np.array([-f0, 0.0, f0]))
-    evaluate_at = bind(graph, grid, ("tc_bar.phase", "ps_bar.phase"))
+    evaluate_at = bind(graph, grid)
     e_minus, e_carrier, e_plus = fmt.tones
     beat = detector(fmt)
     headers = ("heater_power_mw", "coupler_phase_rad", "upper_power",
@@ -420,8 +413,7 @@ def coupling_sweep(overrides: Mapping[str, object], seed: int = 0
         CircuitGraph((ring,), (), inputs={"in": Port("ring", "in")},
                      outputs={"out": Port("ring", "out")}), overrides)
     offsets = np.arange(-span, span + 1e-9, step)
-    evaluate_at = bind(graph, FrequencyGrid(DEFAULT_CARRIER_THZ, offsets),
-                       ("ring.coupling",))
+    evaluate_at = bind(graph, FrequencyGrid(DEFAULT_CARRIER_THZ, offsets))
 
     optical: dict[str, CircuitResponse] = {}
     summary: dict[str, object] = {"critical_kappa": kappa_crit,

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import SingularityError
 
 TWO_PI = 2.0 * np.pi
+_TINY = np.finfo(np.float64).tiny
 
 
 def waveguide_grid(offsets_ghz: np.ndarray, gamma: float,
@@ -23,12 +24,16 @@ def waveguide_grid(offsets_ghz: np.ndarray, gamma: float,
 
 
 def _check_pole(den: np.ndarray, offsets: np.ndarray, loop_gain: float) -> None:
-    """Reject grid points exactly on the pole of a lossless uncoupled ring
-    (the only ring with unit loop gain, since |1 - den| <= loop_gain);
-    its response at every other point is one to rounding."""
-    if loop_gain >= 1.0 and not den.all():
-        at = np.ravel(offsets)[np.flatnonzero(den == 0)[0]]
-        raise SingularityError(f"lossless uncoupled ring on resonance at {at:g} GHz")
+    """Reject grid points on the pole of a lossless uncoupled ring (the
+    only ring with unit loop gain, since |1 - den| <= loop_gain), or so
+    close to it that ``den`` is subnormal, where NumPy's complex division
+    overflows; its response at every other point is one to rounding."""
+    if loop_gain >= 1.0:
+        near = np.abs(den) < _TINY
+        if near.any():
+            at = np.ravel(offsets)[np.flatnonzero(near)[0]]
+            raise SingularityError(
+                f"lossless uncoupled ring on resonance at {at:g} GHz")
 
 
 def ring_allpass_grid(offsets_ghz: np.ndarray, self_coupling: float,

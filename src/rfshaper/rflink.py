@@ -17,9 +17,8 @@ reported one-sided).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -40,7 +39,8 @@ FORMAT_KINDS = ("IM", "PM", "SSB_upper", "SSB_lower")
 class ModulationFormat:
     """Small-signal modulation format.
 
-    ``modulation_index`` is the sideband-to-carrier field ratio.  For
+    ``modulation_index`` is the sideband-to-carrier field ratio, at most
+    1 for this small-signal three-tone model.  For
     intensity modulation both sidebands are in phase; for phase
     modulation they are anti-phased, so the two carrier beats cancel at
     the detector; single-sideband formats zero one sideband.
@@ -52,8 +52,9 @@ class ModulationFormat:
     def __post_init__(self):
         if self.kind not in FORMAT_KINDS:
             raise ConfigurationError(f"unknown modulation kind {self.kind!r}")
-        if not (0.0 < self.modulation_index < math.inf):
-            raise DomainError("modulation_index must be finite and > 0")
+        if not (0.0 < self.modulation_index <= 1.0):
+            raise DomainError("modulation_index must be in (0, 1], got "
+                              f"{self.modulation_index}")
 
     @property
     def tones(self) -> tuple[complex, complex, complex]:
@@ -129,19 +130,19 @@ def magnitude_db(phasor: np.ndarray, ref: float) -> np.ndarray:
     return 20.0 * np.log10(np.maximum(np.abs(phasor) / ref, _MAG_FLOOR))
 
 
-def bind_beat_phasor(link: LinkConfig, fs: np.ndarray,
-                     heater_names: Iterable[str]
+def bind_beat_phasor(link: LinkConfig, fs: np.ndarray
                      ) -> Callable[[Mapping[str, float] | None], np.ndarray]:
     """Detected beat phasor of the link at the RF frequencies ``fs`` as a
-    function of the named heaters.
+    function of heater settings.
 
     The circuit is bound (see :func:`rfshaper.circuit.bind`) once on the
-    mirrored offset grid ``{-fs[::-1], 0, fs}``.
+    mirrored offset grid ``{-fs[::-1], 0, fs}``, to the heaters that the
+    calls name.
     """
     n = fs.size
     offsets = np.concatenate([-fs[::-1], [0.0], fs])
     grid = FrequencyGrid(DEFAULT_CARRIER_THZ, offsets)
-    evaluate_at = bind(link.graph, grid, heater_names)
+    evaluate_at = bind(link.graph, grid)
     beat = detector(link.fmt)
 
     def phasor(heaters: Mapping[str, float] | None = None) -> np.ndarray:
@@ -151,9 +152,9 @@ def bind_beat_phasor(link: LinkConfig, fs: np.ndarray,
 
 
 def bind_sweep(link: LinkConfig, rf_lo_ghz: float, rf_hi_ghz: float,
-               step_ghz: float, heater_names: Iterable[str]
+               step_ghz: float
                ) -> Callable[[Mapping[str, float] | None], RfResponse]:
-    """Swept RF transfer of the link as a function of the named heaters.
+    """Swept RF transfer of the link as a function of heater settings.
 
     The sweep frequencies, the bound beat phasor (see
     :func:`bind_beat_phasor`) and the back-to-back reference are computed
@@ -165,7 +166,7 @@ def bind_sweep(link: LinkConfig, rf_lo_ghz: float, rf_hi_ghz: float,
     fs = FrequencyGrid.sweep(rf_lo_ghz, rf_hi_ghz, step_ghz).offsets_ghz
     fs.flags.writeable = False
 
-    phasor_at = bind_beat_phasor(link, fs, heater_names)
+    phasor_at = bind_beat_phasor(link, fs)
     ref = back_to_back_reference(link.fmt)
 
     def sweep(heaters: Mapping[str, float] | None = None) -> RfResponse:
@@ -185,5 +186,4 @@ def rf_transmission_sweep(link: LinkConfig, rf_lo_ghz: float, rf_hi_ghz: float,
     point, which keeps the sweep cost one graph evaluation.  A caller
     that sweeps one link many times should :func:`bind_sweep` it once.
     """
-    return bind_sweep(link, rf_lo_ghz, rf_hi_ghz, step_ghz,
-                      tuple(heaters or ()))(heaters)
+    return bind_sweep(link, rf_lo_ghz, rf_hi_ghz, step_ghz)(heaters)

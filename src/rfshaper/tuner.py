@@ -128,9 +128,8 @@ class Objective:
     def build(self, graph: CircuitGraph) -> Callable[[Mapping[str, float]], float]:
         """Bind this objective to a graph template.
 
-        The circuit is bound (see :func:`rfshaper.circuit.bind`) to the
-        heater names of the first call, and bound again only when a call
-        names other heaters.
+        The circuit is bound once (see :func:`rfshaper.circuit.bind`);
+        the bound function learns the heaters that move from the calls.
         """
         if self.kind == "deinterleaver_extinction":
             offs = np.unique(np.concatenate([
@@ -139,10 +138,10 @@ class Objective:
                 np.arange(self.passband[0], self.passband[1] + 1e-12,
                           GRID_STEP_GHZ)]))
             grid = FrequencyGrid(DEFAULT_CARRIER_THZ, offs)
-            bound = _bound_per_names(lambda names: bind(graph, grid, names))
+            evaluate_at = bind(graph, grid)
 
             def fn(heaters: Mapping[str, float]) -> float:
-                resp = bound(heaters)(heaters)
+                resp = evaluate_at(heaters)
                 return extinction_db(offs, resp.power(self.port),
                                      self.passband, self.stopband)
             return fn
@@ -151,22 +150,21 @@ class Objective:
             link = LinkConfig(self.fmt, graph, self.port)
             f0 = np.array([float(self.rf_freq_ghz)])
             ref = back_to_back_reference(self.fmt)
-            bound = _bound_per_names(
-                lambda names: bind_beat_phasor(link, f0, names))
+            phasor_at = bind_beat_phasor(link, f0)
 
             def fn(heaters: Mapping[str, float]) -> float:
-                return -float(magnitude_db(bound(heaters)(heaters), ref)[0])
+                return -float(magnitude_db(phasor_at(heaters), ref)[0])
             return fn
 
         if self.kind == "conversion_extinction":
             link = LinkConfig(self.fmt, graph, self.port)
-            lo, hi = self.band
-            flip_base = graph.heater_values().get(FLIP_HEATER, 0.0)
-            bound = _bound_per_names(lambda names: bind_sweep(
-                link, lo, hi, RF_STEP_GHZ, names + (FLIP_HEATER,)))
+            values = graph.heater_values()
+            if FLIP_HEATER not in values:
+                raise ConfigurationError(f"unknown heaters: {[FLIP_HEATER]}")
+            flip_base = values[FLIP_HEATER]
+            sweep = bind_sweep(link, *self.band, RF_STEP_GHZ)
 
             def fn(heaters: Mapping[str, float]) -> float:
-                sweep = bound(heaters)
                 h = dict(heaters)
                 base = sweep(h)
                 h[FLIP_HEATER] = h.get(FLIP_HEATER, flip_base) + math.pi
@@ -177,10 +175,10 @@ class Objective:
         if self.kind == "critical_coupling":
             grid = FrequencyGrid(DEFAULT_CARRIER_THZ,
                                  np.array([self.offset_ghz]))
-            bound = _bound_per_names(lambda names: bind(graph, grid, names))
+            evaluate_at = bind(graph, grid)
 
             def fn(heaters: Mapping[str, float]) -> float:
-                p = float(bound(heaters)(heaters).power(self.port)[0])
+                p = float(evaluate_at(heaters).power(self.port)[0])
                 return -10.0 * math.log10(max(p, 1e-300))
             return fn
 
@@ -189,21 +187,6 @@ class Objective:
         def fn(heaters: Mapping[str, float]) -> float:
             return custom(graph, heaters)
         return fn
-
-
-def _bound_per_names(bind_names: Callable[[tuple[str, ...]], Callable]
-                     ) -> Callable[[Mapping[str, float]], Callable]:
-    """``heaters -> bind_names(tuple(heaters))``, kept while successive
-    calls name the same heaters in the same order, as ``optimize``'s do."""
-    names, bound = None, None
-
-    def bound_for(heaters: Mapping[str, float]) -> Callable:
-        nonlocal names, bound
-        if tuple(heaters) != names:
-            names = tuple(heaters)
-            bound = bind_names(names)
-        return bound
-    return bound_for
 
 
 def _nelder_mead_max(fn: Callable[[np.ndarray], float], x0: np.ndarray,

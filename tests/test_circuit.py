@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -276,38 +278,71 @@ def fields_or_error(fn):
 @settings(max_examples=40, deadline=None)
 def test_bind_equals_evaluate_of_rebuilt_graph(name, data):
     graph = BIND_GRAPHS[name]
-    bound = data.draw(st.lists(st.sampled_from(graph.heater_names()),
-                               unique=True), label="bound")
-    # a bound heater left out of the call keeps the graph's phase
-    names = data.draw(st.lists(st.sampled_from(bound), unique=True)
-                      if bound else st.just([]), label="set")
-    values = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=len(names),
-                                max_size=len(names)), label="values")
-    heaters = dict(zip(names, values))
-    got = fields_or_error(lambda: bind(graph, GRID, bound)(heaters))
-    want = fields_or_error(lambda: evaluate(graph.with_heaters(heaters), GRID))
-    if not isinstance(want, dict):
-        assert got is want
-        return
-    assert got.keys() == want.keys()
+    evaluate_at = bind(graph, GRID)
+    # each call names its own heaters, so the bound set grows while the
+    # named sets grow and shrink; a bound heater that a call leaves out
+    # keeps the graph's phase
+    calls = data.draw(st.lists(st.dictionaries(
+        st.sampled_from(graph.heater_names()), st.floats(-10.0, 10.0)),
+        min_size=1, max_size=4), label="calls")
+    for heaters in calls:
+        got = fields_or_error(lambda: evaluate_at(heaters))
+        want = fields_or_error(
+            lambda: evaluate(graph.with_heaters(heaters), GRID))
+        if not isinstance(want, dict):
+            assert got is want
+            continue
+        assert got.keys() == want.keys()
+        for port in want:
+            assert np.array_equal(got[port], want[port]), port
+
+
+def test_bind_rejects_unknown_heaters():
+    graph = BIND_GRAPHS["notch_shaper"]
+    evaluate_at = bind(graph, GRID)
+    with pytest.raises(ConfigurationError, match="no heater 'detune'"):
+        evaluate_at({"ps_bar.detune": 1.0})
+    with pytest.raises(ConfigurationError, match="unknown heater 'ghost.phase'"):
+        evaluate_at({"ghost.phase": 1.0})
+    # a rejected call leaves the bound function usable
+    got = evaluate_at({"tc_bar.phase": 1.0}).fields
+    want = evaluate(graph.with_heaters({"tc_bar.phase": 1.0}), GRID).fields
     for port in want:
         assert np.array_equal(got[port], want[port]), port
 
 
-def test_bind_rejects_unknown_and_unbound_heaters():
+def test_bind_concurrent_calls_see_a_consistent_binding():
     graph = BIND_GRAPHS["notch_shaper"]
-    with pytest.raises(ConfigurationError, match="unknown heaters"):
-        bind(graph, GRID, ("ps_bar.phase", "ps_bar.detune"))
-    with pytest.raises(ConfigurationError, match="unknown heaters"):
-        bind(graph, GRID, ("ghost.phase",))
-    evaluate_at = bind(graph, GRID, ("ps_bar.phase",))
-    with pytest.raises(ConfigurationError, match="not bound"):
-        evaluate_at({"tc_bar.phase": 1.0})
+    evaluate_at = bind(graph, GRID)
+    # one heater per call, so the bound set grows while the threads run
+    calls = [{name: 1.0} for name in graph.heater_names()]
+    want = [evaluate(graph.with_heaters(h), GRID).fields for h in calls]
+    wrong = []
+
+    def worker(first):
+        for i in range(first, first + 3 * len(calls), 5):
+            got = evaluate_at(calls[i % len(calls)]).fields
+            if not all(np.array_equal(got[p], f)
+                       for p, f in want[i % len(calls)].items()):
+                wrong.append(i)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
 
 
 def test_bind_constant_outputs_are_read_only():
     graph = BIND_GRAPHS["notch_shaper"]
-    resp = bind(graph, GRID, ("ps_bar.phase",))({"ps_bar.phase": 1.0})
+    resp = bind(graph, GRID)({"ps_bar.phase": 1.0})
     ring_tap = resp.port("ring_tap")      # no path from ps_bar
     with pytest.raises(ValueError, match="read-only"):
         ring_tap[0] = 0.0

@@ -348,3 +348,34 @@ def test_sweep_input_picks_the_input_of_a_two_input_netlist(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'a'" in err and "'b'" in err
     assert not out.exists()
+
+
+def test_experiment_rejects_a_large_modulation_index(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment amplitude_tuning\nset modulation_index 1e200\n")
+    assert run(["experiment", str(cfg), "--out-dir", str(tmp_path)]) == 4
+    assert "modulation_index" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+# Every size below is rejected before any array is made; a sweep near the
+# limit is never run here.
+def test_sweep_beyond_the_point_limit_exits_4(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["block", "ring_allpass", "kappa=0.1", "fsr_ghz=50",
+                "--sweep=0:1:1e-9", "--out", str(out)]) == 4
+    assert "limit of 1e+07" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset, line", [
+    ("coupling_sweep", "set step_ghz 1e-8"),           # 1e9 points
+    ("amplitude_tuning", "set power_step_mw 1e-7"),    # 3.5e8 points
+])
+def test_preset_range_beyond_the_point_limit_exits_4(tmp_path, capsys,
+                                                    preset, line):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"experiment {preset}\n{line}\n")
+    assert run(["experiment", str(cfg), "--out-dir", str(tmp_path)]) == 4
+    assert "limit of 1e+07" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))

@@ -1,11 +1,13 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rfshaper import kernels
 from rfshaper.blocks import BLOCK_KINDS, RingParams, WaveguideParams
+from rfshaper.errors import SingularityError
 from tests.reference import h_ring_adddrop, h_ring_allpass, h_waveguide
 
 
@@ -75,3 +77,13 @@ def test_beat_phasor_grid_formula():
     ec = 0.9
     expected = 0.8 * (ec * np.conj(h * 0.1) + np.conj(ec) * h * 0.1)
     np.testing.assert_allclose(out, expected, atol=1e-15)
+
+
+def test_lossless_uncoupled_ring_rejects_a_subnormal_distance_to_its_pole():
+    # at 0 GHz, 1 - p is subnormal, and NumPy's complex division by it
+    # overflows to inf+nanj
+    offsets = np.array([-0.5, 0.0, 0.5])
+    with pytest.raises(SingularityError, match="resonance at 0 GHz"):
+        kernels.ring_allpass_grid(offsets, 1.0, 1.0, 30.0, 1e-312)
+    with pytest.raises(SingularityError, match="resonance at 0 GHz"):
+        kernels.ring_adddrop_grid(offsets, 0.0, 0.0, 1.0, 30.0, 1e-312)

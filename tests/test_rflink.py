@@ -59,6 +59,12 @@ def test_modulation_index_must_be_finite():
         ModulationFormat("PM", 1e999)
 
 
+def test_modulation_index_is_small_signal():
+    with pytest.raises(DomainError, match="modulation_index"):
+        ModulationFormat("IM", 1.5)
+    assert ModulationFormat("PM", 1.0).tones[2] == 1.0
+
+
 def test_detect_rf_phasor_im_convention():
     # one-sided sum of both carrier beats: 2 * 0.1 (the detected cosine
     # swings twice this)
