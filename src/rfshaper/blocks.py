@@ -154,7 +154,8 @@ class FrequencyGrid:
             raise DomainError("offsets_ghz must be a non-empty 1-D array")
         if not np.all(np.isfinite(offs)):
             raise DomainError("offsets_ghz must be finite")
-        if offs.size > 1 and not np.all(np.diff(offs) > 0):
+        # neighbours compared, not differenced: a difference can overflow
+        if offs.size > 1 and not np.all(offs[1:] > offs[:-1]):
             raise DomainError("offsets_ghz must be strictly increasing")
 
     @classmethod
@@ -223,7 +224,10 @@ def heater_phase_from_power(power_mw: float, p_pi_mw: float) -> float:
         raise ConfigurationError("p_pi_mw must be > 0")
     if power_mw < 0:
         raise DomainError("power_mw must be >= 0")
-    return math.pi * power_mw / p_pi_mw
+    phase = math.pi * power_mw / p_pi_mw
+    if not math.isfinite(phase):
+        raise DomainError(f"power_mw {power_mw:g} gives a non-finite phase")
+    return phase
 
 
 def critical_coupling_kappa(round_trip_amplitude: float) -> float:

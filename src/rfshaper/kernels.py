@@ -10,16 +10,37 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import DomainError, SingularityError
 
 TWO_PI = 2.0 * np.pi
 _TINY = np.finfo(np.float64).tiny
 
 
+def _phase(offsets_ghz, detune_ghz: float, fsr_ghz: float) -> np.ndarray:
+    """``2*pi*(f - detune)/fsr``, the phase of a delay or a ring round
+    trip at each offset ``f``.  Where it overflows, DomainError names the
+    first such offset and NumPy warns of nothing: a bound in Python
+    floats, which overflow quietly, clears the usual grid at the cost of
+    one reduction."""
+    f = np.asarray(offsets_ghz, dtype=np.float64)
+    if (float(np.abs(f).max()) + abs(float(detune_ghz))) * TWO_PI \
+            / float(fsr_ghz) < 1e300:
+        return TWO_PI * (f - detune_ghz) / fsr_ghz
+    with np.errstate(over="ignore", invalid="ignore"):
+        ang = TWO_PI * (f - detune_ghz) / fsr_ghz
+    bad = np.flatnonzero(~np.isfinite(ang))
+    if bad.size:
+        raise DomainError(
+            f"phase 2*pi*(f - detune)/fsr overflows at offset "
+            f"{np.ravel(f)[bad[0]]:g} GHz (detune {detune_ghz:g} GHz, "
+            f"fsr {fsr_ghz:g} GHz)")
+    return ang
+
+
 def waveguide_grid(offsets_ghz: np.ndarray, gamma: float,
                    fsr_equivalent_ghz: float) -> np.ndarray:
     """``gamma * exp(-1j*2*pi*f/fsr)`` over the grid."""
-    ang = TWO_PI * np.asarray(offsets_ghz, dtype=np.float64) / fsr_equivalent_ghz
+    ang = _phase(offsets_ghz, 0.0, fsr_equivalent_ghz)
     return gamma * (np.cos(ang) - 1j * np.sin(ang))
 
 
@@ -40,12 +61,11 @@ def ring_allpass_grid(offsets_ghz: np.ndarray, self_coupling: float,
                       round_trip_amplitude: float, fsr_ghz: float,
                       detune_ghz: float) -> np.ndarray:
     """All-pass ring through response over the grid."""
-    f = np.asarray(offsets_ghz, dtype=np.float64)
-    ang = TWO_PI * (f - detune_ghz) / fsr_ghz
+    ang = _phase(offsets_ghz, detune_ghz, fsr_ghz)
     p = round_trip_amplitude * (np.cos(ang) - 1j * np.sin(ang))
     c = self_coupling
     den = 1.0 - c * p
-    _check_pole(den, f, c * round_trip_amplitude)
+    _check_pole(den, offsets_ghz, c * round_trip_amplitude)
     return (c - p) / den
 
 
@@ -59,17 +79,16 @@ def ring_adddrop_grid(offsets_ghz: np.ndarray, kappa_in: float,
     are given as power couplings, so the drop amplitude
     ``sqrt(kappa_in*kappa_drop)`` keeps full precision for weak couplers.
     """
-    f = np.asarray(offsets_ghz, dtype=np.float64)
     c1 = np.sqrt(1.0 - kappa_in)
     c2 = np.sqrt(1.0 - kappa_drop)
     s1s2 = np.sqrt(kappa_in * kappa_drop)
     g = round_trip_amplitude
-    ang = TWO_PI * (f - detune_ghz) / fsr_ghz
+    ang = _phase(offsets_ghz, detune_ghz, fsr_ghz)
     p = g * (np.cos(ang) - 1j * np.sin(ang))
     hang = 0.5 * ang
     p_half = np.sqrt(g) * (np.cos(hang) - 1j * np.sin(hang))
     den = 1.0 - c1 * c2 * p
-    _check_pole(den, f, c1 * c2 * g)
+    _check_pole(den, offsets_ghz, c1 * c2 * g)
     through_in = (c1 - c2 * p) / den
     through_add = (c2 - c1 * p) / den
     drop = (-s1s2 * p_half) / den

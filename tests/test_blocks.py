@@ -230,6 +230,13 @@ def test_heater_phase_errors():
         heater_phase_from_power(-1.0, 35.0)
 
 
+def test_heater_phase_rejects_a_non_finite_phase():
+    with pytest.raises(DomainError, match=r"power_mw 1e\+308 gives"):
+        heater_phase_from_power(1e308, 35.0)
+    with pytest.raises(DomainError, match="power_mw 1 gives"):
+        heater_phase_from_power(1.0, 1e-320)
+
+
 def test_critical_coupling_kappa():
     assert critical_coupling_kappa(1.0) == pytest.approx(0.0)
     assert critical_coupling_kappa(0.981) == pytest.approx(0.0376, abs=1e-4)
@@ -262,3 +269,10 @@ def test_frequency_grid_sweep():
     assert grid.offsets_ghz[-1] == pytest.approx(5.0)
     steps = np.diff(grid.offsets_ghz)
     assert np.allclose(steps, 0.5, atol=1e-12)
+
+
+def test_frequency_grid_may_span_more_than_the_largest_float():
+    offsets = np.array([-1.7e308, 1.7e308])
+    assert len(FrequencyGrid(193.4, offsets)) == 2
+    with pytest.raises(DomainError, match="strictly increasing"):
+        FrequencyGrid(193.4, offsets[::-1])

@@ -421,6 +421,39 @@ ERROR_CASES = {
         {"e.cfg": "experiment ssb_notch\nset heaters 1\n"},
         ["experiment", "e.cfg"], 3,
         "error: option 'heaters' takes heater names and values, got 1.0\n"),
+    "experiment_im2pm_anchor_overflow": (
+        {"e.cfg": "experiment im2pm\nset anchor_freq_ghz 1e308\n"},
+        ["experiment", "e.cfg", "--out-dir", "out"], 4,
+        "error: phase 2*pi*(f - detune)/fsr overflows at offset -1e+308 GHz "
+        "(detune 0 GHz, fsr 30 GHz)\n"),
+    "experiment_amplitude_tuning_rf_overflow": (
+        {"e.cfg": "experiment amplitude_tuning\nset rf_freq_ghz 1e308\n"},
+        ["experiment", "e.cfg", "--out-dir", "out"], 4,
+        "error: phase 2*pi*(f - detune)/fsr overflows at offset -1e+308 GHz "
+        "(detune 3 GHz, fsr 30 GHz)\n"),
+    "experiment_amplitude_tuning_anchor_power": (
+        {"e.cfg": "experiment amplitude_tuning\nset anchor_power_mw 1e308\n"},
+        ["experiment", "e.cfg", "--out-dir", "out"], 4,
+        "error: power_mw 1e+308 gives a non-finite phase\n"),
+    "block_tiny_fsr": (
+        {}, block("ring_allpass", "kappa=0.1", "fsr_ghz=1e-320"), 4,
+        "error: phase 2*pi*(f - detune)/fsr overflows at offset -30 GHz "
+        "(detune 0 GHz, fsr 9.99989e-321 GHz)\n"),
+    "block_huge_detune": (
+        {}, block("ring_allpass", "kappa=0.1", "fsr_ghz=50",
+                  "detune_ghz=1e308"), 4,
+        "error: phase 2*pi*(f - detune)/fsr overflows at offset -30 GHz "
+        "(detune 1e+308 GHz, fsr 50 GHz)\n"),
+    "sweep_huge_offsets": (
+        {}, sweep_range("--sweep=1e307:1.5e308:1e307"), 4,
+        "error: phase 2*pi*(f - detune)/fsr overflows at offset 3e+307 GHz "
+        "(detune 0 GHz, fsr 30 GHz)\n"),
+    "optimize_notch_depth_rf_overflow": (
+        {}, ["optimize", "preset:shaper", "--objective", "notch_depth",
+             "--rf-freq", "1e308", "--max-evals", "40", "--restarts", "1",
+             "--out", "t.nl"], 4,
+        "error: phase 2*pi*(f - detune)/fsr overflows at offset -1e+308 GHz "
+        "(detune 0 GHz, fsr 60 GHz)\n"),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from rfshaper import kernels
 from rfshaper.blocks import BLOCK_KINDS, RingParams, WaveguideParams
-from rfshaper.errors import SingularityError
+from rfshaper.errors import DomainError, SingularityError
 from tests.reference import h_ring_adddrop, h_ring_allpass, h_waveguide
 
 
@@ -87,3 +88,36 @@ def test_lossless_uncoupled_ring_rejects_a_subnormal_distance_to_its_pole():
         kernels.ring_allpass_grid(offsets, 1.0, 1.0, 30.0, 1e-312)
     with pytest.raises(SingularityError, match="resonance at 0 GHz"):
         kernels.ring_adddrop_grid(offsets, 0.0, 0.0, 1.0, 30.0, 1e-312)
+
+
+@pytest.mark.parametrize("offsets, detune, fsr, at", [
+    ([-1.0, 0.0, 1.0], 0.0, 1e-320, "-1"),            # tiny FSR
+    ([-1.0, 0.0, 1.0], 1e308, 50.0, "-1"),            # huge detune
+    ([0.0, 1e307, 3e307, 1e308], 0.0, 1.0, "3e+307"),  # huge offset
+])
+def test_phase_overflow_names_the_offset_and_the_fsr(offsets, detune, fsr,
+                                                     at):
+    offsets = np.array(offsets)
+    calls = [lambda: kernels.ring_allpass_grid(offsets, 0.9, 0.95, fsr,
+                                               detune),
+             lambda: kernels.ring_adddrop_grid(offsets, 0.1, 0.1, 0.95, fsr,
+                                               detune)]
+    if detune == 0.0:
+        calls.append(lambda: kernels.waveguide_grid(offsets, 1.0, fsr))
+    for call in calls:
+        # the suite turns RuntimeWarning into an error, so this also
+        # checks that no NumPy warning is printed
+        with pytest.raises(DomainError, match=rf"offset {re.escape(at)} GHz "
+                           rf".*fsr {fsr:g} GHz"):
+            call()
+
+
+@pytest.mark.parametrize("offsets", [[-2.5, -0.0, 0.0, 7.25],
+                                     [-1e307, -2.5, 0.0, 1e307]])
+def test_phase_is_computed_as_written_where_it_is_finite(offsets):
+    # the second grid is past the quick bound, so it takes the checked path
+    offsets = np.array(offsets)
+    ang = kernels.TWO_PI * offsets / 10.0
+    want = 0.5 * (np.cos(ang) - 1j * np.sin(ang))
+    got = kernels.waveguide_grid(offsets, 0.5, 10.0)
+    assert got.tobytes() == want.tobytes()

@@ -44,6 +44,27 @@ def params_for(spec, lossless: bool):
                      detune_ghz=st.floats(-100.0, 100.0))
 
 
+LARGEST = float(np.finfo(np.float64).max)
+finite = st.floats(-LARGEST, LARGEST)
+positive = st.floats(0.0, LARGEST, exclude_min=True)
+
+
+def extreme_params(spec, lossless: bool):
+    """Strategy for params that reach the ends of the finite floats: an
+    FSR or a path length from the smallest subnormal to the largest
+    float, and any finite detune."""
+    if spec.params_type is WaveguideParams:
+        return st.builds(WaveguideParams, positive)
+    if spec.params_type is RingParams:
+        kappa = st.floats(0.0, 1.0)
+        drop = kappa if "kappa_drop" in spec.required else st.none()
+        return st.builds(RingParams, fsr_ghz=positive, kappa=kappa,
+                         kappa_drop=drop,
+                         round_trip_amplitude=st.floats(0.5, 1.0),
+                         detune_ghz=finite)
+    return params_for(spec, lossless)
+
+
 @st.composite
 def graphs(draw, lossless: bool = False, params=params_for):
     """A random feed-forward graph with every open input declared
@@ -126,6 +147,15 @@ def test_result_is_finite_or_a_typed_error(graph, offsets, data):
     heaters = data.draw(heater_settings(graph, -1e3, 1e3), label="heaters")
     grid = FrequencyGrid(193.4, np.sort(offsets))
     assert_finite_or_typed_error(graph, grid, heaters)
+
+
+@given(graph=graphs(params=extreme_params),
+       offsets=st.lists(finite, min_size=1, max_size=8, unique=True))
+@PROPERTY
+def test_extreme_finite_values_give_finite_results_or_typed_errors(
+        graph, offsets):
+    grid = FrequencyGrid(193.4, np.sort(offsets))
+    assert_finite_or_typed_error(graph, grid)
 
 
 @given(graph=graphs())
