@@ -21,7 +21,7 @@ from .constants import DEFAULT_CARRIER_THZ, DEFAULT_P_PI_MW, FILTER_RING_FSR_GHZ
 from .errors import ConfigurationError, DomainError
 from .metrics import band_mask, notch_depth_db, peak_frequency_ghz
 from .rflink import (LinkConfig, ModulationFormat, RfResponse, bind_sweep,
-                     detector, rf_transmission_sweep)
+                     bind_tones, detector, rf_transmission_sweep)
 from .topologies import (FITTED_RING_AMPLITUDE, DeinterleaverSpec, ShaperConfig,
                          build_deinterleaver, build_shaper,
                          ring_kappa_for_rejection)
@@ -97,27 +97,20 @@ def _parked_adddrop() -> RingParams:
                       detune_ghz=25.0)
 
 
-def _beat_vs_phase(graph: CircuitGraph, f0: float, fmt: ModulationFormat,
-                   heater: str, phis: np.ndarray,
+def _beat_vs_phase(tones, fmt: ModulationFormat, heater: str,
                    base_heaters: Mapping[str, float] | None = None
-                   ) -> np.ndarray:
-    """Detector |RF phasor| at one frequency versus one heater phase.
-
-    The swept phase element appears exactly once in any path, so the port
-    response is affine in its phasor: H(f; phi) = even(f) +
-    exp(-1j*phi) * odd(f), found from the responses at 0 and pi.
-    """
-    grid = FrequencyGrid(DEFAULT_CARRIER_THZ, np.array([-f0, 0.0, f0]))
-    evaluate_at = bind(graph, grid)
-    settings = dict(base_heaters or {})
-    settings[heater] = 0.0
-    r0 = evaluate_at(settings).port("detector")
-    settings[heater] = math.pi
-    rpi = evaluate_at(settings).port("detector")
-    even, odd = 0.5 * (r0 + rpi), 0.5 * (r0 - rpi)
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``(phis, mags)``: the detector |RF phasor| over 4096 phases of one
+    heater, from the bound tones (see :func:`rflink.bind_tones`) of one
+    RF frequency.  The swept phase element appears exactly once in any
+    path, so each tone's response is affine in its phasor: H(phi) = even
+    + exp(-1j*phi) * odd, found from the responses at 0 and pi."""
+    phis = np.linspace(0.0, _TWO_PI, 4096, endpoint=False)
+    r0, rpi = (tones({**(base_heaters or {}), heater: phase})
+               for phase in (0.0, math.pi))
     u = np.exp(-1j * phis)
-    hm, h0, hp = (even[i] + u * odd[i] for i in range(3))
-    return np.abs(detector(fmt)(hm, h0, hp))
+    hm, h0, hp = (0.5 * (a + b) + u * (0.5 * (a - b)) for a, b in zip(r0, rpi))
+    return phis, np.abs(detector(fmt)(hm, h0, hp))
 
 
 def _conversion_preset(name: str, fmt_kind: str,
@@ -135,8 +128,8 @@ def _conversion_preset(name: str, fmt_kind: str,
     fmt = ModulationFormat(fmt_kind, m)
     link = LinkConfig(fmt, graph)
 
-    phis = np.linspace(0.0, _TWO_PI, 4096, endpoint=False)
-    mags = _beat_vs_phase(graph, f_anchor, fmt, "ps_bar.phase", phis)
+    phis, mags = _beat_vs_phase(bind_tones(link, np.array([f_anchor])), fmt,
+                                "ps_bar.phase")
     phi_high = float(phis[np.argmax(mags)])
     phi_low = float(phis[np.argmin(mags)])
 
@@ -349,14 +342,12 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
     # at a mid-sweep coupler setting, then leave it (uncompensated) or
     # co-tune it with the coupler's parasitic phase law (compensated).
     phi_anchor = heater_phase_from_power(p_anchor, DEFAULT_P_PI_MW)
-    phis = np.linspace(0.0, _TWO_PI, 4096, endpoint=False)
-    mags = _beat_vs_phase(graph, f0, fmt, "ps_bar.phase", phis,
-                          base_heaters={"tc_bar.phase": phi_anchor})
+    tones = bind_tones(LinkConfig(fmt, graph), np.array([f0]))
+    phis, mags = _beat_vs_phase(tones, fmt, "ps_bar.phase",
+                                base_heaters={"tc_bar.phase": phi_anchor})
     phi_base = float(phis[np.argmin(mags)])
 
     powers = np.arange(0.0, p_max + 1e-9, p_step)
-    grid = FrequencyGrid(DEFAULT_CARRIER_THZ, np.array([-f0, 0.0, f0]))
-    evaluate_at = bind(graph, grid)
     e_minus, e_carrier, e_plus = fmt.tones
     beat = detector(fmt)
     headers = ("heater_power_mw", "coupler_phase_rad", "upper_power",
@@ -367,15 +358,13 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
         for p in powers:
             phi_tc = heater_phase_from_power(p, DEFAULT_P_PI_MW)
             phi_ps = phi_base + ((phi_anchor - phi_tc) / 2.0 if compensated else 0.0)
-            resp = evaluate_at({
-                "tc_bar.phase": phi_tc % _TWO_PI,
-                "ps_bar.phase": phi_ps % _TWO_PI})
-            h = resp.port("detector")
+            (hm,), h0, (hp,) = tones({"tc_bar.phase": phi_tc % _TWO_PI,
+                                      "ps_bar.phase": phi_ps % _TWO_PI})
             rows.append((float(p), phi_tc % _TWO_PI,
-                         abs(h[2] * e_plus) ** 2,
-                         abs(h[0] * e_minus) ** 2,
-                         abs(h[1] * e_carrier) ** 2,
-                         abs(beat(h[0], h[1], h[2]))))
+                         abs(hp * e_plus) ** 2,
+                         abs(hm * e_minus) ** 2,
+                         abs(h0 * e_carrier) ** 2,
+                         abs(beat(hm, h0, hp))))
         return rows
 
     tables = {}

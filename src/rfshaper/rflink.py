@@ -130,25 +130,22 @@ def magnitude_db(phasor: np.ndarray, ref: float) -> np.ndarray:
     return 20.0 * np.log10(np.maximum(np.abs(phasor) / ref, _MAG_FLOOR))
 
 
-def bind_beat_phasor(link: LinkConfig, fs: np.ndarray
-                     ) -> Callable[[Mapping[str, float] | None], np.ndarray]:
-    """Detected beat phasor of the link at the RF frequencies ``fs`` as a
-    function of heater settings.
-
-    The circuit is bound (see :func:`rfshaper.circuit.bind`) once on the
-    mirrored offset grid ``{-fs[::-1], 0, fs}``, to the heaters that the
-    calls name.
-    """
+def bind_tones(link: LinkConfig, fs: np.ndarray
+               ) -> Callable[[Mapping[str, float] | None], tuple]:
+    """``(h_minus, h_zero, h_plus)``, the responses at ``link.output_port``
+    to the lower sidebands (in the order of ``fs``), the carrier (a NumPy
+    scalar) and the upper sidebands at the RF frequencies ``fs``, as a
+    function of heater settings.  The circuit is bound (see
+    :func:`rfshaper.circuit.bind`) once on the mirrored offsets
+    ``{-fs[::-1], 0, fs}``."""
     n = fs.size
-    offsets = np.concatenate([-fs[::-1], [0.0], fs])
-    grid = FrequencyGrid(DEFAULT_CARRIER_THZ, offsets)
-    evaluate_at = bind(link.graph, grid)
-    beat = detector(link.fmt)
+    evaluate_at = bind(link.graph, FrequencyGrid(
+        DEFAULT_CARRIER_THZ, np.concatenate([-fs[::-1], [0.0], fs])))
 
-    def phasor(heaters: Mapping[str, float] | None = None) -> np.ndarray:
+    def tones(heaters: Mapping[str, float] | None = None) -> tuple:
         h = evaluate_at(heaters).port(link.output_port)
-        return beat(h[:n][::-1], complex(h[n]), h[n + 1:])
-    return phasor
+        return h[:n][::-1], h[n], h[n + 1:]
+    return tones
 
 
 def bind_sweep(link: LinkConfig, rf_lo_ghz: float, rf_hi_ghz: float,
@@ -156,21 +153,22 @@ def bind_sweep(link: LinkConfig, rf_lo_ghz: float, rf_hi_ghz: float,
                ) -> Callable[[Mapping[str, float] | None], RfResponse]:
     """Swept RF transfer of the link as a function of heater settings.
 
-    The sweep frequencies, the bound beat phasor (see
-    :func:`bind_beat_phasor`) and the back-to-back reference are computed
-    once; each call of the returned function gives what
-    :func:`rf_transmission_sweep` gives with those heater settings.
+    The sweep frequencies, the bound tones (see :func:`bind_tones`) and
+    the back-to-back reference are computed once; each call of the
+    returned function gives what :func:`rf_transmission_sweep` gives with
+    those heater settings.
     """
     if not (rf_lo_ghz > 0):
         raise DomainError("need 0 < rf_lo < rf_hi")
     fs = FrequencyGrid.sweep(rf_lo_ghz, rf_hi_ghz, step_ghz).offsets_ghz
     fs.flags.writeable = False
 
-    phasor_at = bind_beat_phasor(link, fs)
+    tones = bind_tones(link, fs)
+    beat = detector(link.fmt)
     ref = back_to_back_reference(link.fmt)
 
     def sweep(heaters: Mapping[str, float] | None = None) -> RfResponse:
-        phasor = phasor_at(heaters)
+        phasor = beat(*tones(heaters))
         return RfResponse(fs, magnitude_db(phasor, ref),
                           np.unwrap(np.angle(phasor)))
     return sweep
@@ -179,11 +177,7 @@ def bind_sweep(link: LinkConfig, rf_lo_ghz: float, rf_hi_ghz: float,
 def rf_transmission_sweep(link: LinkConfig, rf_lo_ghz: float, rf_hi_ghz: float,
                           step_ghz: float,
                           heaters: Mapping[str, float] | None = None) -> RfResponse:
-    """Swept RF transfer of the link, normalised to the back-to-back level.
-
-    The circuit is evaluated once over the mirrored offset grid
-    ``{-f_N..-f_1, 0, f_1..f_N}`` and the beat phasor is formed per sweep
-    point, which keeps the sweep cost one graph evaluation.  A caller
-    that sweeps one link many times should :func:`bind_sweep` it once.
-    """
+    """Swept RF transfer of the link, normalised to the back-to-back level,
+    from one graph evaluation (see :func:`bind_tones`).  A caller that
+    sweeps one link many times should :func:`bind_sweep` it once."""
     return bind_sweep(link, rf_lo_ghz, rf_hi_ghz, step_ghz)(heaters)

@@ -24,7 +24,7 @@ from .constants import DEFAULT_CARRIER_THZ
 from .errors import AnalysisError, ConfigurationError, DomainError
 from .metrics import extinction_db
 from .rflink import (LinkConfig, ModulationFormat, back_to_back_reference,
-                     bind_beat_phasor, bind_sweep, magnitude_db)
+                     bind_sweep, bind_tones, detector, magnitude_db)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -147,13 +147,13 @@ class Objective:
             return fn
 
         if self.kind == "notch_depth":
-            link = LinkConfig(self.fmt, graph, self.port)
-            f0 = np.array([float(self.rf_freq_ghz)])
+            tones = bind_tones(LinkConfig(self.fmt, graph, self.port),
+                               np.array([float(self.rf_freq_ghz)]))
+            beat = detector(self.fmt)
             ref = back_to_back_reference(self.fmt)
-            phasor_at = bind_beat_phasor(link, f0)
 
             def fn(heaters: Mapping[str, float]) -> float:
-                return -float(magnitude_db(phasor_at(heaters), ref)[0])
+                return -float(magnitude_db(beat(*tones(heaters)), ref)[0])
             return fn
 
         if self.kind == "conversion_extinction":

@@ -105,3 +105,16 @@ def test_heater_override_accepted():
     result = run_experiment("ssb_notch", {"sweep": (8.0, 12.0, 0.01),
                                           "heaters": {"ps_bar.phase": 0.3}})
     assert result.summary["notch_depth_db"] == pytest.approx(7.0, abs=1.0)
+
+
+def test_amplitude_tuning_binds_its_circuit_once(monkeypatch):
+    from rfshaper import circuit, experiments, rflink
+    grids = []
+
+    def counting_bind(graph, grid, input_name=None):
+        grids.append(grid.offsets_ghz.tolist())
+        return circuit.bind(graph, grid, input_name)
+    for module in (experiments, rflink):
+        monkeypatch.setattr(module, "bind", counting_bind)
+    run_experiment("amplitude_tuning", {"power_step_mw": 5.0})
+    assert grids == [[-20.0, 0.0, 20.0]]

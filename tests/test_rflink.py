@@ -13,8 +13,8 @@ from rfshaper.circuit import BlockInstance, CircuitGraph, Port, evaluate
 from rfshaper.constants import (DEFAULT_CARRIER_THZ,
                                 DEFAULT_RESPONSIVITY_A_PER_W as R)
 from rfshaper.errors import ConfigurationError, DomainError
-from rfshaper.rflink import (LinkConfig, ModulationFormat, detector,
-                             rf_transmission_sweep)
+from rfshaper.rflink import (LinkConfig, ModulationFormat, bind_tones,
+                             detector, rf_transmission_sweep)
 
 from tests.reference import time_domain_oracle
 
@@ -192,6 +192,24 @@ def test_sweep_pm_is_referenced_to_im_back_to_back():
     expected = 20.0 * np.log10(np.abs(pm) / abs(im))
     assert np.all(resp.mag_db > -60.0)
     assert np.max(np.abs(resp.mag_db - expected)) <= 1e-9
+
+
+def test_bind_tones_reads_the_mirrored_grid():
+    ring = BlockInstance("r", "ring_allpass",
+                         RingParams(50.0, 0.2, round_trip_amplitude=0.9,
+                                    detune_ghz=-10.0))
+    g = CircuitGraph((ring,), (), {"in": Port("r", "in")},
+                     {"out": Port("r", "out")})
+    tones = bind_tones(LinkConfig(ModulationFormat(), g, "out"),
+                       np.array([2.0, 5.0, 11.0]))
+    heaters = {"r.detune": 1.0}
+    h_minus, h_zero, h_plus = tones(heaters)
+    grid = FrequencyGrid(DEFAULT_CARRIER_THZ,
+                         np.array([-11.0, -5.0, -2.0, 0.0, 2.0, 5.0, 11.0]))
+    h = evaluate(g.with_heaters(heaters), grid).port("out")
+    assert np.array_equal(h_minus, h[[2, 1, 0]])     # in the order of fs
+    assert isinstance(h_zero, np.complex128) and h_zero == h[3]
+    assert np.array_equal(h_plus, h[4:])
 
 
 def test_sweep_deterministic():
