@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .blocks import BLOCK_KINDS, FrequencyGrid
 from .errors import ConfigurationError, TopologyError
 
 
-@dataclass(frozen=True)
-class Port:
+class Port(NamedTuple):
     block: str
     name: str
 
@@ -247,14 +246,12 @@ def bind(graph: CircuitGraph, grid: FrequencyGrid,
 
     offsets = grid.offsets_ghz
     n = offsets.size
-    # fields keyed by (block id, port name); an open input port reads the
-    # zero field kept under None
-    entry = graph.inputs[input_name]
-    start = (entry.block, entry.name)
-    source = {(dst.block, dst.name): (src.block, src.name)
-              for src, dst in graph.connections}
-    outputs = {name: (port.block, port.name)
-               for name, port in graph.outputs.items()}
+    # fields keyed by Port: an input port reads the output that drives it,
+    # the external input its own unit field, an open port the zero field
+    # kept under None
+    start = graph.inputs[input_name]
+    source = {dst: src for src, dst in graph.connections}
+    source[start] = start
 
     def propagate(names: frozenset[str]):
         """``(names, fields, live)``: the read-only fields of every block
@@ -269,11 +266,8 @@ def bind(graph: CircuitGraph, grid: FrequencyGrid,
         for block_id in graph._order:
             blk = graph.block(block_id)
             spec = BLOCK_KINDS[blk.kind]
-            in_keys = []
-            for name in spec.inputs:
-                key = (block_id, name)
-                in_keys.append(key if key == start else source.get(key))
-            out_keys = [(block_id, out) for out in spec.outputs]
+            in_keys = [source.get(Port(block_id, name)) for name in spec.inputs]
+            out_keys = [Port(block_id, out) for out in spec.outputs]
             if block_id in tuned:
                 live.append((blk, in_keys, out_keys, None))
             elif live_keys.intersection(in_keys):
@@ -307,8 +301,8 @@ def bind(graph: CircuitGraph, grid: FrequencyGrid,
                 blk = changed.get(blk.id, blk)
                 rows = BLOCK_KINDS[blk.kind].response(blk.params, offsets)
             out.update(zip(out_keys, _mix(rows, [out[k] for k in in_keys])))
-        return CircuitResponse(grid, {name: out[key]
-                                      for name, key in outputs.items()})
+        return CircuitResponse(grid, {name: out[port] for name, port
+                                      in graph.outputs.items()})
     return evaluate_bound
 
 

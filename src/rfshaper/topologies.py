@@ -171,8 +171,6 @@ class ShaperConfig:
         if self.adddrop_route not in ("through", "drop"):
             raise ConfigurationError(
                 f"adddrop_route must be 'through' or 'drop', got {self.adddrop_route!r}")
-        if self.adddrop.kappa_drop is None:
-            raise ConfigurationError("shaper add-drop ring needs kappa_drop")
 
 
 def build_shaper(config: ShaperConfig | None = None) -> CircuitGraph:

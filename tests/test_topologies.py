@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rfshaper.blocks import FrequencyGrid
+from rfshaper.blocks import FrequencyGrid, RingParams
 from rfshaper.circuit import evaluate
 from rfshaper.errors import ConfigurationError
 from rfshaper.metrics import extinction_db, passband_width_3db
@@ -148,13 +148,19 @@ def test_shaper_route_validation():
         ShaperConfig(adddrop_route="sideways")
 
 
+def test_build_shaper_needs_the_drop_coupling_of_its_adddrop_ring():
+    cfg = ShaperConfig(adddrop=RingParams(fsr_ghz=50.0, kappa=0.1))
+    with pytest.raises(ConfigurationError, match="needs kappa_drop"):
+        build_shaper(cfg)
+
+
 def test_fit_round_trip_amplitude_matches_target():
     g = fit_round_trip_amplitude(17.6)
     assert g == pytest.approx(0.91483, abs=1e-4)
 
 
 def test_ring_kappa_for_rejection_closed_form():
-    from rfshaper.blocks import BLOCK_KINDS, RingParams
+    from rfshaper.blocks import BLOCK_KINDS
     gamma = 0.9148329893507446
     for depth in (3.0, 7.0, 12.0):
         kappa = ring_kappa_for_rejection(gamma, depth)
