@@ -297,7 +297,8 @@ _PHASE_HEATER = Heater(
 
 # Ring couplers are tunable MZI couplers, so a coupling heater is a phase
 # with ``kappa = sin^2(phase/2)``; the detune heater shifts the resonance
-# by ``fsr * phase / (2*pi)``.
+# by ``fsr * phase / (2*pi)``, and reads the detune modulo the FSR so
+# that a detune many FSRs away still gives a finite phase.
 def _coupling_heater(name: str, key: str) -> Heater:
     return Heater(
         name, lambda p: 2.0 * math.asin(math.sqrt(getattr(p, key))),
@@ -305,7 +306,8 @@ def _coupling_heater(name: str, key: str) -> Heater:
 
 
 _DETUNE_HEATER = Heater(
-    "detune", lambda p: (_TWO_PI * (p.detune_ghz / p.fsr_ghz)) % _TWO_PI,
+    "detune",
+    lambda p: (_TWO_PI * ((p.detune_ghz % p.fsr_ghz) / p.fsr_ghz)) % _TWO_PI,
     lambda p, phase: replace(p, detune_ghz=p.fsr_ghz * phase / _TWO_PI))
 
 

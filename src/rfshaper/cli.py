@@ -26,7 +26,7 @@ from .experiments import run_experiment
 from .netlist import (document_to_text, load_experiment_config, missing_keys,
                       parse_netlist, parse_numbers, parse_params)
 from .topologies import DeinterleaverSpec, build_deinterleaver, build_shaper
-from .tuner import Objective, OptimizerConfig, optimize
+from .tuner import OBJECTIVE_KINDS, Objective, OptimizerConfig, optimize
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -169,8 +169,9 @@ def _objective_from_args(args) -> Objective:
 def cmd_optimize(args) -> int:
     graph = _load_graph(args.netlist)
     objective = _objective_from_args(args)
-    config = OptimizerConfig(max_evals=args.max_evals, restarts=args.restarts,
-                             seed=args.seed)
+    config = OptimizerConfig(**{
+        name: value for name in ("max_evals", "restarts", "seed")
+        if (value := getattr(args, name)) is not None})
     heaters = args.heaters.split(",") if args.heaters else None
     result = optimize(graph, objective, config, heater_names=heaters)
     tuned = graph.with_heaters(result.best)
@@ -227,8 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="tune heaters against an objective")
     p.add_argument("netlist", help="netlist path or preset:<name>")
     p.add_argument("--objective", required=True,
-                   choices=["deinterleaver_extinction", "notch_depth",
-                            "conversion_extinction", "critical_coupling"])
+                   choices=list(OBJECTIVE_KINDS))
     p.add_argument("--port", help="output port (default: detector or bar, by objective)")
     p.add_argument("--passband", help="lo:hi (GHz)")
     p.add_argument("--stopband", help="lo:hi (GHz)")
@@ -236,9 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rf-freq", type=float, help="notch frequency (GHz)")
     p.add_argument("--offset", type=float, help="offset for critical coupling")
     p.add_argument("--heaters", help="comma-separated heater names (default all)")
-    p.add_argument("--max-evals", type=int, default=10000)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-evals", type=int)
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="tuned netlist path")
     p.add_argument("--summary", help="also write the summary to this path")
     p.set_defaults(func=cmd_optimize)

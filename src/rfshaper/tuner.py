@@ -24,7 +24,7 @@ from .constants import DEFAULT_CARRIER_THZ
 from .errors import AnalysisError, ConfigurationError, DomainError
 from .metrics import extinction_db
 from .rflink import (LinkConfig, ModulationFormat, back_to_back_reference,
-                     bind_sweep, bind_tones, detector, magnitude_db)
+                     bind_tones, detector, magnitude_db)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -71,6 +71,15 @@ class TuningResult:
     restarts: tuple[RestartTrace, ...]
 
 
+#: Each objective kind and the output port it reads by default.
+OBJECTIVE_KINDS = {
+    "deinterleaver_extinction": "bar",
+    "notch_depth": "detector",
+    "conversion_extinction": "detector",
+    "critical_coupling": "bar",
+}
+
+
 @dataclass(frozen=True)
 class Objective:
     """A scalar to maximize over heater settings.
@@ -85,9 +94,8 @@ class Objective:
       magnitude change (dB) when ``FLIP_HEATER`` is advanced by pi.
     * ``critical_coupling`` -- negated optical power (dB) of ``port`` at
       ``offset_ghz``; maximal at critical coupling.
-    * ``custom_scalar`` -- ``custom_fn(graph, heaters) -> float``.
 
-    ``port`` defaults to ``detector`` for the two RF kinds, else ``bar``.
+    ``port`` defaults to the kind's entry in ``OBJECTIVE_KINDS``.
     """
 
     kind: str
@@ -98,15 +106,10 @@ class Objective:
     band: tuple[float, float] = (15.0, 25.0)
     fmt: ModulationFormat = field(default_factory=ModulationFormat)
     offset_ghz: float = 0.0
-    custom_fn: Callable[[CircuitGraph, Mapping[str, float]], float] | None = None
 
     def __post_init__(self):
-        kinds = ("deinterleaver_extinction", "notch_depth",
-                 "conversion_extinction", "critical_coupling", "custom_scalar")
-        if self.kind not in kinds:
+        if self.kind not in OBJECTIVE_KINDS:
             raise ConfigurationError(f"unknown objective kind {self.kind!r}")
-        if self.kind == "custom_scalar" and self.custom_fn is None:
-            raise ConfigurationError("custom_scalar needs custom_fn")
         if not (math.isfinite(self.rf_freq_ghz) and self.rf_freq_ghz > 0):
             raise ConfigurationError(
                 f"rf_freq_ghz must be finite and > 0, got {self.rf_freq_ghz}")
@@ -122,70 +125,61 @@ class Objective:
             raise ConfigurationError(
                 f"band must lie above 0 GHz, got {self.band}")
         if self.port is None:
-            rf = self.kind in ("notch_depth", "conversion_extinction")
-            object.__setattr__(self, "port", "detector" if rf else "bar")
+            object.__setattr__(self, "port", OBJECTIVE_KINDS[self.kind])
 
     def build(self, graph: CircuitGraph) -> Callable[[Mapping[str, float]], float]:
         """Bind this objective to a graph template.
 
-        The circuit is bound once (see :func:`rfshaper.circuit.bind`);
-        the bound function learns the heaters that move from the calls.
+        The optical kinds read the port's power from
+        :func:`rfshaper.circuit.bind`, the RF kinds the detected RF
+        magnitude from :func:`rfshaper.rflink.bind_tones`; either binds
+        the circuit once, and the bound function reduces what it reads
+        to the objective's value.
         """
+        port = self.port
         if self.kind == "deinterleaver_extinction":
             offs = np.unique(np.concatenate([
-                np.arange(self.stopband[0], self.stopband[1] + 1e-12,
-                          GRID_STEP_GHZ),
-                np.arange(self.passband[0], self.passband[1] + 1e-12,
-                          GRID_STEP_GHZ)]))
-            grid = FrequencyGrid(DEFAULT_CARRIER_THZ, offs)
-            evaluate_at = bind(graph, grid)
+                FrequencyGrid.sweep(*band, GRID_STEP_GHZ).offsets_ghz
+                for band in (self.stopband, self.passband)]))
+            evaluate_at = bind(graph, FrequencyGrid(DEFAULT_CARRIER_THZ, offs))
 
             def fn(heaters: Mapping[str, float]) -> float:
-                resp = evaluate_at(heaters)
-                return extinction_db(offs, resp.power(self.port),
+                return extinction_db(offs, evaluate_at(heaters).power(port),
                                      self.passband, self.stopband)
             return fn
 
-        if self.kind == "notch_depth":
-            tones = bind_tones(LinkConfig(self.fmt, graph, self.port),
-                               np.array([float(self.rf_freq_ghz)]))
-            beat = detector(self.fmt)
-            ref = back_to_back_reference(self.fmt)
-
-            def fn(heaters: Mapping[str, float]) -> float:
-                return -float(magnitude_db(beat(*tones(heaters)), ref)[0])
-            return fn
-
-        if self.kind == "conversion_extinction":
-            link = LinkConfig(self.fmt, graph, self.port)
-            values = graph.heater_values()
-            if FLIP_HEATER not in values:
-                raise ConfigurationError(f"unknown heaters: {[FLIP_HEATER]}")
-            flip_base = values[FLIP_HEATER]
-            sweep = bind_sweep(link, *self.band, RF_STEP_GHZ)
-
-            def fn(heaters: Mapping[str, float]) -> float:
-                h = dict(heaters)
-                base = sweep(h)
-                h[FLIP_HEATER] = h.get(FLIP_HEATER, flip_base) + math.pi
-                flipped = sweep(h)
-                return float(np.min(base.mag_db - flipped.mag_db))
-            return fn
-
         if self.kind == "critical_coupling":
-            grid = FrequencyGrid(DEFAULT_CARRIER_THZ,
-                                 np.array([self.offset_ghz]))
-            evaluate_at = bind(graph, grid)
+            evaluate_at = bind(graph, FrequencyGrid(
+                DEFAULT_CARRIER_THZ, np.array([self.offset_ghz])))
 
             def fn(heaters: Mapping[str, float]) -> float:
-                p = float(evaluate_at(heaters).power(self.port)[0])
+                p = float(evaluate_at(heaters).power(port)[0])
                 return -10.0 * math.log10(max(p, 1e-300))
             return fn
 
-        custom = self.custom_fn
+        if self.kind == "notch_depth":
+            fs = np.array([float(self.rf_freq_ghz)])
+        else:
+            flip_base = graph.heater_values().get(FLIP_HEATER)
+            if flip_base is None:
+                raise ConfigurationError(f"unknown heaters: {[FLIP_HEATER]}")
+            fs = FrequencyGrid.sweep(*self.band, RF_STEP_GHZ).offsets_ghz
+        tones = bind_tones(LinkConfig(self.fmt, graph, port), fs)
+        beat = detector(self.fmt)
+        ref = back_to_back_reference(self.fmt)
+
+        def mag_db(heaters: Mapping[str, float]) -> np.ndarray:
+            return magnitude_db(beat(*tones(heaters)), ref)
+
+        if self.kind == "notch_depth":
+            def fn(heaters: Mapping[str, float]) -> float:
+                return -float(mag_db(heaters)[0])
+            return fn
 
         def fn(heaters: Mapping[str, float]) -> float:
-            return custom(graph, heaters)
+            flipped = dict(heaters)
+            flipped[FLIP_HEATER] = flipped.get(FLIP_HEATER, flip_base) + math.pi
+            return float(np.min(mag_db(heaters) - mag_db(flipped)))
         return fn
 
 

@@ -14,7 +14,8 @@ from rfshaper.errors import (ConfigurationError, ShaperError, SingularityError,
                              TopologyError)
 from rfshaper.experiments import _notch_shaper
 from rfshaper.topologies import DeinterleaverSpec, build_deinterleaver
-from rfshaper.tuner import synthesize_cancellation_settings
+from rfshaper.tuner import (Objective, OptimizerConfig, optimize,
+                            synthesize_cancellation_settings)
 from tests.reference import h_ring_allpass, h_waveguide
 
 GRID = FrequencyGrid.sweep(-40.0, 40.0, 0.5)
@@ -209,6 +210,21 @@ def test_heater_names_and_values_round_trip(kind):
         assert moved[name] == pytest.approx(0.75, abs=1e-12)
         for other in set(names) - {name}:
             assert moved[other] == pytest.approx(values[other], abs=1e-12)
+
+
+def test_detune_heater_reads_the_detune_modulo_the_fsr():
+    def ring_graph(fsr, detune):
+        ring = RingParams(fsr_ghz=fsr, kappa=0.1, detune_ghz=detune)
+        return chain_graph([BlockInstance("r", "ring_allpass", ring)])
+
+    for detune in (0.0, 12.5, 49.999):  # in [0, fsr): the plain ratio
+        phase = ring_graph(50.0, detune).heater_values()["r.detune"]
+        assert phase == (2 * math.pi * (detune / 50.0)) % (2 * math.pi)
+    g = ring_graph(1e-300, 1e300)  # detune / fsr overflows
+    assert 0.0 <= g.heater_values()["r.detune"] < 2 * math.pi
+    result = optimize(g, Objective("critical_coupling", port="out"),
+                      OptimizerConfig(max_evals=40, restarts=1))
+    assert math.isfinite(result.best_value)
 
 
 def test_lossless_uncoupled_ring_rejects_only_its_pole():

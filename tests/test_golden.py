@@ -454,6 +454,14 @@ ERROR_CASES = {
              "--out", "t.nl"], 4,
         "error: phase 2*pi*(f - detune)/fsr overflows at offset -1e+308 GHz "
         "(detune 0 GHz, fsr 60 GHz)\n"),
+    "optimize_passband_too_many_points": (
+        {}, OPTIMIZE_ERROR + ["--passband", "3:1e308"], 4,
+        "error: sweep 3:1e+308:0.25 gives inf points, more than the limit "
+        "of 1e+07\n"),
+    "optimize_stopband_too_many_points": (
+        {}, OPTIMIZE_ERROR + ["--stopband=-1e308:-3"], 4,
+        "error: sweep -1e+308:-3:0.25 gives inf points, more than the limit "
+        "of 1e+07\n"),
 }
 
 

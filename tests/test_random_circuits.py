@@ -98,6 +98,25 @@ def transfer_matrix(graph: CircuitGraph, grid: FrequencyGrid) -> np.ndarray:
     return np.transpose(np.array(columns), (2, 1, 0))
 
 
+def reversed_graph(graph: CircuitGraph) -> CircuitGraph:
+    """The same blocks with every signal run backwards: block input ``j``
+    and output ``j`` trade places, each connection ``a.out_k -> b.in_j``
+    becomes ``b.out_j -> a.in_k``, and the external inputs and outputs
+    swap roles under their names."""
+    def swap(port: Port) -> Port:
+        spec = BLOCK_KINDS[graph.block(port.block).kind]
+        ins, outs = spec.inputs, spec.outputs
+        if port.name in ins:
+            return Port(port.block, outs[ins.index(port.name)])
+        return Port(port.block, ins[outs.index(port.name)])
+
+    return CircuitGraph(
+        graph.blocks,
+        tuple((swap(b), swap(a)) for a, b in graph.connections),
+        {name: swap(p) for name, p in graph.outputs.items()},
+        {name: swap(p) for name, p in graph.inputs.items()})
+
+
 def heater_settings(graph: CircuitGraph, lo: float, hi: float):
     """Strategy for settings of any subset of the graph's heaters."""
     names = graph.heater_names()
@@ -135,6 +154,14 @@ def test_lossless_graph_columns_are_orthonormal(graph):
 def test_lossy_graph_is_passive(graph):
     h = transfer_matrix(graph, GRID)
     assert np.max(np.linalg.svd(h, compute_uv=False)) <= 1.0 + 1e-12
+
+
+@given(graph=graphs())
+@PROPERTY
+def test_graph_response_is_reciprocal(graph):
+    h = transfer_matrix(graph, GRID)
+    h_rev = transfer_matrix(reversed_graph(graph), GRID)
+    assert np.max(np.abs(h_rev - np.transpose(h, (0, 2, 1)))) <= 1e-12
 
 
 offset_lists = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rfshaper import kernels
+from rfshaper import kernels, rflink
 from rfshaper.blocks import (PhaseShifterState, RingParams,
                              critical_coupling_kappa, h_phase_shifter,
                              h_tunable_coupler)
@@ -11,8 +11,8 @@ from rfshaper.circuit import BlockInstance, CircuitGraph, Port
 from rfshaper.errors import AnalysisError, ConfigurationError, DomainError
 from rfshaper.experiments import _notch_shaper
 from rfshaper.topologies import (DeinterleaverSpec, FITTED_RING_AMPLITUDE,
-                                 build_deinterleaver)
-from rfshaper.tuner import (Objective, OptimizerConfig,
+                                 build_deinterleaver, build_shaper)
+from rfshaper.tuner import (OBJECTIVE_KINDS, Objective, OptimizerConfig,
                             compensate_coupler_phase, optimize,
                             synthesize_cancellation_settings)
 
@@ -23,12 +23,34 @@ def single_heater_graph():
                         {"out": Port("ps", "out")})
 
 
-def quadratic_objective(center: float) -> Objective:
+class ScalarObjective:
+    """A stand-in objective: ``optimize`` only calls ``build(graph)``,
+    which here gives ``fn(graph, heaters)`` as a function of heaters."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def build(self, graph):
+        return lambda heaters: self.fn(graph, heaters)
+
+
+def quadratic_objective(center: float) -> ScalarObjective:
     def fn(graph, heaters):
         phi = heaters["ps.phase"]
         d = (phi - center + math.pi) % (2 * math.pi) - math.pi
         return -d * d
-    return Objective("custom_scalar", custom_fn=fn)
+    return ScalarObjective(fn)
+
+
+def count_ring_kernels(monkeypatch) -> list[str]:
+    """The names of the ring kernels called from now on, in call order."""
+    calls = []
+    for name in ("ring_allpass_grid", "ring_adddrop_grid"):
+        def counted(*args, _kernel=getattr(kernels, name)):
+            calls.append(_kernel.__name__)
+            return _kernel(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    return calls
 
 
 @pytest.mark.parametrize("kind, port", [
@@ -36,6 +58,7 @@ def quadratic_objective(center: float) -> Objective:
     ("notch_depth", "detector"), ("conversion_extinction", "detector"),
 ])
 def test_objective_port_default_follows_kind(kind, port):
+    assert OBJECTIVE_KINDS[kind] == port
     assert Objective(kind).port == port
     assert Objective(kind, port="monitor").port == "monitor"
 
@@ -122,7 +145,7 @@ def test_optimize_requires_heaters():
 
 
 def test_optimize_all_nan_objective_raises_analysis_error():
-    nan = Objective("custom_scalar", custom_fn=lambda graph, heaters: math.nan)
+    nan = ScalarObjective(lambda graph, heaters: math.nan)
     with pytest.raises(AnalysisError, match="NaN"):
         optimize(single_heater_graph(), nan,
                  OptimizerConfig(max_evals=50, restarts=1))
@@ -134,19 +157,14 @@ def test_optimize_nan_vertex_is_never_best():
         x = heaters["ps_trim.phase"]
         return -(x - 0.3) ** 2 if x <= 0.5 else math.nan
     result = optimize(build_deinterleaver(DeinterleaverSpec()),
-                      Objective("custom_scalar", custom_fn=fn),
+                      ScalarObjective(fn),
                       OptimizerConfig(max_evals=200, restarts=1))
     assert -0.09 < result.best_value <= 0.0
     assert result.best["ps_trim.phase"] == pytest.approx(0.3, abs=1e-3)
 
 
 def test_bound_notch_depth_runs_no_ring_kernel_per_evaluation(monkeypatch):
-    calls = []
-    for name in ("ring_allpass_grid", "ring_adddrop_grid"):
-        def counted(*args, _kernel=getattr(kernels, name)):
-            calls.append(_kernel.__name__)
-            return _kernel(*args)
-        monkeypatch.setattr(kernels, name, counted)
+    calls = count_ring_kernels(monkeypatch)
     s = synthesize_cancellation_settings(7.0)
     graph = _notch_shaper(10.0, 7.0, s.coupler_phase_rad, s.shifter_phase_rad)
     notch = Objective("notch_depth", rf_freq_ghz=10.0).build(graph)
@@ -162,12 +180,7 @@ def test_bound_notch_depth_runs_no_ring_kernel_per_evaluation(monkeypatch):
 
 
 def test_notch_depth_alternating_heater_sets_binds_once_per_set(monkeypatch):
-    calls = []
-    for name in ("ring_allpass_grid", "ring_adddrop_grid"):
-        def counted(*args, _kernel=getattr(kernels, name)):
-            calls.append(_kernel.__name__)
-            return _kernel(*args)
-        monkeypatch.setattr(kernels, name, counted)
+    calls = count_ring_kernels(monkeypatch)
     s = synthesize_cancellation_settings(7.0)
     graph = _notch_shaper(10.0, 7.0, s.coupler_phase_rad, s.shifter_phase_rad)
     notch = Objective("notch_depth", rf_freq_ghz=10.0).build(graph)
@@ -178,6 +191,28 @@ def test_notch_depth_alternating_heater_sets_binds_once_per_set(monkeypatch):
             at_second = len(calls)
     assert at_second == 10              # five rings bound once per set
     assert len(calls) == at_second
+
+
+def test_bound_conversion_extinction_reads_tones_only(monkeypatch):
+    calls = count_ring_kernels(monkeypatch)
+    responses = []
+    post_init = rflink.RfResponse.__post_init__
+
+    def counted(self):
+        responses.append(self)
+        post_init(self)
+    monkeypatch.setattr(rflink.RfResponse, "__post_init__", counted)
+    extinction = Objective("conversion_extinction").build(build_shaper())
+    rng = np.random.default_rng(0)
+    values = []
+    for ps, tc in rng.uniform(0.0, 2 * math.pi, size=(50, 2)):
+        values.append(extinction({"ps_bar.phase": ps, "tc_bar.phase": tc}))
+        if len(values) == 1:
+            at_bind = len(calls)
+    assert at_bind == 5                 # three de-interleaver rings, ap, ad
+    assert len(calls) == at_bind
+    assert responses == []
+    assert np.all(np.isfinite(values))
 
 
 def test_optimize_deterministic_given_seed():
