@@ -353,3 +353,89 @@ def test_mutated_config_errors_are_positioned_and_exit_3(text):
     assert (cfg is None) == bool(errors)
     if errors:     # a valid config would run the whole preset
         assert _main_on_file(text, "m.cfg", "experiment", "--out-dir") == 3
+
+
+# -- wiring: where each error points, and what a failed statement leaves --
+
+WIRED = """\
+format 1
+block a phase_shifter phase_rad=0
+block c coupler_3db
+connect a.out c.in0
+"""
+
+
+def _errors(text: str) -> list[tuple[int, int, str]]:
+    return [(e.line, e.column, e.message) for e in parse_netlist(text)[1]]
+
+
+@pytest.mark.parametrize("line, column, message", [
+    ("block a waveguide optical_path_length=1", 7,
+     "duplicate block id 'a' (first declared on line 2)"),
+    ("connect q.out c.in1", 9, "unknown block id 'q'"),
+    ("connect c.out0 q.in", 16, "unknown block id 'q'"),
+    ("input x c.out0", 9,
+     "kind coupler_3db has no input port 'out0' (expected one of in0, in1)"),
+    ("output y a.in", 10,
+     "kind phase_shifter has no output port 'in' (expected one of out)"),
+])
+def test_wiring_errors_point_at_their_token(line, column, message):
+    assert _errors(WIRED + line + "\n") == [(5, column, message)]
+
+
+@pytest.mark.parametrize("line, column, port", [
+    ("connect a.out c.in1", 9, "a.out"),     # reused output: its source
+    ("connect c.out0 c.in0", 16, "c.in0"),   # reused input: its destination
+    ("connect a.out c.in0", 9, "a.out"),     # both: the source only
+    ("input x c.in0", 9, "c.in0"),
+    ("output y a.out", 10, "a.out"),
+])
+def test_reused_port_reported_once_at_its_token(line, column, port):
+    [(ln, col, message)] = _errors(WIRED + line + "\n")
+    assert (ln, col) == (5, column)
+    assert port in message and message.endswith(" on line 4")
+
+
+@pytest.mark.parametrize("failed", [
+    "connect c.out0 c.in0",    # reused input: c.out0 stays free
+    "connect c.out0 q.in",     # unknown block: c.out0 stays free
+    "connect c.out0 c.out1",   # wrong direction: c.out0 stays free
+])
+def test_failed_connect_claims_no_port(failed):
+    text = WIRED + failed + "\noutput o c.out0\n"
+    assert [ln for ln, _, _ in _errors(text)] == [5]
+
+
+@pytest.mark.parametrize("failed", [
+    "input x c.in1\ninput x a.in",      # duplicate name: a.in stays free
+    "input x c.in1\ninput y c.in1",     # reused port: name y stays free
+])
+def test_failed_io_claims_nothing(failed):
+    text = WIRED + failed + "\ninput y a.in\n"
+    assert [ln for ln, _, _ in _errors(text)] == [6]
+
+
+def test_rejected_block_reserves_its_id_and_kind():
+    text = ("block a phase_shifter phase_rad=oops\n"
+            "block a coupler_3db\n"
+            "connect a.out0 a.in\n")
+    assert _errors(text) == [
+        (1, 23, "invalid number for 'phase_rad'"),
+        (2, 7, "duplicate block id 'a' (first declared on line 1)"),
+        (3, 9, "kind phase_shifter has no output port 'out0' "
+               "(expected one of out)"),
+    ]
+
+
+def test_unknown_kind_reserves_no_id():
+    text = ("block a resistor r=50\n"
+            "input x a.in\n"
+            "block a phase_shifter phase_rad=0\n")
+    assert _errors(text) == [(1, 9, "unknown block kind 'resistor'"),
+                             (2, 9, "unknown block id 'a'")]
+
+
+def test_duplicate_id_is_reported_before_unknown_kind():
+    text = "block a coupler_3db\nblock a resistor\n"
+    assert _errors(text) == [
+        (2, 7, "duplicate block id 'a' (first declared on line 1)")]
