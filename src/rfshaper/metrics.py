@@ -24,11 +24,17 @@ def band_mask(offsets: np.ndarray, band: tuple[float, float]) -> np.ndarray:
 def extinction_db(offsets_ghz: np.ndarray, power: np.ndarray,
                   passband: tuple[float, float],
                   stopband: tuple[float, float]) -> float:
-    """Worst-case extinction: min passband power over max stopband power."""
+    """Worst-case extinction: min passband power over max stopband power.
+
+    A passband that goes dark anywhere gives ``-inf``, whatever the
+    stopband holds; a lit passband over a dark stopband gives ``inf``.
+    """
     offsets = np.asarray(offsets_ghz, dtype=float)
     power = np.asarray(power, dtype=float)
     p_pass = power[band_mask(offsets, passband)].min()
     p_stop = power[band_mask(offsets, stopband)].max()
+    if p_pass <= 0.0:
+        return -math.inf
     if p_stop <= 0.0:
         return math.inf
     return 10.0 * math.log10(p_pass / p_stop)

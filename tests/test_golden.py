@@ -292,6 +292,28 @@ input in
 output o p.out
 """
 
+# a critically coupled ring (self-coupling 0.5 = round-trip amplitude):
+# its bar power is exactly 0 at 10 GHz, inside the default passband
+CRITICAL_RING_NETLIST = """\
+format 1
+block ps phase_shifter phase_rad=0
+block r ring_allpass kappa=0.75 round_trip_amplitude=0.5 fsr_ghz=50 detune_ghz=10
+connect ps.out r.in
+input in ps.in
+output bar r.out
+"""
+
+# an add-drop ring with no drop coupling: its drop port stays dark
+DARK_DROP_NETLIST = """\
+format 1
+block ps phase_shifter phase_rad=0
+block r ring_adddrop kappa=0.5 kappa_drop=0 fsr_ghz=50
+connect ps.out r.in0
+input in ps.in
+output through r.out0
+output bar r.out1
+"""
+
 OPTIMIZE_ERROR = ["optimize", "preset:deinterleaver", "--objective",
                   "deinterleaver_extinction", "--out", "tuned.nl"]
 
@@ -458,6 +480,20 @@ ERROR_CASES = {
         {}, OPTIMIZE_ERROR + ["--passband", "3:1e308"], 4,
         "error: sweep 3:1e+308:0.25 gives inf points, more than the limit "
         "of 1e+07\n"),
+    "optimize_extinction_zero_in_passband": (
+        {"n.nl": CRITICAL_RING_NETLIST},
+        ["optimize", "n.nl", "--objective", "deinterleaver_extinction",
+         "--heaters", "ps.phase", "--max-evals", "40", "--restarts", "1",
+         "--out", "t.nl"], 4,
+        "error: objective gave no comparable value in 40 evaluations "
+        "(every value was NaN or -inf)\n"),
+    "optimize_extinction_dark_port": (
+        {"n.nl": DARK_DROP_NETLIST},
+        ["optimize", "n.nl", "--objective", "deinterleaver_extinction",
+         "--heaters", "ps.phase", "--max-evals", "40", "--restarts", "1",
+         "--out", "t.nl"], 4,
+        "error: objective gave no comparable value in 40 evaluations "
+        "(every value was NaN or -inf)\n"),
     "optimize_stopband_too_many_points": (
         {}, OPTIMIZE_ERROR + ["--stopband=-1e308:-3"], 4,
         "error: sweep -1e+308:-3:0.25 gives inf points, more than the limit "

@@ -22,6 +22,23 @@ def test_extinction_flat_response():
         pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("stop_power, want", [
+    (0.5, -np.inf),    # an exact zero in the passband, no log of 0
+    (0.0, -np.inf),    # a dark port: dark passband over dark stopband
+])
+def test_extinction_of_a_dark_passband_is_minus_inf(stop_power, want):
+    offs = np.linspace(-10.0, 10.0, 201)
+    power = np.where(offs >= 0.0, 1.0, stop_power)
+    power[offs == 5.0] = 0.0
+    assert extinction_db(offs, power, (1.0, 9.0), (-9.0, -1.0)) == want
+
+
+def test_extinction_of_a_dark_stopband_under_a_lit_passband_is_inf():
+    offs = np.linspace(-10.0, 10.0, 201)
+    power = np.where(offs >= 0.0, 1.0, 0.0)
+    assert extinction_db(offs, power, (1.0, 9.0), (-9.0, -1.0)) == np.inf
+
+
 def test_extinction_empty_band_rejected():
     offs = np.linspace(0.0, 10.0, 11)
     with pytest.raises(DomainError):
