@@ -54,12 +54,16 @@ def _get(overrides: Mapping[str, object], key: str, default):
 
     A set value must be a number where the default is one, and a sequence
     where the default is one: of the same length for a tuple default, of
-    any length for a list default.  Where the default is an ``int``, the
-    value must be a whole number and is returned as an ``int``.
+    one or more values for a list default, where a single number is a
+    one-value list.  Where the default is an ``int``, the value must be a
+    whole number and is returned as an ``int``.
     """
     v = overrides.get(key, default)
+    if isinstance(default, list) and isinstance(v, (int, float)):
+        v = [v]
     if (isinstance(v, (tuple, list)) != isinstance(default, (tuple, list))
             or isinstance(default, tuple) and len(v) != len(default)
+            or isinstance(default, list) and not v
             or isinstance(default, int) and not float(v).is_integer()):
         raise ConfigurationError(
             f"option {key!r} takes values like {default!r}, got {v!r}")

@@ -158,6 +158,19 @@ def test_experiment_bandpass_with_option_list(tmp_path, capsys):
     assert (out / "bandpass_tune_detune_16.csv").exists()
 
 
+@pytest.mark.parametrize("preset, line, printed", [
+    ("bandpass_tune", "set detunes_ghz 12", "detunes_ghz 12"),
+    ("coupling_sweep", "set kappas 0.2", "kappa_0.2000_state over"),
+])
+def test_experiment_one_value_list_option(tmp_path, capsys, preset, line,
+                                          printed):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"experiment {preset}\n{line}\n")
+    assert run(["experiment", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    assert printed in capsys.readouterr().out.splitlines()
+    assert len(list(tmp_path.glob("*.csv"))) == 1
+
+
 def test_experiment_unknown_preset_exit_3(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("experiment warp_drive\n")
@@ -242,8 +255,6 @@ def test_block_phase_sweep_names_its_kind(tmp_path, capsys):
 
 @pytest.mark.parametrize("preset, line, code", [
     # wrong kind or length: exit 3
-    ("bandpass_tune", "set detunes_ghz 8", 3),
-    ("coupling_sweep", "set kappas 0.1", 3),
     ("im2pm", "set modulation_index 0.1,0.2", 3),
     ("ssb_notch", "set notch_freq_ghz 1,2", 3),
     ("ssb_notch", "set sweep 1,2", 3),

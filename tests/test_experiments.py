@@ -89,6 +89,17 @@ def test_coupling_sweep_states():
     assert len(result.optical) == 5
 
 
+@pytest.mark.parametrize("preset, key", [
+    ("coupling_sweep", "kappas"), ("bandpass_tune", "detunes_ghz")])
+def test_list_option_takes_a_single_number_but_not_an_empty_list(preset, key):
+    assert run_experiment(preset, {key: 0.2 if key == "kappas" else 12.0}
+                          ).summary
+    for empty in ([], ()):
+        with pytest.raises(ConfigurationError,
+                           match=f"^option {key!r} takes values like "):
+            run_experiment(preset, {key: empty})
+
+
 def test_negative_seed_is_named_before_the_preset_runs():
     with pytest.raises(ConfigurationError,
                        match="^seed must be a non-negative integer, got -1$"):
