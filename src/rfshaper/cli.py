@@ -131,7 +131,10 @@ def cmd_experiment(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     result = run_experiment(cfg.experiment, cfg.overrides(), seed=seed)
     outdir = Path(args.out_dir or cfg.outdir or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot create output directory {outdir}: {exc}") from exc
 
     written = []
     for name, trace in sorted(result.traces.items()):

@@ -52,13 +52,13 @@ def _format_column(values, dest, name: str) -> list[str]:
     return [format_number(v) for v in col.tolist()]
 
 
-def _write_text(dest, text: str) -> None:
+def _write_text(dest, text: str, what: str = "CSV") -> None:
     path = Path(dest)
     try:
         with open(path, "w", newline="\n", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 def _table_text(header: str, columns: Sequence[list[str]]) -> str:
@@ -124,5 +124,5 @@ def format_summary_value(v) -> str:
 def write_summary(summary: dict, dest) -> Path:
     """Flat ``key value`` lines, one per summary entry."""
     _write_text(dest, "".join(f"{k} {format_summary_value(v)}\n"
-                              for k, v in summary.items()))
+                              for k, v in summary.items()), "summary")
     return Path(dest)

@@ -119,6 +119,25 @@ def test_optimize_repeated_heater_exit_3(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_optimize_unwritable_summary_names_the_summary(tmp_path, capsys):
+    dest = tmp_path / "missing" / "x.sum"
+    assert run(["optimize", "preset:deinterleaver", "--objective",
+                "deinterleaver_extinction", "--max-evals", "40",
+                "--restarts", "1", "--out", str(tmp_path / "t.nl"),
+                "--summary", str(dest)]) == 4
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write summary to {dest}: ")
+
+
+def test_experiment_out_dir_that_is_a_file_exit_4(tmp_path, capsys):
+    cfg, afile = tmp_path / "exp.cfg", tmp_path / "afile"
+    cfg.write_text("experiment ssb_notch\nsweep 8 12 0.5\n")
+    afile.write_text("")
+    assert run(["experiment", str(cfg), "--out-dir", str(afile)]) == 4
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot create output directory {afile}: ")
+
+
 def test_sweep_missing_file_exit_4(tmp_path):
     rc = run(["sweep", str(tmp_path / "absent.nl"), "--sweep=-5:5:1",
               "--out", str(tmp_path / "x.csv")])
