@@ -29,6 +29,53 @@ class Port(NamedTuple):
         return f"{self.block}.{self.name}"
 
 
+class WiringRules:
+    """A circuit's wiring rules, applied one statement at a time: block
+    ids are unique, a named port exists on its block's kind in that
+    direction, and each port (a kind's input and output names differ) is
+    used at most once.  A failing operation raises and changes nothing; a
+    duplicate's message quotes the first use's ``where`` (" on line 3")."""
+
+    def __init__(self):
+        self.kinds: dict[str, tuple[str, str]] = {}   # id -> (kind, where)
+        self.claimed: dict[Port, str] = {}             # used port -> where
+
+    def declare(self, block_id: str, kind: str, where: str = ""):
+        """Reserve ``block_id`` for ``kind``; returns its BLOCK_KINDS entry."""
+        if block_id in self.kinds:
+            raise TopologyError(
+                f"duplicate block id {block_id!r}{self.kinds[block_id][1]}")
+        spec = BLOCK_KINDS.get(kind)
+        if spec is None:
+            raise ConfigurationError(f"unknown block kind {kind!r}")
+        self.kinds[block_id] = (kind, where)
+        return spec
+
+    def kind(self, block_id: str) -> str:
+        if block_id not in self.kinds:
+            raise TopologyError(f"unknown block id {block_id!r}")
+        return self.kinds[block_id][0]
+
+    def port(self, port: Port, direction: str) -> Port:
+        """``port``, if its block's kind has it as a ``direction`` port."""
+        kind = self.kind(port.block)
+        spec = BLOCK_KINDS[kind]
+        names = spec.inputs if direction == "in" else spec.outputs
+        if port.name not in names:
+            raise TopologyError(
+                f"kind {kind} has no {direction}put port {port.name!r} "
+                f"(expected one of {', '.join(names)})")
+        return port
+
+    def claim(self, *ports: Port, where: str = "") -> None:
+        """Mark ``ports`` used, all or none."""
+        for port in ports:
+            if port in self.claimed:
+                raise TopologyError(
+                    f"port {port} already used{self.claimed[port]}")
+        self.claimed.update(dict.fromkeys(ports, where))
+
+
 @dataclass(frozen=True)
 class BlockInstance:
     """One placed building block with its physical parameters."""
@@ -101,56 +148,30 @@ class CircuitGraph:
         object.__setattr__(self, "inputs", dict(self.inputs))
         object.__setattr__(self, "outputs", dict(self.outputs))
         object.__setattr__(self, "_by_id", {b.id: b for b in self.blocks})
-        self._validate()
+        object.__setattr__(self, "_wiring", self._validate())
         object.__setattr__(self, "_order", self._topological_order())
 
     # -- validation --------------------------------------------------------
 
     def block(self, block_id: str) -> BlockInstance:
-        try:
-            return self._by_id[block_id]
-        except KeyError:
-            raise TopologyError(f"unknown block id {block_id!r}") from None
+        self._wiring.kind(block_id)          # an unknown id raises
+        return self._by_id[block_id]
 
-    def _check_port(self, port: Port, direction: str) -> None:
-        blk = self.block(port.block)
-        spec = BLOCK_KINDS[blk.kind]
-        names = spec.inputs if direction == "in" else spec.outputs
-        if port.name not in names:
-            raise TopologyError(
-                f"{port} is not an {direction}put port of kind {blk.kind}")
-
-    def _validate(self) -> None:
-        if len(self._by_id) != len(self.blocks):
-            seen, dupes = set(), set()
-            for b in self.blocks:
-                (dupes if b.id in seen else seen).add(b.id)
-            raise TopologyError(f"duplicate block ids: {sorted(dupes)}")
-        used_sources: set[Port] = set()
-        used_sinks: set[Port] = set()
+    def _validate(self) -> WiringRules:
+        rules = WiringRules()
+        for b in self.blocks:
+            rules.declare(b.id, b.kind)
         for src, dst in self.connections:
-            self._check_port(src, "out")
-            self._check_port(dst, "in")
-            if src in used_sources:
-                raise TopologyError(f"output port {src} used in two connections")
-            if dst in used_sinks:
-                raise TopologyError(f"input port {dst} driven twice")
-            used_sources.add(src)
-            used_sinks.add(dst)
-        for name, port in self.inputs.items():
-            self._check_port(port, "in")
-            if port in used_sinks:
-                raise TopologyError(f"external input {name!r} collides with {port}")
-            used_sinks.add(port)
-        for name, port in self.outputs.items():
-            self._check_port(port, "out")
-            if port in used_sources:
-                raise TopologyError(f"external output {name!r} collides with {port}")
-            used_sources.add(port)
+            rules.claim(rules.port(src, "out"), rules.port(dst, "in"))
+        for port in self.inputs.values():
+            rules.claim(rules.port(port, "in"))
+        for port in self.outputs.values():
+            rules.claim(rules.port(port, "out"))
         for b in self.blocks:
             for o in BLOCK_KINDS[b.kind].outputs:
-                if Port(b.id, o) not in used_sources:
+                if Port(b.id, o) not in rules.claimed:
                     raise TopologyError(f"dangling output port {b.id}.{o}")
+        return rules
 
     def _topological_order(self) -> tuple[str, ...]:
         """Block ids in evaluation order.  The same walk marks the blocks

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .blocks import BLOCK_KINDS
-from .circuit import BlockInstance, CircuitGraph, Port
-from .errors import ConfigurationError, ShaperError
+from .circuit import BlockInstance, CircuitGraph, Port, WiringRules
+from .errors import ConfigurationError, ShaperError, TopologyError
 
 
 @dataclass(frozen=True)
@@ -160,10 +160,7 @@ class _Parser:
     def __init__(self):
         self.doc = NetlistDocument()
         self.errors: list[ParseError] = []
-        self.kinds: dict[str, str] = {}      # id -> kind (even if params bad)
-        self.decl_lines: dict[str, int] = {}
-        self.used_sources: dict[Port, int] = {}
-        self.used_sinks: dict[Port, int] = {}
+        self.wiring = WiringRules()
 
     def err(self, line: int, col: int, message: str, token: str = "") -> None:
         self.errors.append(ParseError(line, col, message, token))
@@ -175,37 +172,38 @@ class _Parser:
         if version != "1":
             self.err(ln, col, "only 'format 1' is supported", version)
 
-    def _parse_port(self, ln, tok, col, direction) -> Port | None:
-        if "." not in tok:
-            self.err(ln, col, "expected <block>.<port>", tok)
+    def _wire(self, ln, named) -> list[Port] | None:
+        """The ports that ``((token, column), direction)`` pairs name,
+        claimed; None after reporting each bad one, or the first reused."""
+        ports: dict[Port, int] = {}
+        for (tok, col), direction in named:
+            bid, dot, pname = tok.partition(".")
+            if not dot:
+                self.err(ln, col, "expected <block>.<port>", tok)
+                continue
+            try:
+                ports[self.wiring.port(Port(bid, pname), direction)] = col
+            except TopologyError as exc:
+                self.err(ln, col, str(exc), tok)
+        if len(ports) < len(named):
             return None
-        bid, pname = tok.split(".", 1)
-        kind = self.kinds.get(bid)
-        if kind is None:
-            self.err(ln, col, f"unknown block id {bid!r}", tok)
+        try:
+            self.wiring.claim(*ports, where=f" on line {ln}")
+        except TopologyError as exc:
+            self.err(ln, next(c for p, c in ports.items()
+                              if p in self.wiring.claimed), str(exc))
             return None
-        spec = BLOCK_KINDS[kind]
-        names = spec.inputs if direction == "in" else spec.outputs
-        if pname not in names:
-            self.err(ln, col,
-                     f"kind {kind} has no {direction}put port {pname!r} "
-                     f"(expected one of {', '.join(names)})", tok)
-            return None
-        return Port(bid, pname)
+        return list(ports)
 
     def stmt_block(self, ln, toks):
         (bid, bcol), (kind, kcol) = toks[1], toks[2]
-        if bid in self.kinds:
-            self.err(ln, bcol,
-                     f"duplicate block id {bid!r} (first declared on line "
-                     f"{self.decl_lines[bid]})", bid)
+        try:
+            spec = self.wiring.declare(bid, kind,
+                                       f" (first declared on line {ln})")
+        except ShaperError as exc:   # a duplicate id, else an unknown kind
+            dup = isinstance(exc, TopologyError)
+            self.err(ln, bcol if dup else kcol, str(exc), bid if dup else kind)
             return
-        spec = BLOCK_KINDS.get(kind)
-        if spec is None:
-            self.err(ln, kcol, f"unknown block kind {kind!r}", kind)
-            return
-        self.kinds[bid] = kind
-        self.decl_lines[bid] = ln
         values, bad = parse_params(kind, [tok for tok, _ in toks[3:]])
         for e in bad:
             self.err(ln, toks[3 + e.index][1], e.message, e.token)
@@ -222,38 +220,18 @@ class _Parser:
         self.doc.blocks.append(block)
 
     def stmt_connect(self, ln, toks):
-        src = self._parse_port(ln, toks[1][0], toks[1][1], "out")
-        dst = self._parse_port(ln, toks[2][0], toks[2][1], "in")
-        if src is None or dst is None:
-            return
-        if src in self.used_sources:
-            self.err(ln, toks[1][1],
-                     f"output {src} already used on line {self.used_sources[src]}")
-            return
-        if dst in self.used_sinks:
-            self.err(ln, toks[2][1],
-                     f"input {dst} already driven on line {self.used_sinks[dst]}")
-            return
-        self.used_sources[src] = ln
-        self.used_sinks[dst] = ln
-        self.doc.connections.append((src, dst))
+        ports = self._wire(ln, [(toks[1], "out"), (toks[2], "in")])
+        if ports:
+            self.doc.connections.append(tuple(ports))
 
     def stmt_io(self, ln, toks):
-        kw, name = toks[0][0], toks[1][0]
-        direction = "in" if kw == "input" else "out"
-        table = self.doc.inputs if direction == "in" else self.doc.outputs
+        kw, (name, col) = toks[0][0], toks[1]
+        table = self.doc.inputs if kw == "input" else self.doc.outputs
         if name in table:
-            self.err(ln, toks[1][1], f"duplicate {kw} name {name!r}", name)
-            return
-        port = self._parse_port(ln, toks[2][0], toks[2][1], direction)
-        if port is None:
-            return
-        used = self.used_sinks if direction == "in" else self.used_sources
-        if port in used:
-            self.err(ln, toks[2][1], f"port {port} already used on line {used[port]}")
-            return
-        used[port] = ln
-        table[name] = port
+            self.err(ln, col, f"duplicate {kw} name {name!r}", name)
+        elif ports := self._wire(
+                ln, [(toks[2], "in" if kw == "input" else "out")]):
+            table[name] = ports[0]
 
 
 #: netlist statement -> its arguments, as the usage message shows them

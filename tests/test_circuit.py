@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 
@@ -13,6 +14,7 @@ from rfshaper.circuit import BlockInstance, CircuitGraph, Port, bind, evaluate
 from rfshaper.errors import (ConfigurationError, ShaperError, SingularityError,
                              TopologyError)
 from rfshaper.experiments import _notch_shaper
+from rfshaper.netlist import NetlistDocument, document_to_text, parse_netlist
 from rfshaper.topologies import DeinterleaverSpec, build_deinterleaver
 from rfshaper.tuner import (Objective, OptimizerConfig, optimize,
                             synthesize_cancellation_settings)
@@ -145,6 +147,63 @@ def test_duplicate_ids_rejected():
     a = BlockInstance("a", "phase_shifter", PhaseShifterState(0.0))
     with pytest.raises(TopologyError, match="duplicate"):
         CircuitGraph((a, a), (), inputs={}, outputs={})
+
+
+def _shifter(block_id):
+    return BlockInstance(block_id, "phase_shifter", PhaseShifterState(0.0))
+
+
+A, B, C = map(_shifter, "abc")
+OUT = {"o": Port("c", "out")}
+
+#: one mistake per wiring rule -> (blocks, connections, inputs, outputs,
+#: the graph's message)
+WIRING_MISTAKES = {
+    "duplicate_id": (
+        (A, _shifter("a")), (), {}, {"o": Port("a", "out")},
+        "duplicate block id 'a'"),
+    "unknown_id": (
+        (A,), ((Port("a", "out"), Port("q", "in")),), {}, {},
+        "unknown block id 'q'"),
+    "wrong_direction": (
+        (A,), (), {"i": Port("a", "out")}, {"o": Port("a", "out")},
+        "kind phase_shifter has no input port 'out' (expected one of in)"),
+    "reused_output": (
+        (A, B, C), ((Port("a", "out"), Port("b", "in")),
+                    (Port("a", "out"), Port("c", "in"))), {}, OUT,
+        "port a.out already used"),
+    "reused_input": (
+        (A, B, C), ((Port("a", "out"), Port("c", "in")),
+                    (Port("b", "out"), Port("c", "in"))), {}, OUT,
+        "port c.in already used"),
+    "external_port_reused": (
+        (A, C), ((Port("a", "out"), Port("c", "in")),),
+        {"i": Port("a", "in"), "j": Port("c", "in")}, OUT,
+        "port c.in already used"),
+}
+
+
+@pytest.mark.parametrize("mistake", sorted(WIRING_MISTAKES))
+def test_graph_wiring_mistake_is_named(mistake):
+    *wiring, message = WIRING_MISTAKES[mistake]
+    with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+        CircuitGraph(*wiring)
+
+
+@pytest.mark.parametrize("mistake", sorted(WIRING_MISTAKES))
+def test_wiring_mistake_gets_one_message_from_graph_and_netlist(mistake):
+    # the netlist of the same blocks, connections and external ports
+    # reports the graph's message, followed by where the id or port was
+    # first used
+    blocks, connections, inputs, outputs, _ = WIRING_MISTAKES[mistake]
+    with pytest.raises(TopologyError) as exc:
+        CircuitGraph(blocks, connections, inputs, outputs)
+    _, errors = parse_netlist(document_to_text(NetlistDocument(
+        list(blocks), list(connections), inputs, outputs)))
+    [error] = errors
+    assert re.fullmatch(re.escape(str(exc.value))
+                        + r"( on line \d+| \(first declared on line \d+\))?",
+                        error.message)
 
 
 def test_unreachable_output_rejected():

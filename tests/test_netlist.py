@@ -439,3 +439,33 @@ def test_duplicate_id_is_reported_before_unknown_kind():
     text = "block a coupler_3db\nblock a resistor\n"
     assert _errors(text) == [
         (2, 7, "duplicate block id 'a' (first declared on line 1)")]
+
+
+#: one mistake per wiring rule -> (netlist, line, column, message)
+NETLIST_MISTAKES = {
+    "duplicate_id": (
+        "block a phase_shifter phase_rad=0\nblock a coupler_3db\n", 2, 7,
+        "duplicate block id 'a' (first declared on line 1)"),
+    "unknown_id": (WIRED + "output o q.out\n", 5, 10, "unknown block id 'q'"),
+    "wrong_direction": (
+        WIRED + "connect c.in1 a.in\n", 5, 9,
+        "kind coupler_3db has no output port 'in1' "
+        "(expected one of out0, out1)"),
+    "reused_output": (
+        WIRED + "connect a.out c.in1\n", 5, 9,
+        "port a.out already used on line 4"),
+    "reused_input": (
+        WIRED + "connect c.out0 c.in0\n", 5, 16,
+        "port c.in0 already used on line 4"),
+    "external_input_reused": (
+        WIRED + "input x c.in0\n", 5, 9, "port c.in0 already used on line 4"),
+    "external_output_reused": (
+        WIRED + "output x c.out1\noutput y c.out1\n", 6, 10,
+        "port c.out1 already used on line 5"),
+}
+
+
+@pytest.mark.parametrize("mistake", sorted(NETLIST_MISTAKES))
+def test_netlist_wiring_mistake_is_named(mistake):
+    text, line, column, message = NETLIST_MISTAKES[mistake]
+    assert _errors(text) == [(line, column, message)]
