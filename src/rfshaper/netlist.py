@@ -200,7 +200,7 @@ class _Parser:
         try:
             spec = self.wiring.declare(bid, kind,
                                        f" (first declared on line {ln})")
-        except ShaperError as exc:   # a duplicate id, else an unknown kind
+        except (TopologyError, ConfigurationError) as exc:
             dup = isinstance(exc, TopologyError)
             self.err(ln, bcol if dup else kcol, str(exc), bid if dup else kind)
             return

@@ -441,16 +441,9 @@ def test_duplicate_id_is_reported_before_unknown_kind():
         (2, 7, "duplicate block id 'a' (first declared on line 1)")]
 
 
-#: one mistake per wiring rule -> (netlist, line, column, message)
-NETLIST_MISTAKES = {
-    "duplicate_id": (
-        "block a phase_shifter phase_rad=0\nblock a coupler_3db\n", 2, 7,
-        "duplicate block id 'a' (first declared on line 1)"),
-    "unknown_id": (WIRED + "output o q.out\n", 5, 10, "unknown block id 'q'"),
-    "wrong_direction": (
-        WIRED + "connect c.in1 a.in\n", 5, 9,
-        "kind coupler_3db has no output port 'in1' "
-        "(expected one of out0, out1)"),
+#: each way to use a port twice -> (netlist, line, column, message); the
+#: other wiring mistakes are in test_wiring_errors_point_at_their_token
+PORT_REUSES = {
     "reused_output": (
         WIRED + "connect a.out c.in1\n", 5, 9,
         "port a.out already used on line 4"),
@@ -465,7 +458,7 @@ NETLIST_MISTAKES = {
 }
 
 
-@pytest.mark.parametrize("mistake", sorted(NETLIST_MISTAKES))
-def test_netlist_wiring_mistake_is_named(mistake):
-    text, line, column, message = NETLIST_MISTAKES[mistake]
+@pytest.mark.parametrize("reuse", sorted(PORT_REUSES))
+def test_port_reuse_message_names_the_first_use(reuse):
+    text, line, column, message = PORT_REUSES[reuse]
     assert _errors(text) == [(line, column, message)]
