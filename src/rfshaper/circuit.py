@@ -18,7 +18,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .blocks import BLOCK_KINDS, FrequencyGrid
-from .errors import ConfigurationError, TopologyError
+from .errors import ConfigurationError, ShaperError, TopologyError
 
 
 class Port(NamedTuple):
@@ -244,16 +244,18 @@ def bind(graph: CircuitGraph, grid: FrequencyGrid,
     """Evaluate ``graph`` over ``grid`` as a function of heater settings
     ``{"<block id>.<heater>": phase}``.
 
-    The bound set is every heater the calls have named so far.  The first
-    call, and a call naming a heater outside the set, propagate a unit
-    field from one external input through every block that no bound
-    heater reaches and keep those fields as read-only arrays.  Each call
-    recomputes only the blocks downstream of a bound heater (one it
-    leaves out keeps the graph's phase) with the arithmetic of a full
-    pass, so its fields equal ``evaluate(graph.with_heaters(settings),
-    grid)`` bit for bit; output arrays that no bound heater reaches are
-    the shared read-only ones.  The binding is one tuple, replaced whole
-    and read once per call, so concurrent calls each see a consistent one.
+    ``bind`` propagates a unit field from one external input through the
+    graph once and keeps the plan of that pass (each block with its input
+    keys, output keys and rows) and its fields as read-only arrays.  A
+    block whose rows raise a ``ShaperError`` keeps no rows, and neither it
+    nor anything it feeds keeps a field: a call that retunes it may
+    succeed, and a call that does not raises that error.  Each call
+    recomputes the rows of the blocks its heaters change and re-mixes
+    those blocks and everything downstream of them with the arithmetic of
+    a full pass, so its fields equal ``evaluate(graph.with_heaters(
+    settings), grid)`` bit for bit; every other output array is a shared
+    read-only one.  Nothing changes after ``bind`` returns, so concurrent
+    calls need no locking.
     """
     if not graph.inputs:
         raise TopologyError("graph declares no external inputs")
@@ -273,55 +275,38 @@ def bind(graph: CircuitGraph, grid: FrequencyGrid,
     start = graph.inputs[input_name]
     source = {dst: src for src, dst in graph.connections}
     source[start] = start
-
-    def propagate(names: frozenset[str]):
-        """``(names, fields, live)``: the read-only fields of every block
-        that no heater in ``names`` reaches, and the blocks it reaches as
-        (block, input keys, output keys, the rows of a block without a
-        heater in ``names``)."""
-        tuned = {name.partition(".")[0] for name in names}
-        fields = {None: np.zeros(n, dtype=np.complex128),
-                  start: np.full(n, 1.0 + 0.0j)}
-        live: list[tuple[BlockInstance, list, list, tuple | None]] = []
-        live_keys: set = set()
-        for block_id in graph._order:
-            blk = graph.block(block_id)
-            spec = BLOCK_KINDS[blk.kind]
-            in_keys = [source.get(Port(block_id, name)) for name in spec.inputs]
-            out_keys = [Port(block_id, out) for out in spec.outputs]
-            if block_id in tuned:
-                live.append((blk, in_keys, out_keys, None))
-            elif live_keys.intersection(in_keys):
-                live.append((blk, in_keys, out_keys,
-                             spec.response(blk.params, offsets)))
-            else:
-                fields.update(zip(out_keys, _mix(
-                    spec.response(blk.params, offsets),
-                    [fields[k] for k in in_keys])))
-                continue
-            live_keys.update(out_keys)
-        for f in fields.values():
-            f.flags.writeable = False
-        return names, fields, live
-
-    binding = None
+    fields = {None: np.zeros(n, dtype=np.complex128),
+              start: np.full(n, 1.0 + 0.0j)}
+    plan: list[tuple[BlockInstance, list, list, tuple | None]] = []
+    for block_id in graph._order:
+        blk = graph.block(block_id)
+        spec = BLOCK_KINDS[blk.kind]
+        in_keys = [source.get(Port(block_id, name)) for name in spec.inputs]
+        out_keys = [Port(block_id, out) for out in spec.outputs]
+        try:
+            rows = spec.response(blk.params, offsets)
+        except ShaperError:
+            rows = None             # a call raises it unless it retunes blk
+        if rows is not None and all(k in fields for k in in_keys):
+            fields.update(zip(out_keys, _mix(rows, [fields[k] for k in in_keys])))
+        plan.append((blk, in_keys, out_keys, rows))
+    for f in fields.values():
+        f.flags.writeable = False
 
     def evaluate_bound(heaters: Mapping[str, float] | None = None
                        ) -> CircuitResponse:
-        nonlocal binding
-        heaters = heaters or {}
-        changed = graph._blocks_with_heaters(heaters)
-        current = binding
-        if current is None or not current[0].issuperset(heaters):
-            current = binding = propagate(frozenset(heaters).union(
-                current[0] if current else ()))
-        _, fields, live = current
+        changed = graph._blocks_with_heaters(heaters or {})
         out = dict(fields)
-        for blk, in_keys, out_keys, rows in live:
-            if rows is None:
+        fresh: set = set()
+        for blk, in_keys, out_keys, rows in plan:
+            if (blk.id not in changed and out_keys[0] in fields
+                    and fresh.isdisjoint(in_keys)):
+                continue
+            if blk.id in changed or rows is None:
                 blk = changed.get(blk.id, blk)
                 rows = BLOCK_KINDS[blk.kind].response(blk.params, offsets)
             out.update(zip(out_keys, _mix(rows, [out[k] for k in in_keys])))
+            fresh.update(out_keys)
         return CircuitResponse(grid, {name: out[port] for name, port
                                       in graph.outputs.items()})
     return evaluate_bound

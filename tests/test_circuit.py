@@ -354,9 +354,8 @@ def fields_or_error(fn):
 def test_bind_equals_evaluate_of_rebuilt_graph(name, data):
     graph = BIND_GRAPHS[name]
     evaluate_at = bind(graph, GRID)
-    # each call names its own heaters, so the bound set grows while the
-    # named sets grow and shrink; a bound heater that a call leaves out
-    # keeps the graph's phase
+    # each call names its own heaters; a heater that a call leaves out
+    # keeps the graph's phase, whatever an earlier call set it to
     calls = data.draw(st.lists(st.dictionaries(
         st.sampled_from(graph.heater_names()), st.floats(-10.0, 10.0)),
         min_size=1, max_size=4), label="calls")
@@ -389,7 +388,8 @@ def test_bind_rejects_unknown_heaters():
 def test_bind_concurrent_calls_see_a_consistent_binding():
     graph = BIND_GRAPHS["notch_shaper"]
     evaluate_at = bind(graph, GRID)
-    # one heater per call, so the bound set grows while the threads run
+    # one heater per call, so each call re-mixes a different part of the
+    # shared bound fields while the threads run
     calls = [{name: 1.0} for name in graph.heater_names()]
     want = [evaluate(graph.with_heaters(h), GRID).fields for h in calls]
     wrong = []
@@ -413,6 +413,22 @@ def test_bind_concurrent_calls_see_a_consistent_binding():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not wrong
+
+
+def test_bind_defers_a_block_error_to_the_calls_that_keep_it():
+    # a lossless uncoupled ring on resonance: its own rows raise, but a
+    # call that couples it in evaluates
+    ring = BlockInstance("r", "ring_allpass", RingParams(50.0, 0.0))
+    graph = CircuitGraph((ring,), (), {"in": Port("r", "in")},
+                         {"out": Port("r", "out")})
+    grid = FrequencyGrid(193.4, np.array([-1.0, 0.0, 1.0]))
+    evaluate_at = bind(graph, grid)
+    heaters = {"r.coupling": 1.0}
+    got = evaluate_at(heaters).port("out")
+    assert np.array_equal(
+        got, evaluate(graph.with_heaters(heaters), grid).port("out"))
+    with pytest.raises(SingularityError, match="on resonance"):
+        evaluate_at({})
 
 
 def test_bind_constant_outputs_are_read_only():

@@ -15,6 +15,7 @@ from rfshaper.constants import (DEFAULT_CARRIER_THZ,
 from rfshaper.errors import ConfigurationError, DomainError
 from rfshaper.rflink import (LinkConfig, ModulationFormat, bind_tones,
                              detector, rf_transmission_sweep)
+from rfshaper.topologies import build_shaper
 
 from tests.reference import time_domain_oracle
 
@@ -210,6 +211,20 @@ def test_bind_tones_reads_the_mirrored_grid():
     assert np.array_equal(h_minus, h[[2, 1, 0]])     # in the order of fs
     assert isinstance(h_zero, np.complex128) and h_zero == h[3]
     assert np.array_equal(h_plus, h[4:])
+
+
+def test_bind_tones_overflow_names_the_same_block_for_any_heaters():
+    graph = build_shaper()
+    tones = bind_tones(LinkConfig(ModulationFormat(), graph),
+                       np.array([1e308]))
+    messages = []
+    for heaters in ({}, {"ps_bar.phase": 0.0}, graph.heater_values()):
+        with pytest.raises(DomainError) as err:
+            tones(heaters)
+        messages.append(str(err.value))
+    assert len(graph.heater_values()) == 16
+    assert "fsr 30 GHz" in messages[0]
+    assert messages == [messages[0]] * 3
 
 
 def test_sweep_deterministic():
