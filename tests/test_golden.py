@@ -475,7 +475,7 @@ ERROR_CASES = {
              "--rf-freq", "1e308", "--max-evals", "40", "--restarts", "1",
              "--out", "t.nl"], 4,
         "error: phase 2*pi*(f - detune)/fsr overflows at offset -1e+308 GHz "
-        "(detune 0 GHz, fsr 60 GHz)\n"),
+        "(detune 0 GHz, fsr 30 GHz)\n"),
     "optimize_passband_too_many_points": (
         {}, OPTIMIZE_ERROR + ["--passband", "3:1e308"], 4,
         "error: sweep 3:1e+308:0.25 gives inf points, more than the limit "
