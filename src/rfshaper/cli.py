@@ -129,8 +129,14 @@ def cmd_experiment(args) -> int:
     if errors:
         raise _ParseFailure(errors)
     seed = args.seed if args.seed is not None else cfg.seed
-    result = run_experiment(cfg.experiment, cfg.overrides(), seed=seed)
     outdir = Path(args.out_dir or cfg.outdir or ".")
+    # fail before the preset runs where a file stands in the way, but make
+    # no directory until the preset has succeeded
+    existing = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not existing.is_dir():
+        raise OSError(f"cannot create output directory {outdir}: "
+                      f"{existing} is not a directory")
+    result = run_experiment(cfg.experiment, cfg.overrides(), seed=seed)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -194,7 +200,11 @@ def cmd_optimize(args) -> int:
     for name in sorted(result.best):
         summary[f"heater.{name}"] = result.best[name]
     if args.summary:
-        write_summary(summary, args.summary)
+        try:
+            write_summary(summary, args.summary)
+        except OSError:
+            Path(args.out).unlink(missing_ok=True)   # a failed run writes nothing
+            raise
     for key, value in summary.items():
         print(key, format_summary_value(value))
     return EXIT_OK

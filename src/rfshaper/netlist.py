@@ -288,16 +288,18 @@ class ExperimentConfig:
     """Settings resolved from an experiment config file."""
 
     experiment: str
-    sweep: tuple[float, float, float] | None = None
     heaters: dict[str, float] = field(default_factory=dict)
     options: dict[str, object] = field(default_factory=dict)
     seed: int = 0
     outdir: str | None = None
 
+    @property
+    def sweep(self):
+        """The ``sweep`` option, which ``sweep`` and ``set sweep`` both give."""
+        return self.options.get("sweep")
+
     def overrides(self) -> dict[str, object]:
         out: dict[str, object] = dict(self.options)
-        if self.sweep is not None:
-            out["sweep"] = self.sweep
         if self.heaters:
             out["heaters"] = dict(self.heaters)
         return out
@@ -321,21 +323,30 @@ def load_experiment_config(text: str) -> tuple[ExperimentConfig | None,
     Statements: ``experiment <name>``, ``sweep <lo> <hi> <step>``,
     ``heater <name> <value>``, ``seed <int>``, ``outdir <path>``,
     ``set <key> <value>`` for preset options (comma lists allowed).
+    Each setting may be given once; ``sweep`` sets the ``sweep`` option.
     """
     errors: list[ParseError] = []
-    name: str | None = None
     cfg = ExperimentConfig("")
+    seen: set[str] = set()
     for ln, toks in _statements(text, _CONFIG_USAGE, errors):
         kw, col = toks[0]
+        # what the statement sets, and the token a repeat is reported at
+        if kw == "sweep":
+            what, at = "option 'sweep'", toks[0]
+        elif kw in ("heater", "set"):
+            what = f"{'option' if kw == 'set' else kw} {toks[1][0]!r}"
+            at = toks[1]
+        else:
+            what, at = kw, toks[1]
+        if what in seen:
+            errors.append(ParseError(ln, at[1], f"{what} given twice", at[0]))
+            continue
+        seen.add(what)
         if kw == "experiment":
-            if name is not None:
-                errors.append(ParseError(ln, toks[1][1],
-                                         "experiment given twice", toks[1][0]))
-            else:
-                name = toks[1][0]
+            cfg.experiment = toks[1][0]
         elif kw == "sweep":
             try:
-                cfg.sweep = tuple(parse_number(t) for t, _ in toks[1:])
+                cfg.options["sweep"] = tuple(parse_number(t) for t, _ in toks[1:])
             except ValueError:
                 errors.append(ParseError(ln, col, "invalid sweep numbers"))
         elif kw == "heater":
@@ -361,8 +372,7 @@ def load_experiment_config(text: str) -> tuple[ExperimentConfig | None,
                     cfg.options[key] = parse_number(val)
             except ValueError:
                 errors.append(ParseError(ln, toks[2][1], "invalid number", val))
-    if name is None:
+    if "experiment" not in seen:
         errors.append(ParseError(1, 1, "missing required 'experiment' statement"))
         return None, errors
-    cfg.experiment = name
     return (cfg if not errors else None), errors

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rfshaper import cli
 from rfshaper.cli import main
 from rfshaper.metrics import extinction_db
 from rfshaper.netlist import parse_netlist
@@ -127,6 +128,7 @@ def test_optimize_unwritable_summary_names_the_summary(tmp_path, capsys):
                 "--summary", str(dest)]) == 4
     assert capsys.readouterr().err.startswith(
         f"error: cannot write summary to {dest}: ")
+    assert not (tmp_path / "t.nl").exists()
 
 
 def test_experiment_out_dir_that_is_a_file_exit_4(tmp_path, capsys):
@@ -136,6 +138,29 @@ def test_experiment_out_dir_that_is_a_file_exit_4(tmp_path, capsys):
     assert run(["experiment", str(cfg), "--out-dir", str(afile)]) == 4
     assert capsys.readouterr().err.startswith(
         f"error: cannot create output directory {afile}: ")
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_experiment_out_dir_blocked_by_a_file_fails_before_the_preset(
+        tmp_path, capsys, monkeypatch, under):
+    def never(*args, **kwargs):
+        raise AssertionError("the preset ran")
+    monkeypatch.setattr(cli, "run_experiment", never)
+    cfg, afile = tmp_path / "exp.cfg", tmp_path / "afile"
+    cfg.write_text("experiment ssb_notch\nsweep 8 12 0.5\n")
+    afile.write_text("")
+    outdir = afile / under if under else afile
+    assert run(["experiment", str(cfg), "--out-dir", str(outdir)]) == 4
+    assert capsys.readouterr().err == (
+        f"error: cannot create output directory {outdir}: "
+        f"{afile} is not a directory\n")
+
+
+def test_experiment_failed_preset_makes_no_out_dir(tmp_path, capsys):
+    cfg, outdir = tmp_path / "exp.cfg", tmp_path / "new" / "dir"
+    cfg.write_text("experiment ssb_notch\nsweep 8 12 -0.5\n")
+    assert run(["experiment", str(cfg), "--out-dir", str(outdir)]) != 0
+    assert not (tmp_path / "new").exists()
 
 
 def test_sweep_missing_file_exit_4(tmp_path):

@@ -385,6 +385,22 @@ ERROR_CASES = {
         "error: line 10, col 1: expected: set <key> <value>\n"
         "error: line 11, col 17: invalid number near '8,,16'\n"
         "error: line 12, col 1: unknown statement 'frob' near 'frob'\n"),
+    "experiment_config_sweep_given_twice": (
+        {"e.cfg": "experiment ssb_notch\nsweep 8 12 0.5\n"
+                  "set sweep 2,28,0.01\nsweep 8 12 0.5\n"},
+        ["experiment", "e.cfg", "--out-dir", "out"], 3,
+        "error: line 3, col 5: option 'sweep' given twice near 'sweep'\n"
+        "error: line 4, col 1: option 'sweep' given twice near 'sweep'\n"),
+    "experiment_config_settings_given_twice": (
+        {"e.cfg": "experiment ssb_notch\nseed 1\nseed 2\noutdir a\n"
+                  "outdir b\nset notch_freq_ghz 10\nset notch_freq_ghz 11\n"
+                  "heater ps.phase 1\nheater ps.phase 2\nheater tc.phase 1\n"},
+        ["experiment", "e.cfg", "--out-dir", "out"], 3,
+        "error: line 3, col 6: seed given twice near '2'\n"
+        "error: line 5, col 8: outdir given twice near 'b'\n"
+        "error: line 7, col 5: option 'notch_freq_ghz' given twice "
+        "near 'notch_freq_ghz'\n"
+        "error: line 9, col 8: heater 'ps.phase' given twice near 'ps.phase'\n"),
     "optimize_stopband_three_parts": (
         {}, OPTIMIZE_ERROR + ["--stopband", "1:2:3"], 3,
         "error: expected lo:hi, got '1:2:3'\n"),
