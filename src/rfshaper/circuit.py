@@ -246,16 +246,15 @@ def bind(graph: CircuitGraph, grid: FrequencyGrid,
 
     ``bind`` propagates a unit field from one external input through the
     graph once and keeps the plan of that pass (each block with its input
-    keys, output keys and rows) and its fields as read-only arrays.  A
-    block whose rows raise a ``ShaperError`` keeps no rows, and neither it
-    nor anything it feeds keeps a field: a call that retunes it may
-    succeed, and a call that does not raises that error.  Each call
-    recomputes the rows of the blocks its heaters change and re-mixes
-    those blocks and everything downstream of them with the arithmetic of
-    a full pass, so its fields equal ``evaluate(graph.with_heaters(
-    settings), grid)`` bit for bit; every other output array is a shared
-    read-only one.  Nothing changes after ``bind`` returns, so concurrent
-    calls need no locking.
+    keys, output keys and, for a block without heaters, its rows) and its
+    fields as read-only arrays.  A block whose rows raise a
+    ``ShaperError`` keeps no field, and neither does anything it feeds: a
+    call that retunes it may succeed, and a call that does not raises
+    that error.  Each call re-mixes the blocks its heaters change and
+    everything downstream of them with the arithmetic of a full pass, so
+    its fields equal ``evaluate(graph.with_heaters(settings), grid)`` bit
+    for bit; every other output array is a shared read-only one.  Nothing
+    changes after ``bind`` returns, so concurrent calls need no locking.
     """
     if not graph.inputs:
         raise TopologyError("graph declares no external inputs")
@@ -289,7 +288,9 @@ def bind(graph: CircuitGraph, grid: FrequencyGrid,
             rows = None             # a call raises it unless it retunes blk
         if rows is not None and all(k in fields for k in in_keys):
             fields.update(zip(out_keys, _mix(rows, [fields[k] for k in in_keys])))
-        plan.append((blk, in_keys, out_keys, rows))
+        # a call recomputes the rows of a block with heaters, so only those
+        # of a block without any are worth their memory
+        plan.append((blk, in_keys, out_keys, None if spec.heaters else rows))
     for f in fields.values():
         f.flags.writeable = False
 
@@ -302,7 +303,7 @@ def bind(graph: CircuitGraph, grid: FrequencyGrid,
             if (blk.id not in changed and out_keys[0] in fields
                     and fresh.isdisjoint(in_keys)):
                 continue
-            if blk.id in changed or rows is None:
+            if rows is None:
                 blk = changed.get(blk.id, blk)
                 rows = BLOCK_KINDS[blk.kind].response(blk.params, offsets)
             out.update(zip(out_keys, _mix(rows, [out[k] for k in in_keys])))

@@ -333,9 +333,10 @@ def load_experiment_config(text: str) -> tuple[ExperimentConfig | None,
         # what the statement sets, and the token a repeat is reported at
         if kw == "sweep":
             what, at = "option 'sweep'", toks[0]
-        elif kw in ("heater", "set"):
-            what = f"{'option' if kw == 'set' else kw} {toks[1][0]!r}"
-            at = toks[1]
+        elif kw == "set":
+            what, at = f"option {toks[1][0]!r}", toks[1]
+        elif kw == "heater":
+            what, at = f"heater {toks[1][0]!r}", toks[1]
         else:
             what, at = kw, toks[1]
         if what in seen:
