@@ -18,13 +18,13 @@ import sys
 from pathlib import Path
 
 from .blocks import BLOCK_KINDS, FrequencyGrid, h_tunable_coupler
-from .circuit import BlockInstance, CircuitGraph, Port, evaluate
+from .circuit import CircuitGraph, Port, evaluate
 from .csvout import (format_summary_value, write_optical_csv, write_rf_csv,
                      write_summary, write_table_csv)
 from .errors import ConfigurationError, ShaperError, TopologyError
 from .experiments import run_experiment
-from .netlist import (document_to_text, load_experiment_config, missing_keys,
-                      parse_netlist, parse_numbers, parse_params)
+from .netlist import (document_to_text, load_experiment_config, make_block,
+                      parse_netlist, parse_numbers)
 from .topologies import DeinterleaverSpec, build_deinterleaver, build_shaper
 from .tuner import OBJECTIVE_KINDS, Objective, OptimizerConfig, optimize
 
@@ -69,32 +69,14 @@ def _load_graph(path: str) -> CircuitGraph:
     return doc.to_graph()
 
 
-def _single_block_graph(kind: str, kv: dict[str, float]) -> CircuitGraph:
-    spec = BLOCK_KINDS[kind]
-    try:
-        block = BlockInstance("b", kind, spec.make_params(kv))
-    except ShaperError as exc:
-        raise _ParseFailure([exc])
-    outputs = {name: Port("b", p)
-               for name, p in zip(spec.cli_ports, spec.outputs)}
-    return CircuitGraph((block,), (), {"in": Port("b", spec.inputs[0])},
-                        outputs)
-
-
 def cmd_block(args) -> int:
-    if args.phase_sweep and args.kind != "tunable_coupler":
-        raise ConfigurationError("--phase-sweep only applies to tunable_coupler")
-    kv, bad = parse_params(args.kind, args.params)
-    errors = [f"invalid number in {args.params[e.index]!r}" if e.key else
-              f"bad parameter {args.params[e.index]!r} for kind {args.kind}"
-              for e in bad]
-    if not args.phase_sweep:
-        errors += [f"kind {args.kind} requires {key}"
-                   for key in missing_keys(args.kind, kv, bad)]
-    if errors:
-        raise _ParseFailure(errors)
-
     if args.phase_sweep:
+        if args.kind != "tunable_coupler":
+            raise ConfigurationError(
+                "--phase-sweep only applies to tunable_coupler")
+        if args.params:
+            raise ConfigurationError(
+                "--phase-sweep takes no key=value parameters")
         rows = []
         for phi in _parse_range(args.phase_sweep).offsets_ghz:
             (bar, _), (cross, _) = h_tunable_coupler(float(phi))
@@ -105,11 +87,16 @@ def cmd_block(args) -> int:
                          "bar_phase_rad", "cross_phase_rad"), rows, args.out)
         return EXIT_OK
 
+    block, errors = make_block("b", args.kind, args.params)
+    if errors:
+        raise _ParseFailure(errors)
     if not args.sweep:
         raise ConfigurationError("--sweep lo:hi:step is required")
-    grid = _parse_range(args.sweep)
-    resp = evaluate(_single_block_graph(args.kind, kv), grid)
-    write_optical_csv(resp, args.out)
+    spec = BLOCK_KINDS[args.kind]
+    graph = CircuitGraph((block,), (), {"in": Port("b", spec.inputs[0])},
+                         {name: Port("b", p)
+                          for name, p in zip(spec.cli_ports, spec.outputs)})
+    write_optical_csv(evaluate(graph, _parse_range(args.sweep)), args.out)
     return EXIT_OK
 
 

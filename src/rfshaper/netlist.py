@@ -14,8 +14,8 @@ its id and kind so later statements refer to it without cascading
 errors.  This module is the one reader of user text: netlists and
 experiment configs share :func:`_statements`, which checks each line
 against the format's usage table; ``key=value`` block parameters,
-netlist or ``rfshaper block``, go through :func:`parse_params`; and the
-CLI's colon-separated ranges go through :func:`parse_numbers`.
+netlist or ``rfshaper block``, become a block through :func:`make_block`;
+and the CLI's colon-separated ranges go through :func:`parse_numbers`.
 """
 
 from __future__ import annotations
@@ -110,50 +110,55 @@ def _statements(text: str, usage: dict[str, str],
 
 
 class ParamError(NamedTuple):
-    """A rejected ``key=value`` token: its index among the tokens, the
-    message, the text to quote, and the key if only its value is bad."""
+    """A rejected block parameter: the index of its ``key=value`` token,
+    or None where the block as a whole is at fault (a required key no
+    token names, values the params reject), the message, and the text
+    to quote."""
 
-    index: int
+    index: int | None
     message: str
     token: str
-    key: str | None = None
+
+    def __str__(self) -> str:
+        return f"{self.message} near {self.token!r}"
 
 
-def parse_params(kind: str, tokens) -> tuple[dict[str, float],
-                                             list[ParamError]]:
-    """Values of a block's ``key=value`` tokens, and the tokens rejected.
+def make_block(block_id: str, kind: str, tokens) -> tuple[BlockInstance | None,
+                                                         list[ParamError]]:
+    """The block of ``kind`` that ``key=value`` ``tokens`` describe, or
+    None, and every error.
 
     Each token must be ``key=value`` with a key of ``kind``, given once,
-    and a value that :func:`parse_number` accepts.  Required keys are the
-    caller's to check.
+    and a value that :func:`parse_number` accepts; each required key must
+    be named; and the values must make valid params.  A key counts as
+    named even when its value is rejected, since that error names it.
     """
-    keys = BLOCK_KINDS[kind].keys
+    spec = BLOCK_KINDS[kind]
     values: dict[str, float] = {}
+    named: set[str] = set()
     errors: list[ParamError] = []
-    seen: set[str] = set()
     for i, tok in enumerate(tokens):
         key, eq, val = tok.partition("=")
         if not eq:
             errors.append(ParamError(i, "expected key=value", tok))
-        elif key not in keys:
+        elif key not in spec.keys:
             errors.append(ParamError(i, f"kind {kind} has no key {key!r}", tok))
-        elif key in seen:
+        elif key in named:
             errors.append(ParamError(i, f"key {key!r} given twice", tok))
         else:
-            seen.add(key)
+            named.add(key)
             try:
                 values[key] = parse_number(val)
             except ValueError:
-                errors.append(ParamError(i, f"invalid number for {key!r}", val, key))
-    return values, errors
-
-
-def missing_keys(kind: str, values: dict[str, float],
-                 bad: list[ParamError]) -> list[str]:
-    """Required keys of ``kind`` that no token names; a key given with a
-    bad value is not missing, since its own error names it."""
-    given = set(values).union(e.key for e in bad if e.key)
-    return [key for key in BLOCK_KINDS[kind].required if key not in given]
+                errors.append(ParamError(i, f"invalid number for {key!r}", val))
+    errors += [ParamError(None, f"kind {kind} requires key {key!r}", kind)
+               for key in spec.required if key not in named]
+    if errors:
+        return None, errors
+    try:
+        return BlockInstance(block_id, kind, spec.make_params(values)), []
+    except (ShaperError, ValueError) as exc:
+        return None, [ParamError(None, str(exc), kind)]
 
 
 class _Parser:
@@ -198,26 +203,17 @@ class _Parser:
     def stmt_block(self, ln, toks):
         (bid, bcol), (kind, kcol) = toks[1], toks[2]
         try:
-            spec = self.wiring.declare(bid, kind,
-                                       f" (first declared on line {ln})")
+            self.wiring.declare(bid, kind, f" (first declared on line {ln})")
         except (TopologyError, ConfigurationError) as exc:
             dup = isinstance(exc, TopologyError)
             self.err(ln, bcol if dup else kcol, str(exc), bid if dup else kind)
             return
-        values, bad = parse_params(kind, [tok for tok, _ in toks[3:]])
-        for e in bad:
-            self.err(ln, toks[3 + e.index][1], e.message, e.token)
-        missing = missing_keys(kind, values, bad)
-        for key in missing:
-            self.err(ln, kcol, f"kind {kind} requires key {key!r}", kind)
-        if bad or missing:
-            return
-        try:
-            block = BlockInstance(bid, kind, spec.make_params(values))
-        except (ShaperError, ValueError) as exc:
-            self.err(ln, kcol, str(exc), kind)
-            return
-        self.doc.blocks.append(block)
+        block, errors = make_block(bid, kind, [tok for tok, _ in toks[3:]])
+        for e in errors:
+            col = kcol if e.index is None else toks[3 + e.index][1]
+            self.err(ln, col, e.message, e.token)
+        if block:
+            self.doc.blocks.append(block)
 
     def stmt_connect(self, ln, toks):
         ports = self._wire(ln, [(toks[1], "out"), (toks[2], "in")])
