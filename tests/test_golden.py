@@ -326,23 +326,25 @@ def sweep_range(option: str) -> list[str]:
 ERROR_CASES = {
     "block_unknown_key": (
         {}, block("ring_allpass", "kappa=0.1", "bogus=1", "fsr_ghz=50"), 3,
-        "error: bad parameter 'bogus=1' for kind ring_allpass\n"),
+        "error: kind ring_allpass has no key 'bogus' near 'bogus=1'\n"),
     "block_bad_number": (
         {}, block("ring_allpass", "kappa=abc", "fsr_ghz=50"), 3,
-        "error: invalid number in 'kappa=abc'\n"),
+        "error: invalid number for 'kappa' near 'abc'\n"),
     "block_repeated_key": (
         {}, block("ring_allpass", "kappa=0.1", "kappa=0.2", "fsr_ghz=50"), 3,
-        "error: bad parameter 'kappa=0.2' for kind ring_allpass\n"),
+        "error: key 'kappa' given twice near 'kappa=0.2'\n"),
     "block_nan": (
         {}, block("ring_allpass", "kappa=nan", "fsr_ghz=50"), 3,
-        "error: invalid number in 'kappa=nan'\n"),
+        "error: invalid number for 'kappa' near 'nan'\n"),
     "block_missing_key": (
         {}, block("ring_allpass", "fsr_ghz=50"), 3,
-        "error: kind ring_allpass requires kappa\n"),
+        "error: kind ring_allpass requires key 'kappa' "
+        "near 'ring_allpass'\n"),
     "block_no_equals": (
         {}, block("phase_shifter", "phase_rad"), 3,
-        "error: bad parameter 'phase_rad' for kind phase_shifter\n"
-        "error: kind phase_shifter requires phase_rad\n"),
+        "error: expected key=value near 'phase_rad'\n"
+        "error: kind phase_shifter requires key 'phase_rad' "
+        "near 'phase_shifter'\n"),
     "sweep_netlist_errors": (
         {"bad.nl": BAD_NETLIST},
         ["sweep", "bad.nl", OFFSET_SWEEP, "--out", "x.csv"], 3,
