@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,29 @@ def test_block_heater_power_key_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: kind phase_shifter has no key 'heater_power_mw' "
         "near 'heater_power_mw=1'\n")
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("ring_allpass", ["kappa=0.1", "bogus=1", "fsr_ghz=50"]),
+    ("ring_allpass", ["kappa=abc", "fsr_ghz=50"]),
+    ("ring_allpass", ["kappa=nan", "fsr_ghz=50"]),
+    ("ring_allpass", ["kappa=0.1", "kappa=0.2", "fsr_ghz=50"]),
+    ("phase_shifter", ["phase_rad"]),
+    ("ring_allpass", ["fsr_ghz=50"]),
+    ("ring_adddrop", ["kappa=0.1", "kappa_drop=2", "fsr_ghz=50"]),
+], ids=["unknown_key", "bad_number", "nan", "repeated_key", "no_equals",
+        "missing_key", "out_of_range"])
+def test_block_and_netlist_give_the_same_parameter_messages(
+        tmp_path, capsys, kind, params):
+    nl = tmp_path / "one.nl"
+    nl.write_text(f"block b {kind} {' '.join(params)}\n")
+    assert run(["sweep", str(nl), "--sweep=-1:1:1",
+                "--out", str(tmp_path / "x.csv")]) == 3
+    from_netlist = re.sub(r"line 1, col \d+: ", "", capsys.readouterr().err)
+    assert run(["block", kind, *params, "--sweep=-1:1:1",
+                "--out", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == from_netlist
+    assert [p.name for p in tmp_path.iterdir()] == ["one.nl"]
 
 
 def test_optimize_repeated_heater_exit_3(tmp_path, capsys):

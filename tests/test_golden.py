@@ -345,6 +345,10 @@ ERROR_CASES = {
         "error: expected key=value near 'phase_rad'\n"
         "error: kind phase_shifter requires key 'phase_rad' "
         "near 'phase_shifter'\n"),
+    "block_phase_sweep_with_params": (
+        {}, ["block", "tunable_coupler", "phase_rad=1", "--phase-sweep",
+             "0:1:0.5", "--out", "c.csv"], 3,
+        "error: --phase-sweep takes no key=value parameters\n"),
     "sweep_netlist_errors": (
         {"bad.nl": BAD_NETLIST},
         ["sweep", "bad.nl", OFFSET_SWEEP, "--out", "x.csv"], 3,
