@@ -289,11 +289,6 @@ class ExperimentConfig:
     seed: int = 0
     outdir: str | None = None
 
-    @property
-    def sweep(self):
-        """The ``sweep`` option, which ``sweep`` and ``set sweep`` both give."""
-        return self.options.get("sweep")
-
     def overrides(self) -> dict[str, object]:
         out: dict[str, object] = dict(self.options)
         if self.heaters:

@@ -232,7 +232,7 @@ def test_experiment_config_happy_path():
         "heater ps_bar.phase 1.5708\nseed 3\nset notch_freq_ghz 12\n")
     assert errors == []
     assert cfg.experiment == "cancel_notch"
-    assert cfg.sweep == (1.0, 30.0, 0.01)
+    assert cfg.options["sweep"] == (1.0, 30.0, 0.01)
     assert cfg.heaters == {"ps_bar.phase": 1.5708}
     assert cfg.seed == 3
     assert cfg.overrides()["notch_freq_ghz"] == 12.0
