@@ -107,6 +107,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _require_directory(path: Path, failure: str) -> None:
+    """Raise OSError ``<failure>: <path> is not a directory`` unless
+    ``path`` is an existing directory; checked before the work whose
+    output goes there."""
+    if not path.is_dir():
+        raise OSError(f"{failure}: {path} is not a directory")
+
+
 def cmd_experiment(args) -> int:
     try:
         text = Path(args.config).read_text(encoding="utf-8")
@@ -119,10 +127,8 @@ def cmd_experiment(args) -> int:
     outdir = Path(args.out_dir or cfg.outdir or ".")
     # fail before the preset runs where a file stands in the way, but make
     # no directory until the preset has succeeded
-    existing = next(p for p in (outdir, *outdir.parents) if p.exists())
-    if not existing.is_dir():
-        raise OSError(f"cannot create output directory {outdir}: "
-                      f"{existing} is not a directory")
+    _require_directory(next(p for p in (outdir, *outdir.parents) if p.exists()),
+                       f"cannot create output directory {outdir}")
     result = run_experiment(cfg.experiment, cfg.overrides(), seed=seed)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -169,6 +175,11 @@ def cmd_optimize(args) -> int:
         name: value for name in ("max_evals", "restarts", "seed")
         if (value := getattr(args, name)) is not None})
     heaters = args.heaters.split(",") if args.heaters else None
+    _require_directory(Path(args.out).parent,
+                       f"cannot write netlist {args.out}")
+    if args.summary:
+        _require_directory(Path(args.summary).parent,
+                           f"cannot write summary to {args.summary}")
     result = optimize(graph, objective, config, heater_names=heaters)
     tuned = graph.with_heaters(result.best)
     text = document_to_text(tuned)

@@ -158,6 +158,37 @@ def test_optimize_unwritable_summary_names_the_summary(tmp_path, capsys):
     assert not (tmp_path / "t.nl").exists()
 
 
+@pytest.mark.parametrize("option, what", [("--out", "netlist"),
+                                          ("--summary", "summary to")])
+def test_optimize_missing_output_directory_fails_before_optimizing(
+        tmp_path, capsys, monkeypatch, option, what):
+    def never(*args, **kwargs):
+        raise AssertionError("the optimizer ran")
+    monkeypatch.setattr(cli, "optimize", never)
+    dest = tmp_path / "missing" / "x"
+    paths = {"--out": tmp_path / "t.nl", "--summary": tmp_path / "t.sum",
+             option: dest}
+    assert run(["optimize", "preset:deinterleaver", "--objective",
+                "deinterleaver_extinction",
+                *(str(a) for item in paths.items() for a in item)]) == 4
+    assert capsys.readouterr().err == (
+        f"error: cannot write {what} {dest}: {dest.parent} is not a directory\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_optimize_summary_that_cannot_be_written_removes_the_netlist(
+        tmp_path, capsys):
+    dest = tmp_path / "adir"
+    dest.mkdir()
+    assert run(["optimize", "preset:deinterleaver", "--objective",
+                "deinterleaver_extinction", "--max-evals", "40",
+                "--restarts", "1", "--out", str(tmp_path / "t.nl"),
+                "--summary", str(dest)]) == 4
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write summary to {dest}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+
 def test_experiment_out_dir_that_is_a_file_exit_4(tmp_path, capsys):
     cfg, afile = tmp_path / "exp.cfg", tmp_path / "afile"
     cfg.write_text("experiment ssb_notch\nsweep 8 12 0.5\n")

@@ -492,6 +492,10 @@ ERROR_CASES = {
         {}, sweep_range("--sweep=1e307:1.5e308:1e307"), 4,
         "error: phase 2*pi*(f - detune)/fsr overflows at offset 3e+307 GHz "
         "(detune 0 GHz, fsr 30 GHz)\n"),
+    "optimize_out_in_missing_directory": (
+        {}, OPTIMIZE_ERROR[:-1] + ["missing/t.nl"], 4,
+        "error: cannot write netlist missing/t.nl: missing is not a "
+        "directory\n"),
     "optimize_notch_depth_rf_overflow": (
         {}, ["optimize", "preset:shaper", "--objective", "notch_depth",
              "--rf-freq", "1e308", "--max-evals", "40", "--restarts", "1",
