@@ -158,8 +158,8 @@ def test_optimize_unwritable_summary_names_the_summary(tmp_path, capsys):
     assert not (tmp_path / "t.nl").exists()
 
 
-@pytest.mark.parametrize("option, what", [("--out", "netlist"),
-                                          ("--summary", "summary to")])
+@pytest.mark.parametrize("option, what", [
+    ("--out", "netlist"), ("--summary", "summary to")], ids=["out", "summary"])
 def test_optimize_missing_output_directory_fails_before_optimizing(
         tmp_path, capsys, monkeypatch, option, what):
     def never(*args, **kwargs):
