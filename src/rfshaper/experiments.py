@@ -84,6 +84,17 @@ def _options(name: str, overrides: Mapping[str, object],
     return [_get(overrides, key, default) for key, default in defaults.items()]
 
 
+def _labels(key: str, values, label) -> list[str]:
+    """``label(v)`` of each value of list option ``key``; two values with
+    one label would write one trace over the other, so that is an error."""
+    labels = [label(v) for v in values]
+    for i, lab in enumerate(labels):
+        if lab in labels[:i]:
+            raise ConfigurationError(
+                f"option {key!r} gives two values the label {lab!r}")
+    return labels
+
+
 def _apply_user_heaters(graph: CircuitGraph,
                         overrides: Mapping[str, object]) -> CircuitGraph:
     """User heater overrides rebase the circuit before the preset runs;
@@ -259,6 +270,7 @@ def bandpass_tune(overrides: Mapping[str, object], seed: int = 0) -> ExperimentR
     (lo, hi, step), detunes, m, kappa = _options("bandpass_tune", overrides, {
         "sweep": (5.0, 27.0, 0.1), "detunes_ghz": [8.0, 12.0, 16.0, 20.0],
         "modulation_index": 0.1, "drop_kappa": 0.1})
+    labels = _labels("detunes_ghz", detunes, lambda d: f"{d:g}")
 
     # carrier parked inside the bar channel here: the coupler path
     # re-inserts it while the cross path filters the lower sideband.
@@ -273,15 +285,15 @@ def bandpass_tune(overrides: Mapping[str, object], seed: int = 0) -> ExperimentR
     link = LinkConfig(ModulationFormat("SSB_lower", m), graph)
 
     traces: dict[str, RfResponse] = {}
-    summary: dict[str, object] = {"detunes_ghz": ",".join(f"{d:g}" for d in detunes)}
+    summary: dict[str, object] = {"detunes_ghz": ",".join(labels)}
     worst = 0.0
     sweep = bind_sweep(link, lo, hi, step)
-    for d in detunes:
+    for d, label in zip(detunes, labels):
         heater = _TWO_PI * (((-d) % FILTER_RING_FSR_GHZ) / FILTER_RING_FSR_GHZ)
         trace = sweep({"ad.detune": heater})
         peak = peak_frequency_ghz(trace.rf_freqs_ghz, trace.mag_db)
-        traces[f"detune_{d:g}"] = trace
-        summary[f"peak_freq_ghz_{d:g}"] = peak
+        traces[f"detune_{label}"] = trace
+        summary[f"peak_freq_ghz_{label}"] = peak
         worst = max(worst, abs(peak - d))
     summary["max_peak_error_ghz"] = worst
     summary["sweep_step_ghz"] = step
@@ -397,6 +409,7 @@ def coupling_sweep(overrides: Mapping[str, object], seed: int = 0
         "step_ghz": 0.01})
     if not (step > 0 and all(0.0 <= k <= 1.0 for k in kappas)):
         raise DomainError("coupling_sweep needs step_ghz > 0 and kappas in [0, 1]")
+    keys = _labels("kappas", kappas, lambda k: f"kappa_{k:.4f}")
     require_grid_size("coupling_sweep 2*span_ghz over step_ghz", 2 * span, step)
 
     ring = BlockInstance("ring", "ring_allpass",
@@ -411,11 +424,10 @@ def coupling_sweep(overrides: Mapping[str, object], seed: int = 0
     optical: dict[str, CircuitResponse] = {}
     summary: dict[str, object] = {"critical_kappa": kappa_crit,
                                   "round_trip_amplitude": gamma}
-    for kappa in kappas:
+    for kappa, key in zip(kappas, keys):
         heater = 2.0 * math.asin(math.sqrt(kappa))
         resp = evaluate_at({"ring.coupling": heater})
         power = resp.power("out")
-        key = f"kappa_{kappa:.4f}"
         optical[key] = resp
         depth = -10.0 * math.log10(max(power.min(), 1e-300))
         state = ("critical" if abs(kappa - kappa_crit) < 1e-9 else

@@ -100,6 +100,19 @@ def test_list_option_takes_a_single_number_but_not_an_empty_list(preset, key):
             run_experiment(preset, {key: empty})
 
 
+@pytest.mark.parametrize("preset, key, values, label", [
+    ("coupling_sweep", "kappas", (0.10001, 0.10002), "kappa_0.1000"),
+    ("bandpass_tune", "detunes_ghz", (8.0000001, 8.0000002), "8"),
+    ("bandpass_tune", "detunes_ghz", (12.0, 16.0, 12.0), "12"),
+])
+def test_list_option_values_sharing_a_label_are_rejected(preset, key, values,
+                                                         label):
+    with pytest.raises(ConfigurationError,
+                       match=f"^option {key!r} gives two values the label "
+                             f"{label!r}$"):
+        run_experiment(preset, {key: values})
+
+
 def test_negative_seed_is_named_before_the_preset_runs():
     with pytest.raises(ConfigurationError,
                        match="^seed must be a non-negative integer, got -1$"):

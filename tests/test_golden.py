@@ -407,6 +407,16 @@ ERROR_CASES = {
         "error: line 7, col 5: option 'notch_freq_ghz' given twice "
         "near 'notch_freq_ghz'\n"
         "error: line 9, col 8: heater 'ps.phase' given twice near 'ps.phase'\n"),
+    "experiment_coupling_sweep_kappas_share_a_label": (
+        {"e.cfg": "experiment coupling_sweep\nset kappas 0.10001,0.10002\n"},
+        ["experiment", "e.cfg", "--out-dir", "out"], 3,
+        "error: option 'kappas' gives two values the label "
+        "'kappa_0.1000'\n"),
+    "experiment_bandpass_tune_detunes_share_a_label": (
+        {"e.cfg": "experiment bandpass_tune\n"
+                  "set detunes_ghz 8.0000001,8.0000002\n"},
+        ["experiment", "e.cfg", "--out-dir", "out"], 3,
+        "error: option 'detunes_ghz' gives two values the label '8'\n"),
     "optimize_stopband_three_parts": (
         {}, OPTIMIZE_ERROR + ["--stopband", "1:2:3"], 3,
         "error: expected lo:hi, got '1:2:3'\n"),
