@@ -70,13 +70,11 @@ def _load_graph(path: str) -> CircuitGraph:
 
 
 def cmd_block(args) -> int:
+    if args.phase_sweep and args.kind != "tunable_coupler":
+        raise ConfigurationError("--phase-sweep only applies to tunable_coupler")
+    if args.phase_sweep and args.params:
+        raise ConfigurationError("--phase-sweep takes no key=value parameters")
     if args.phase_sweep:
-        if args.kind != "tunable_coupler":
-            raise ConfigurationError(
-                "--phase-sweep only applies to tunable_coupler")
-        if args.params:
-            raise ConfigurationError(
-                "--phase-sweep takes no key=value parameters")
         rows = []
         for phi in _parse_range(args.phase_sweep).offsets_ghz:
             (bar, _), (cross, _) = h_tunable_coupler(float(phi))
@@ -108,9 +106,8 @@ def cmd_sweep(args) -> int:
 
 
 def _require_directory(path: Path, failure: str) -> None:
-    """Raise OSError ``<failure>: <path> is not a directory`` unless
-    ``path`` is an existing directory; checked before the work whose
-    output goes there."""
+    """Raise OSError ``<failure>: <path> is not a directory`` unless it
+    is one, before the work whose output goes there."""
     if not path.is_dir():
         raise OSError(f"{failure}: {path} is not a directory")
 
@@ -127,8 +124,8 @@ def cmd_experiment(args) -> int:
     outdir = Path(args.out_dir or cfg.outdir or ".")
     # fail before the preset runs where a file stands in the way, but make
     # no directory until the preset has succeeded
-    _require_directory(next(p for p in (outdir, *outdir.parents) if p.exists()),
-                       f"cannot create output directory {outdir}")
+    existing = next(p for p in (outdir, *outdir.parents) if p.exists())
+    _require_directory(existing, f"cannot create output directory {outdir}")
     result = run_experiment(cfg.experiment, cfg.overrides(), seed=seed)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

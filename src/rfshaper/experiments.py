@@ -85,8 +85,8 @@ def _options(name: str, overrides: Mapping[str, object],
 
 
 def _labels(key: str, values, label) -> list[str]:
-    """``label(v)`` of each value of list option ``key``; two values with
-    one label would write one trace over the other, so that is an error."""
+    """``label(v)`` of each value of list option ``key``, each one unique
+    since it names a trace."""
     labels = [label(v) for v in values]
     for i, lab in enumerate(labels):
         if lab in labels[:i]:

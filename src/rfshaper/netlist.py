@@ -111,9 +111,7 @@ def _statements(text: str, usage: dict[str, str],
 
 class ParamError(NamedTuple):
     """A rejected block parameter: the index of its ``key=value`` token,
-    or None where the block as a whole is at fault (a required key no
-    token names, values the params reject), the message, and the text
-    to quote."""
+    or None for the block as a whole, the message, and the text to quote."""
 
     index: int | None
     message: str
@@ -125,34 +123,34 @@ class ParamError(NamedTuple):
 
 def make_block(block_id: str, kind: str, tokens) -> tuple[BlockInstance | None,
                                                          list[ParamError]]:
-    """The block of ``kind`` that ``key=value`` ``tokens`` describe, or
-    None, and every error.
+    """The block of ``kind`` that ``key=value`` ``tokens`` describe (None
+    if any is rejected), and the errors.
 
     Each token must be ``key=value`` with a key of ``kind``, given once,
     and a value that :func:`parse_number` accepts; each required key must
-    be named; and the values must make valid params.  A key counts as
-    named even when its value is rejected, since that error names it.
+    be named (a bad value still names its key); the values must make
+    valid params.
     """
     spec = BLOCK_KINDS[kind]
     values: dict[str, float] = {}
-    named: set[str] = set()
     errors: list[ParamError] = []
+    seen: set[str] = set()
     for i, tok in enumerate(tokens):
         key, eq, val = tok.partition("=")
         if not eq:
             errors.append(ParamError(i, "expected key=value", tok))
         elif key not in spec.keys:
             errors.append(ParamError(i, f"kind {kind} has no key {key!r}", tok))
-        elif key in named:
+        elif key in seen:
             errors.append(ParamError(i, f"key {key!r} given twice", tok))
         else:
-            named.add(key)
+            seen.add(key)
             try:
                 values[key] = parse_number(val)
             except ValueError:
                 errors.append(ParamError(i, f"invalid number for {key!r}", val))
     errors += [ParamError(None, f"kind {kind} requires key {key!r}", kind)
-               for key in spec.required if key not in named]
+               for key in spec.required if key not in seen]
     if errors:
         return None, errors
     try:
