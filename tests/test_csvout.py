@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfshaper.blocks import FrequencyGrid
+from rfshaper import csvout
 from rfshaper.circuit import CircuitResponse
 from rfshaper.csvout import (RF_HEADER, format_number, write_optical_csv,
                              write_rf_csv, write_summary, write_table_csv)
@@ -111,29 +112,100 @@ columns = st.integers(0, 12).flatmap(
                        min_size=3, max_size=3))
 
 
+def assert_writers_match(d: Path, a, b, c):
+    """Each writer's file for columns ``a``, ``b``, ``c`` equals
+    ``per_row_text``."""
+    write_rf_csv(RfResponse(a, b, c), d / "rf.csv")
+    assert (d / "rf.csv").read_text() == per_row_text(
+        "freq_ghz,mag_db,phase_rad", zip(a, b, c))
+
+    write_table_csv(("x", "y", "z"), list(zip(a, b, c)), d / "t.csv")
+    assert (d / "t.csv").read_text() == per_row_text(
+        "x,y,z", zip(a, b, c))
+
+    if a.size and np.unique(a).size == a.size:
+        order = np.argsort(a)      # a grid increases strictly
+        offsets, b, c = a[order], b[order], c[order]
+        grid = FrequencyGrid(193.4, offsets)
+        resp = CircuitResponse(grid, {"p": b + 1j * c, "q": c - 1j * b})
+        paths = write_optical_csv(resp, d / "o.csv")
+        assert [p.name for p in paths] == ["o_p.csv", "o_q.csv"]
+        for path, amps in zip(paths, (b + 1j * c, c - 1j * b)):
+            assert path.read_text() == per_row_text(
+                "offset_ghz,re,im", zip(offsets, amps.real, amps.imag))
+
+
 @given(columns)
 @settings(max_examples=150, deadline=None)
 def test_writers_match_per_row_definition(cols):
     a, b, c = (np.array(col, dtype=float) for col in cols)
     with tempfile.TemporaryDirectory() as tmp:
-        d = Path(tmp)
-        write_rf_csv(RfResponse(a, b, c), d / "rf.csv")
-        assert (d / "rf.csv").read_text() == per_row_text(
-            "freq_ghz,mag_db,phase_rad", zip(a, b, c))
+        assert_writers_match(Path(tmp), a, b, c)
 
-        write_table_csv(("x", "y", "z"), list(zip(a, b, c)), d / "t.csv")
-        assert (d / "t.csv").read_text() == per_row_text(
-            "x,y,z", zip(a, b, c))
 
-        if a.size and np.unique(a).size == a.size:
-            offsets = np.sort(a)       # a grid increases strictly
-            grid = FrequencyGrid(193.4, offsets)
-            resp = CircuitResponse(grid, {"p": b + 1j * c, "q": c - 1j * b})
-            paths = write_optical_csv(resp, d / "o.csv")
-            assert [p.name for p in paths] == ["o_p.csv", "o_q.csv"]
-            for path, amps in zip(paths, (b + 1j * c, c - 1j * b)):
-                assert path.read_text() == per_row_text(
-                    "offset_ghz,re,im", zip(offsets, amps.real, amps.imag))
+def _ninth_digit_ties():
+    """Values just either side of a tie in the ninth significant digit."""
+    rng = np.random.default_rng(0)
+    mantissas = rng.integers(10 ** 8, 10 ** 9, 400)
+    ties = (mantissas + 0.5) * 10.0 ** rng.integers(-22, 1, 400)
+    return np.concatenate([np.nextafter(ties, -np.inf), ties,
+                           np.nextafter(ties, np.inf)])
+
+
+def _powers_of_ten():
+    powers = 10.0 ** np.arange(-15, 10)
+    return np.concatenate([np.nextafter(powers, -np.inf), powers,
+                           np.nextafter(powers, np.inf)])
+
+
+def _offset_grids():
+    return np.concatenate([lo + step * np.arange(n) for lo, step, n in [
+        (-24.87, 0.01, 5001), (-29.875, 0.25, 240), (-5.0, 1e-5, 3000),
+        (2.0, 0.013, 2000), (0.001, 1e-7, 1000), (-1e6, 0.3, 500)]])
+
+
+FAMILIES = {
+    "ninth_digit_ties": _ninth_digit_ties(),
+    "decade_carries": np.array([9.9999999996, 0.99999999995, 99999999.95,
+                                9.99999999949, 0.0999999999951,
+                                1.99999999996, 0.0299999999996]),
+    "short_dyadics": np.array([0.5, 0.25, 10.0, 0.0625, 0.75, 2.0 ** -20,
+                               96.0, 1.0]),
+    "powers_of_ten": _powers_of_ten(),
+    "offset_grids": _offset_grids(),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_writers_match_per_row_definition_on_hard_values(family, tmp_path):
+    values = FAMILIES[family]
+    values = np.concatenate([values, -values])
+    assert_writers_match(tmp_path, values, values[::-1].copy(),
+                         np.roll(values, 1))
+
+
+def test_column_longer_than_a_chunk(tmp_path):
+    n = csvout.CHUNK_ROWS
+    a = -3.0 + 1e-4 * np.arange(n + 8)
+    a[n - 1], a[n] = 0.5, 0.0       # a fallback on each side of the seam
+    b = np.sin(a)
+    b[[n - 2, n + 1]] = 0.25, 1e300
+    assert_writers_match(tmp_path, a, b, np.cos(a))
+
+
+def test_few_values_fall_back_to_format_number(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return format_number(x)
+
+    monkeypatch.setattr(csvout, "format_number", counted)
+    offsets = -24.87 + 0.01 * np.arange(5001)
+    grid = FrequencyGrid(193.4, offsets)
+    write_optical_csv(CircuitResponse(grid, {"p": np.exp(1j * offsets)}),
+                      tmp_path / "o.csv")
+    assert len(calls) < 0.05 * 3 * offsets.size
 
 
 def test_optical_csv_rejects_non_finite_before_writing(tmp_path):
