@@ -74,6 +74,8 @@ def cmd_block(args) -> int:
         raise ConfigurationError("--phase-sweep only applies to tunable_coupler")
     if args.phase_sweep and args.params:
         raise ConfigurationError("--phase-sweep takes no key=value parameters")
+    if args.phase_sweep and args.sweep:
+        raise ConfigurationError("--phase-sweep takes no --sweep")
     if args.phase_sweep:
         rows = []
         for phi in _parse_range(args.phase_sweep).offsets_ghz:

@@ -349,6 +349,10 @@ ERROR_CASES = {
         {}, ["block", "tunable_coupler", "phase_rad=1", "--phase-sweep",
              "0:1:0.5", "--out", "c.csv"], 3,
         "error: --phase-sweep takes no key=value parameters\n"),
+    "block_phase_sweep_with_sweep": (
+        {}, ["block", "tunable_coupler", "--phase-sweep", "0:1:0.5",
+             "--sweep=-1:1:1", "--out", "x.csv"], 3,
+        "error: --phase-sweep takes no --sweep\n"),
     "sweep_netlist_errors": (
         {"bad.nl": BAD_NETLIST},
         ["sweep", "bad.nl", OFFSET_SWEEP, "--out", "x.csv"], 3,
