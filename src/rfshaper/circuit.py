@@ -107,6 +107,13 @@ class BlockInstance:
         raise ConfigurationError(f"block {self.id!r} has no heater {heater!r}")
 
 
+def _require_output(name: str, outputs: Mapping) -> None:
+    if name not in outputs:
+        avail = ", ".join(sorted(outputs))
+        raise ConfigurationError(
+            f"unknown output port {name!r}; available: {avail}")
+
+
 @dataclass(frozen=True)
 class CircuitResponse:
     """Per-port complex amplitudes over a frequency grid."""
@@ -115,12 +122,8 @@ class CircuitResponse:
     fields: Mapping[str, np.ndarray]
 
     def port(self, name: str) -> np.ndarray:
-        try:
-            return self.fields[name]
-        except KeyError:
-            avail = ", ".join(sorted(self.fields))
-            raise ConfigurationError(
-                f"unknown output port {name!r}; available: {avail}") from None
+        _require_output(name, self.fields)
+        return self.fields[name]
 
     def power(self, name: str) -> np.ndarray:
         a = self.port(name)
@@ -206,6 +209,25 @@ class CircuitGraph:
                         f"external output {name!r} unreachable from any input")
         return tuple(order)
 
+    def input_port(self, name: str | None = None) -> Port:
+        """The block port of external input ``name``; None names the only
+        one."""
+        if not self.inputs:
+            raise TopologyError("graph declares no external inputs")
+        if name is None:
+            if len(self.inputs) > 1:
+                raise ConfigurationError(
+                    f"graph has several inputs {sorted(self.inputs)}; pick one")
+            name = next(iter(self.inputs))
+        if name not in self.inputs:
+            raise ConfigurationError(f"unknown input {name!r}")
+        return self.inputs[name]
+
+    def output_port(self, name: str) -> Port:
+        """The block port of external output ``name``."""
+        _require_output(name, self.outputs)
+        return self.outputs[name]
+
     # -- heaters -----------------------------------------------------------
 
     def heater_names(self) -> tuple[str, ...]:
@@ -238,6 +260,26 @@ class CircuitGraph:
         return changed
 
 
+def _walk(graph: CircuitGraph, start: Port):
+    """Each block in evaluation order, with the keys of its input and
+    output fields.  Fields are keyed by Port: an input port reads the
+    output that drives it, ``start`` its own unit field, an open port the
+    zero field kept under None (see :func:`_input_fields`)."""
+    source = {dst: src for src, dst in graph.connections}
+    source[start] = start
+    for block_id in graph._order:
+        blk = graph.block(block_id)
+        spec = BLOCK_KINDS[blk.kind]
+        yield (blk, [source.get(Port(block_id, name)) for name in spec.inputs],
+               [Port(block_id, out) for out in spec.outputs])
+
+
+def _input_fields(start: Port, n: int) -> dict:
+    """The fields a pass starts from: zero under None, one at ``start``."""
+    return {None: np.zeros(n, dtype=np.complex128),
+            start: np.full(n, 1.0 + 0.0j)}
+
+
 def bind(graph: CircuitGraph, grid: FrequencyGrid,
          input_name: str | None = None
          ) -> Callable[[Mapping[str, float] | None], CircuitResponse]:
@@ -246,42 +288,24 @@ def bind(graph: CircuitGraph, grid: FrequencyGrid,
 
     ``bind`` propagates a unit field from one external input through the
     graph once and keeps the plan of that pass (each block with its input
-    keys, output keys and, for a block without heaters, its rows) and its
-    fields as read-only arrays.  A block whose rows raise a
-    ``ShaperError`` keeps no field, and neither does anything it feeds: a
-    call that retunes it may succeed, and a call that does not raises
-    that error.  Each call re-mixes the blocks its heaters change and
-    everything downstream of them with the arithmetic of a full pass, so
-    its fields equal ``evaluate(graph.with_heaters(settings), grid)`` bit
-    for bit; every other output array is a shared read-only one.  Nothing
-    changes after ``bind`` returns, so concurrent calls need no locking.
+    keys, output keys and, for a block without heaters, its rows) and
+    every port's field, as read-only arrays: memory grows with blocks
+    times grid points, which pays off over many calls.  A block whose
+    rows raise a ``ShaperError`` keeps no field, and neither does
+    anything it feeds: a call that retunes it may succeed, and a call
+    that does not raises that error.  Each call re-mixes the blocks its
+    heaters change and everything downstream of them with the arithmetic
+    of :func:`evaluate`, so its fields equal
+    ``evaluate(graph.with_heaters(settings), grid)`` bit for bit; every
+    other output array is a shared read-only one.  Nothing changes after
+    ``bind`` returns, so concurrent calls need no locking.
     """
-    if not graph.inputs:
-        raise TopologyError("graph declares no external inputs")
-    if input_name is None:
-        if len(graph.inputs) > 1:
-            raise ConfigurationError(
-                f"graph has several inputs {sorted(graph.inputs)}; pick one")
-        input_name = next(iter(graph.inputs))
-    if input_name not in graph.inputs:
-        raise ConfigurationError(f"unknown input {input_name!r}")
-
+    start = graph.input_port(input_name)
     offsets = grid.offsets_ghz
-    n = offsets.size
-    # fields keyed by Port: an input port reads the output that drives it,
-    # the external input its own unit field, an open port the zero field
-    # kept under None
-    start = graph.inputs[input_name]
-    source = {dst: src for src, dst in graph.connections}
-    source[start] = start
-    fields = {None: np.zeros(n, dtype=np.complex128),
-              start: np.full(n, 1.0 + 0.0j)}
+    fields = _input_fields(start, offsets.size)
     plan: list[tuple[BlockInstance, list, list, tuple | None]] = []
-    for block_id in graph._order:
-        blk = graph.block(block_id)
+    for blk, in_keys, out_keys in _walk(graph, start):
         spec = BLOCK_KINDS[blk.kind]
-        in_keys = [source.get(Port(block_id, name)) for name in spec.inputs]
-        out_keys = [Port(block_id, out) for out in spec.outputs]
         try:
             rows = spec.response(blk.params, offsets)
         except ShaperError:
@@ -329,8 +353,26 @@ def evaluate(graph: CircuitGraph, grid: FrequencyGrid,
     """Propagate a unit field from one external input.
 
     Returns the complex amplitude at every external output for every grid
-    offset.  ``heaters`` overrides heater phases for this evaluation only.
-    A caller that evaluates one graph and grid many times should
-    :func:`bind` it once instead.
+    offset, as read-only arrays.  ``heaters`` overrides heater phases for
+    this evaluation only.  The pass mixes each block once, in evaluation
+    order, with its heaters applied, and drops each field when the one
+    port that reads it is mixed; so it holds only the fields still to be
+    read, about the graph's cut width times the grid.  The first block
+    whose rows raise a ``ShaperError`` ends it.  A caller that evaluates
+    one graph and grid many times should :func:`bind` it once instead.
     """
-    return bind(graph, grid, input_name)(heaters)
+    start = graph.input_port(input_name)
+    changed = graph._blocks_with_heaters(heaters or {})
+    offsets = grid.offsets_ghz
+    fields = _input_fields(start, offsets.size)
+    for blk, in_keys, out_keys in _walk(graph, start):
+        blk = changed.get(blk.id, blk)
+        rows = BLOCK_KINDS[blk.kind].response(blk.params, offsets)
+        # WiringRules lets each port be used once, so each field has one
+        # reader; the zero field of open ports is shared and stays
+        fields.update(zip(out_keys, _mix(rows, [
+            fields[k] if k is None else fields.pop(k) for k in in_keys])))
+    out = {name: fields[port] for name, port in graph.outputs.items()}
+    for f in out.values():
+        f.flags.writeable = False
+    return CircuitResponse(grid, out)

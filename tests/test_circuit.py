@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +306,62 @@ def test_unknown_heater_rejected():
         evaluate(g, GRID, heaters={"w.phase": 1.0})
 
 
+def uncoupled_ring_graph():
+    """A lossless uncoupled ring: its own rows raise on resonance."""
+    ring = BlockInstance("r", "ring_allpass", RingParams(50.0, 0.0))
+    return CircuitGraph((ring,), (), {"in": Port("r", "in")},
+                        {"out": Port("r", "out")})
+
+
+def test_evaluate_with_heaters_mixes_only_the_retuned_blocks():
+    graph = uncoupled_ring_graph()
+    grid = FrequencyGrid(193.4, np.array([-1.0, 0.0, 1.0]))
+    with pytest.raises(SingularityError, match="on resonance"):
+        evaluate(graph, grid)
+    heaters = {"r.coupling": 1.0}
+    got = evaluate(graph, grid, heaters=heaters).port("out")
+    assert np.array_equal(
+        got, evaluate(graph.with_heaters(heaters), grid).port("out"))
+    assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["ghost.phase", "r.phase", "r"])
+def test_evaluate_checks_heaters_before_any_block(name):
+    # the unknown heater is named even though the graph's own rows raise
+    with pytest.raises(ConfigurationError, match="heater"):
+        evaluate(uncoupled_ring_graph(), GRID, heaters={name: 1.0})
+
+
+def test_evaluate_holds_only_the_fields_still_to_be_read():
+    # two rails through 100 coupler/waveguide stages: at most a few fields
+    # wait to be read at any point of the pass
+    n = 20_001
+    grid = FrequencyGrid.sweep(-50.0, 50.0, 0.005)
+    assert len(grid) == n
+    blocks, connections = [], []
+    for k in range(100):
+        tc, wg = f"tc{k}", f"wg{k}"
+        blocks += [BlockInstance(tc, "tunable_coupler", PhaseShifterState(1.0)),
+                   BlockInstance(wg, "waveguide",
+                                 WaveguideParams.from_fsr(50.0 + k))]
+        connections.append((Port(tc, "out0"), Port(wg, "in")))
+        if k:
+            connections += [(Port(f"wg{k - 1}", "out"), Port(tc, "in0")),
+                            (Port(f"tc{k - 1}", "out1"), Port(tc, "in1"))]
+    graph = CircuitGraph(tuple(blocks), tuple(connections),
+                         inputs={"in": Port("tc0", "in0")},
+                         outputs={"bar": Port("wg99", "out"),
+                                  "cross": Port("tc99", "out1")})
+    tracemalloc.start()
+    try:
+        resp = evaluate(graph, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert resp.port("bar").size == n
+    assert peak < 16 * n * np.dtype(np.complex128).itemsize
+
+
 def two_input_graph():
     tc = BlockInstance("tc", "tunable_coupler", PhaseShifterState(1.0))
     return CircuitGraph((tc,), (),
@@ -416,11 +473,8 @@ def test_bind_concurrent_calls_see_a_consistent_binding():
 
 
 def test_bind_defers_a_block_error_to_the_calls_that_keep_it():
-    # a lossless uncoupled ring on resonance: its own rows raise, but a
-    # call that couples it in evaluates
-    ring = BlockInstance("r", "ring_allpass", RingParams(50.0, 0.0))
-    graph = CircuitGraph((ring,), (), {"in": Port("r", "in")},
-                         {"out": Port("r", "out")})
+    # its own rows raise, but a call that couples it in evaluates
+    graph = uncoupled_ring_graph()
     grid = FrequencyGrid(193.4, np.array([-1.0, 0.0, 1.0]))
     evaluate_at = bind(graph, grid)
     heaters = {"r.coupling": 1.0}

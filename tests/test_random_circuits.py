@@ -212,12 +212,15 @@ def test_bind_over_heater_subsets_equals_evaluate(graph, data):
     for name in graph.inputs:
         evaluate_at = bind(graph, GRID, name)
         for heaters in calls:
-            got = fields_or_error(lambda: evaluate_at(heaters))
             want = fields_or_error(
                 lambda: evaluate(graph.with_heaters(heaters), GRID, name))
-            if not isinstance(want, dict):
-                assert got is want
-                continue
-            assert got.keys() == want.keys()
-            for port in want:
-                assert np.array_equal(got[port], want[port]), port
+            # the bound call and evaluate's own pass with heaters
+            for got in (fields_or_error(lambda: evaluate_at(heaters)),
+                        fields_or_error(
+                            lambda: evaluate(graph, GRID, name, heaters))):
+                if not isinstance(want, dict):
+                    assert got is want
+                    continue
+                assert got.keys() == want.keys()
+                for port in want:
+                    assert np.array_equal(got[port], want[port]), port
