@@ -77,8 +77,10 @@ def cmd_block(args) -> int:
     if args.phase_sweep and args.sweep:
         raise ConfigurationError("--phase-sweep takes no --sweep")
     if args.phase_sweep:
+        phases = _parse_range(args.phase_sweep).offsets_ghz
+        _require_csv_directory(args.out)
         rows = []
-        for phi in _parse_range(args.phase_sweep).offsets_ghz:
+        for phi in phases:
             (bar, _), (cross, _) = h_tunable_coupler(float(phi))
             rows.append((float(phi), abs(bar) ** 2, abs(cross) ** 2,
                          math.atan2(bar.imag, bar.real),
@@ -96,13 +98,20 @@ def cmd_block(args) -> int:
     graph = CircuitGraph((block,), (), {"in": Port("b", spec.inputs[0])},
                          {name: Port("b", p)
                           for name, p in zip(spec.cli_ports, spec.outputs)})
-    write_optical_csv(evaluate(graph, _parse_range(args.sweep)), args.out)
+    grid = _parse_range(args.sweep)
+    _require_csv_directory(args.out)
+    write_optical_csv(evaluate(graph, grid), args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     graph = _load_graph(args.netlist)
-    resp = evaluate(graph, _parse_range(args.sweep), input_name=args.input)
+    grid = _parse_range(args.sweep)
+    graph.input_port(args.input)
+    if args.port:
+        graph.output_port(args.port)
+    _require_csv_directory(args.out)
+    resp = evaluate(graph, grid, input_name=args.input)
     write_optical_csv(resp, args.out, port=args.port or None)
     return EXIT_OK
 
@@ -112,6 +121,11 @@ def _require_directory(path: Path, failure: str) -> None:
     is one, before the work whose output goes there."""
     if not path.is_dir():
         raise OSError(f"{failure}: {path} is not a directory")
+
+
+def _require_csv_directory(out: str) -> None:
+    """Check the directory of ``out``, where every CSV of a sweep goes."""
+    _require_directory(Path(out).parent, f"cannot write CSV to {out}")
 
 
 def cmd_experiment(args) -> int:

@@ -82,6 +82,44 @@ def test_sweep_unknown_port_lists_alternatives(tmp_path, capsys):
     assert "available" in capsys.readouterr().err
 
 
+def never(*args, **kwargs):
+    raise AssertionError("the circuit was evaluated")
+
+
+@pytest.mark.parametrize("option, message", [
+    ("--port", "unknown output port 'nosuch'; available: bar, cross"),
+    ("--input", "unknown input 'nosuch'"),
+], ids=["port", "input"])
+def test_sweep_unknown_port_fails_before_evaluating(
+        tmp_path, capsys, monkeypatch, option, message):
+    # checked before the directory of --out, too: a usage mistake exits 3
+    monkeypatch.setattr(cli, "evaluate", never)
+    rc = run(["sweep", "preset:deinterleaver", "--sweep=-30:30:0.00002",
+              option, "nosuch", "--out", str(tmp_path / "missing" / "x.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "preset:deinterleaver", "--sweep=-30:30:0.00002"],
+    ["sweep", "preset:deinterleaver", "--sweep=-30:30:0.00002",
+     "--port", "bar"],
+    ["block", "ring_allpass", "kappa=0.163", "fsr_ghz=50",
+     "--sweep=-5:5:0.00001"],
+    ["block", "tunable_coupler", "--phase-sweep", "0:6.283:0.00001"],
+], ids=["sweep", "sweep_port", "block", "block_phase_sweep"])
+def test_missing_csv_directory_fails_before_evaluating(
+        tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "evaluate", never)
+    monkeypatch.setattr(cli, "h_tunable_coupler", never)
+    dest = tmp_path / "missing" / "x.csv"
+    assert run(argv + ["--out", str(dest)]) == 4
+    assert capsys.readouterr().err == (
+        f"error: cannot write CSV to {dest}: {dest.parent} is not a directory\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_sweep_parse_error_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.nl"
     bad.write_text("block r1 ring_allpass kappa=1.5\n")
