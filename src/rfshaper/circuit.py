@@ -209,6 +209,8 @@ class CircuitGraph:
                         f"external output {name!r} unreachable from any input")
         return tuple(order)
 
+    # -- external ports ----------------------------------------------------
+
     def input_port(self, name: str | None = None) -> Port:
         """The block port of external input ``name``; None names the only
         one."""
