@@ -21,8 +21,8 @@ from .errors import (AnalysisError, ConfigurationError, DomainError,
 from .experiments import ExperimentResult, run_experiment
 from .metrics import extinction_db, notch_depth_db, passband_width_3db, \
     peak_frequency_ghz, q_and_finesse
-from .rflink import (LinkConfig, ModulationFormat, RfResponse, bind_sweep,
-                     bind_tones, detector, rf_transmission_sweep)
+from .rflink import (LinkConfig, ModulationFormat, RfResponse, bind_tones,
+                     detector, rf_transmission_sweep)
 from .topologies import (DeinterleaverSpec, ShaperConfig, build_deinterleaver,
                          build_shaper, fit_round_trip_amplitude,
                          ring_kappa_for_rejection)

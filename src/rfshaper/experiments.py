@@ -20,8 +20,8 @@ from .circuit import BlockInstance, CircuitGraph, CircuitResponse, Port, bind
 from .constants import DEFAULT_CARRIER_THZ, DEFAULT_P_PI_MW, FILTER_RING_FSR_GHZ
 from .errors import ConfigurationError, DomainError
 from .metrics import band_mask, notch_depth_db, peak_frequency_ghz
-from .rflink import (LinkConfig, ModulationFormat, RfResponse, bind_sweep,
-                     bind_tones, detector, rf_transmission_sweep)
+from .rflink import (LinkConfig, ModulationFormat, RfResponse, bind_tones,
+                     detector, rf_transmission_sweep)
 from .topologies import (FITTED_RING_AMPLITUDE, DeinterleaverSpec, ShaperConfig,
                          build_deinterleaver, build_shaper,
                          ring_kappa_for_rejection)
@@ -148,9 +148,10 @@ def _conversion_preset(name: str, fmt_kind: str,
     phi_high = float(phis[np.argmax(mags)])
     phi_low = float(phis[np.argmin(mags)])
 
-    sweep = bind_sweep(link, lo, hi, step)
-    high = sweep({"ps_bar.phase": phi_high})
-    low = sweep({"ps_bar.phase": phi_low})
+    high = rf_transmission_sweep(link, lo, hi, step,
+                                 heaters={"ps_bar.phase": phi_high})
+    low = rf_transmission_sweep(link, lo, hi, step,
+                                heaters={"ps_bar.phase": phi_low})
     mask = band_mask(high.rf_freqs_ghz, band)
     extinction = float(np.min(high.mag_db[mask] - low.mag_db[mask]))
     summary = {
@@ -287,10 +288,10 @@ def bandpass_tune(overrides: Mapping[str, object], seed: int = 0) -> ExperimentR
     traces: dict[str, RfResponse] = {}
     summary: dict[str, object] = {"detunes_ghz": ",".join(labels)}
     worst = 0.0
-    sweep = bind_sweep(link, lo, hi, step)
     for d, label in zip(detunes, labels):
         heater = _TWO_PI * (((-d) % FILTER_RING_FSR_GHZ) / FILTER_RING_FSR_GHZ)
-        trace = sweep({"ad.detune": heater})
+        trace = rf_transmission_sweep(link, lo, hi, step,
+                                      heaters={"ad.detune": heater})
         peak = peak_frequency_ghz(trace.rf_freqs_ghz, trace.mag_db)
         traces[f"detune_{label}"] = trace
         summary[f"peak_freq_ghz_{label}"] = peak

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .blocks import FrequencyGrid
-from .circuit import CircuitGraph, bind
+from .circuit import CircuitGraph, CircuitResponse, bind, evaluate
 from .constants import DEFAULT_CARRIER_THZ, DEFAULT_RESPONSIVITY_A_PER_W
 from .errors import ConfigurationError, DomainError
 
@@ -130,6 +130,27 @@ def magnitude_db(phasor: np.ndarray, ref: float) -> np.ndarray:
     return 20.0 * np.log10(np.maximum(np.abs(phasor) / ref, _MAG_FLOOR))
 
 
+def _tone_grid(fs: np.ndarray) -> FrequencyGrid:
+    """The mirrored offsets ``{-fs[::-1], 0, fs}``: the lower sidebands,
+    the carrier and the upper sidebands at the RF frequencies ``fs``,
+    which must be > 0 and strictly increasing."""
+    bad = np.flatnonzero(~(fs > np.concatenate([[0.0], fs[:-1]])))
+    if bad.size:
+        i = bad[0]
+        raise DomainError(
+            "RF frequencies must be > 0 and strictly increasing, got "
+            f"{fs[i]:g} GHz" + (f" after {fs[i - 1]:g} GHz" if i else ""))
+    return FrequencyGrid(DEFAULT_CARRIER_THZ,
+                         np.concatenate([-fs[::-1], [0.0], fs]))
+
+
+def _split_tones(resp: CircuitResponse, port: str, n: int) -> tuple:
+    """``(h_minus, h_zero, h_plus)`` at ``port`` of a response over the
+    :func:`_tone_grid` of ``n`` RF frequencies."""
+    h = resp.port(port)
+    return h[:n][::-1], h[n], h[n + 1:]
+
+
 def bind_tones(link: LinkConfig, fs: np.ndarray
                ) -> Callable[[Mapping[str, float] | None], tuple]:
     """``(h_minus, h_zero, h_plus)``, the responses at ``link.output_port``
@@ -137,47 +158,23 @@ def bind_tones(link: LinkConfig, fs: np.ndarray
     scalar) and the upper sidebands at the RF frequencies ``fs``, as a
     function of heater settings.  The circuit is bound (see
     :func:`rfshaper.circuit.bind`) once on the mirrored offsets
-    ``{-fs[::-1], 0, fs}``."""
-    n = fs.size
-    evaluate_at = bind(link.graph, FrequencyGrid(
-        DEFAULT_CARRIER_THZ, np.concatenate([-fs[::-1], [0.0], fs])))
+    ``{-fs[::-1], 0, fs}`` and keeps every port's field for the calls."""
+    evaluate_at = bind(link.graph, _tone_grid(fs))
 
     def tones(heaters: Mapping[str, float] | None = None) -> tuple:
-        h = evaluate_at(heaters).port(link.output_port)
-        return h[:n][::-1], h[n], h[n + 1:]
+        return _split_tones(evaluate_at(heaters), link.output_port, fs.size)
     return tones
-
-
-def bind_sweep(link: LinkConfig, rf_lo_ghz: float, rf_hi_ghz: float,
-               step_ghz: float
-               ) -> Callable[[Mapping[str, float] | None], RfResponse]:
-    """Swept RF transfer of the link as a function of heater settings.
-
-    The sweep frequencies, the bound tones (see :func:`bind_tones`) and
-    the back-to-back reference are computed once; each call of the
-    returned function gives what :func:`rf_transmission_sweep` gives with
-    those heater settings.
-    """
-    if not (rf_lo_ghz > 0):
-        raise DomainError("need 0 < rf_lo < rf_hi")
-    fs = FrequencyGrid.sweep(rf_lo_ghz, rf_hi_ghz, step_ghz).offsets_ghz
-    fs.flags.writeable = False
-
-    tones = bind_tones(link, fs)
-    beat = detector(link.fmt)
-    ref = back_to_back_reference(link.fmt)
-
-    def sweep(heaters: Mapping[str, float] | None = None) -> RfResponse:
-        phasor = beat(*tones(heaters))
-        return RfResponse(fs, magnitude_db(phasor, ref),
-                          np.unwrap(np.angle(phasor)))
-    return sweep
 
 
 def rf_transmission_sweep(link: LinkConfig, rf_lo_ghz: float, rf_hi_ghz: float,
                           step_ghz: float,
                           heaters: Mapping[str, float] | None = None) -> RfResponse:
-    """Swept RF transfer of the link, normalised to the back-to-back level,
-    from one graph evaluation (see :func:`bind_tones`).  A caller that
-    sweeps one link many times should :func:`bind_sweep` it once."""
-    return bind_sweep(link, rf_lo_ghz, rf_hi_ghz, step_ghz)(heaters)
+    """Swept RF transfer of the link with ``heaters`` set, normalised to
+    the back-to-back level, from one :func:`rfshaper.circuit.evaluate` on
+    the mirrored offsets of :func:`bind_tones`.  Like ``evaluate`` it
+    streams, holding about the graph's cut width times the grid."""
+    fs = FrequencyGrid.sweep(rf_lo_ghz, rf_hi_ghz, step_ghz).offsets_ghz
+    resp = evaluate(link.graph, _tone_grid(fs), heaters=heaters)
+    phasor = detector(link.fmt)(*_split_tones(resp, link.output_port, fs.size))
+    return RfResponse(fs, magnitude_db(phasor, back_to_back_reference(link.fmt)),
+                      np.unwrap(np.angle(phasor)))

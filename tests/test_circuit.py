@@ -332,12 +332,10 @@ def test_evaluate_checks_heaters_before_any_block(name):
         evaluate(uncoupled_ring_graph(), GRID, heaters={name: 1.0})
 
 
-def test_evaluate_holds_only_the_fields_still_to_be_read():
-    # two rails through 100 coupler/waveguide stages: at most a few fields
-    # wait to be read at any point of the pass
-    n = 20_001
-    grid = FrequencyGrid.sweep(-50.0, 50.0, 0.005)
-    assert len(grid) == n
+def two_rail_chain(bar: str = "bar") -> CircuitGraph:
+    """Two rails through 100 coupler/waveguide stages, with outputs
+    ``bar`` and "cross": at most a few fields wait to be read at any
+    point of a streamed pass."""
     blocks, connections = [], []
     for k in range(100):
         tc, wg = f"tc{k}", f"wg{k}"
@@ -348,10 +346,17 @@ def test_evaluate_holds_only_the_fields_still_to_be_read():
         if k:
             connections += [(Port(f"wg{k - 1}", "out"), Port(tc, "in0")),
                             (Port(f"tc{k - 1}", "out1"), Port(tc, "in1"))]
-    graph = CircuitGraph(tuple(blocks), tuple(connections),
-                         inputs={"in": Port("tc0", "in0")},
-                         outputs={"bar": Port("wg99", "out"),
-                                  "cross": Port("tc99", "out1")})
+    return CircuitGraph(tuple(blocks), tuple(connections),
+                        inputs={"in": Port("tc0", "in0")},
+                        outputs={bar: Port("wg99", "out"),
+                                 "cross": Port("tc99", "out1")})
+
+
+def test_evaluate_holds_only_the_fields_still_to_be_read():
+    n = 20_001
+    grid = FrequencyGrid.sweep(-50.0, 50.0, 0.005)
+    assert len(grid) == n
+    graph = two_rail_chain()
     tracemalloc.start()
     try:
         resp = evaluate(graph, grid)

@@ -489,6 +489,16 @@ ERROR_CASES = {
         ["experiment", "e.cfg", "--out-dir", "out"], 4,
         "error: phase 2*pi*(f - detune)/fsr overflows at offset -1e+308 GHz "
         "(detune 3 GHz, fsr 30 GHz)\n"),
+    "experiment_im2pm_anchor_zero": (
+        {"e.cfg": "experiment im2pm\nset anchor_freq_ghz 0\n"},
+        ["experiment", "e.cfg", "--out-dir", "out"], 4,
+        "error: RF frequencies must be > 0 and strictly increasing, "
+        "got 0 GHz\n"),
+    "experiment_amplitude_tuning_rf_negative": (
+        {"e.cfg": "experiment amplitude_tuning\nset rf_freq_ghz -5\n"},
+        ["experiment", "e.cfg", "--out-dir", "out"], 4,
+        "error: RF frequencies must be > 0 and strictly increasing, "
+        "got -5 GHz\n"),
     "experiment_amplitude_tuning_anchor_power": (
         {"e.cfg": "experiment amplitude_tuning\nset anchor_power_mw 1e308\n"},
         ["experiment", "e.cfg", "--out-dir", "out"], 4,

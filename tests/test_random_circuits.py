@@ -16,6 +16,9 @@ from rfshaper.blocks import (BLOCK_KINDS, FrequencyGrid, PhaseShifterState,
 from rfshaper.circuit import BlockInstance, CircuitGraph, Port, bind, evaluate
 from rfshaper.errors import ShaperError
 from rfshaper.netlist import document_to_text, parse_netlist
+from rfshaper.rflink import (FORMAT_KINDS, LinkConfig, ModulationFormat,
+                             RfResponse, back_to_back_reference, bind_tones,
+                             detector, magnitude_db, rf_transmission_sweep)
 
 GRID = FrequencyGrid.sweep(-40.0, 40.0, 2.0)
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -224,3 +227,63 @@ def test_bind_over_heater_subsets_equals_evaluate(graph, data):
                 assert got.keys() == want.keys()
                 for port in want:
                     assert np.array_equal(got[port], want[port]), port
+
+
+def fed_from_one_input(graph: CircuitGraph) -> CircuitGraph:
+    """``graph`` with each of its external inputs fed, through a chain of
+    3 dB couplers, from one external input ``in``; the couplers' second
+    inputs stay open."""
+    ports = [graph.inputs[name] for name in sorted(graph.inputs)]
+    if len(ports) == 1:
+        return graph
+    splitters, connections = [], []
+    for k, port in enumerate(ports[:-1]):
+        splitters.append(BlockInstance(f"s{k}", "coupler_3db"))
+        rest = ports[-1] if k == len(ports) - 2 else Port(f"s{k + 1}", "in0")
+        connections += [(Port(f"s{k}", "out0"), port),
+                        (Port(f"s{k}", "out1"), rest)]
+    return CircuitGraph(tuple(splitters) + graph.blocks,
+                        graph.connections + tuple(connections),
+                        {"in": Port("s0", "in0")}, graph.outputs)
+
+
+def rf_outcome(fn):
+    """``(mag_db, phase_rad)`` of ``fn()``, or the type and message of
+    the ShaperError it raises."""
+    try:
+        resp = fn()
+    except ShaperError as exc:
+        return type(exc), str(exc)
+    return resp.mag_db, resp.phase_rad
+
+
+@given(graph=st.one_of(graphs(), graphs(params=extreme_params)),
+       kind=st.sampled_from(FORMAT_KINDS), data=st.data())
+@PROPERTY
+def test_streamed_rf_sweep_equals_the_bound_tones(graph, kind, data):
+    # extreme params make some blocks raise, so errors are compared too
+    graph = fed_from_one_input(graph)
+    port = data.draw(st.sampled_from(sorted(graph.outputs)), label="port")
+    link = LinkConfig(ModulationFormat(kind, 0.1), graph, port)
+    calls = data.draw(st.lists(heater_settings(graph, -10.0, 10.0),
+                               min_size=1, max_size=3), label="calls")
+    lo, hi, step = 1.0, 39.0, 2.0
+    fs = FrequencyGrid.sweep(lo, hi, step).offsets_ghz
+    tones = bind_tones(link, fs)
+
+    def bound(heaters):
+        phasor = detector(link.fmt)(*tones(heaters))
+        return RfResponse(fs, magnitude_db(phasor,
+                                           back_to_back_reference(link.fmt)),
+                          np.unwrap(np.angle(phasor)))
+
+    for heaters in calls:
+        want = rf_outcome(lambda: bound(heaters))
+        got = rf_outcome(
+            lambda: rf_transmission_sweep(link, lo, hi, step, heaters))
+        if isinstance(want[0], type):
+            assert isinstance(got[0], type) and got == want
+            continue
+        assert not isinstance(got[0], type), got
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)

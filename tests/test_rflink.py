@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from rfshaper.rflink import (LinkConfig, ModulationFormat, bind_tones,
 from rfshaper.topologies import build_shaper
 
 from tests.reference import time_domain_oracle
+from tests.test_circuit import two_rail_chain
 
 
 def beat(e_minus, e_carrier, e_plus):
@@ -193,6 +196,33 @@ def test_sweep_pm_is_referenced_to_im_back_to_back():
     expected = 20.0 * np.log10(np.abs(pm) / abs(im))
     assert np.all(resp.mag_db > -60.0)
     assert np.max(np.abs(resp.mag_db - expected)) <= 1e-9
+
+
+def test_sweep_holds_only_the_fields_still_to_be_read():
+    link = LinkConfig(ModulationFormat(), two_rail_chain(bar="detector"))
+    tracemalloc.start()
+    try:
+        resp = rf_transmission_sweep(link, 0.005, 50.0, 0.005)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = 2 * resp.rf_freqs_ghz.size + 1      # the mirrored grid
+    assert n == 20_001
+    assert peak < 16 * n * np.dtype(np.complex128).itemsize
+
+
+def test_tone_layout_names_bad_rf_frequencies():
+    link = LinkConfig(ModulationFormat(), identity_graph(), "out")
+    for fs, got in (([-5.0], "-5 GHz"), ([0.0, 1.0], "0 GHz"),
+                    ([1.0, 3.0, 3.0], "3 GHz after 3 GHz"),
+                    ([2.0, 1.0], "1 GHz after 2 GHz"),
+                    ([1.0, np.nan], "nan GHz after 1 GHz")):
+        with pytest.raises(DomainError, match=re.escape(
+                "RF frequencies must be > 0 and strictly increasing, "
+                f"got {got}")):
+            bind_tones(link, np.array(fs))
+    with pytest.raises(DomainError, match="got 0 GHz$"):
+        rf_transmission_sweep(link, 0.0, 10.0, 1.0)
 
 
 def test_bind_tones_reads_the_mirrored_grid():
