@@ -288,19 +288,18 @@ def bind(graph: CircuitGraph, grid: FrequencyGrid,
     """Evaluate ``graph`` over ``grid`` as a function of heater settings
     ``{"<block id>.<heater>": phase}``.
 
-    ``bind`` propagates a unit field from one external input through the
-    graph once and keeps the plan of that pass (each block with its input
-    keys, output keys and, for a block without heaters, its rows) and
-    every port's field, as read-only arrays: memory grows with blocks
-    times grid points, which pays off over many calls.  A block whose
-    rows raise a ``ShaperError`` keeps no field, and neither does
-    anything it feeds: a call that retunes it may succeed, and a call
-    that does not raises that error.  Each call re-mixes the blocks its
-    heaters change and everything downstream of them with the arithmetic
-    of :func:`evaluate`, so its fields equal
-    ``evaluate(graph.with_heaters(settings), grid)`` bit for bit; every
-    other output array is a shared read-only one.  Nothing changes after
-    ``bind`` returns, so concurrent calls need no locking.
+    ``bind`` walks the graph once from one external input and keeps its
+    plan (each block with its input keys, output keys and, for a block
+    without heaters, its rows) and every port's field: memory grows with
+    blocks times grid points, which pays off over many calls.  A block
+    whose rows raise a ``ShaperError`` keeps no field, nor does anything
+    it feeds: a call that retunes it may succeed, and a call that does
+    not raises that error.  Each call runs :func:`evaluate`'s pass from
+    the kept fields, re-mixing only the blocks its heaters change and
+    those downstream of them, so its fields equal
+    ``evaluate(graph.with_heaters(settings), grid)`` bit for bit.
+    Nothing changes after ``bind`` returns, so concurrent calls need no
+    locking.
     """
     start = graph.input_port(input_name)
     offsets = grid.offsets_ghz
@@ -319,24 +318,7 @@ def bind(graph: CircuitGraph, grid: FrequencyGrid,
         plan.append((blk, in_keys, out_keys, None if spec.heaters else rows))
     for f in fields.values():
         f.flags.writeable = False
-
-    def evaluate_bound(heaters: Mapping[str, float] | None = None
-                       ) -> CircuitResponse:
-        changed = graph._blocks_with_heaters(heaters or {})
-        out = dict(fields)
-        fresh: set = set()
-        for blk, in_keys, out_keys, rows in plan:
-            if (blk.id not in changed and out_keys[0] in fields
-                    and fresh.isdisjoint(in_keys)):
-                continue
-            if rows is None:
-                blk = changed.get(blk.id, blk)
-                rows = BLOCK_KINDS[blk.kind].response(blk.params, offsets)
-            out.update(zip(out_keys, _mix(rows, [out[k] for k in in_keys])))
-            fresh.update(out_keys)
-        return CircuitResponse(grid, {name: out[port] for name, port
-                                      in graph.outputs.items()})
-    return evaluate_bound
+    return lambda heaters=None: _pass(graph, grid, plan, dict(fields), heaters)
 
 
 def _mix(rows, ins: list[np.ndarray]):
@@ -349,6 +331,33 @@ def _mix(rows, ins: list[np.ndarray]):
         yield f
 
 
+def _pass(graph: CircuitGraph, grid: FrequencyGrid, plan, fields: dict,
+          heaters: Mapping[str, float] | None) -> CircuitResponse:
+    """The one loop that mixes blocks for a call.  ``plan`` holds each
+    block as ``(block, input keys, output keys, rows or None)`` in
+    evaluation order.  A block is skipped only if ``heaters`` leave it
+    unchanged, its outputs are in ``fields`` and none of its inputs was
+    mixed in this pass.  Each input field is popped at its one reader
+    (``WiringRules``); the shared zero field under None stays."""
+    changed = graph._blocks_with_heaters(heaters or {})
+    offsets = grid.offsets_ghz
+    fresh: set = set()
+    for blk, in_keys, out_keys, rows in plan:
+        if (blk.id not in changed and out_keys[0] in fields
+                and fresh.isdisjoint(in_keys)):
+            continue
+        if rows is None:
+            blk = changed.get(blk.id, blk)
+            rows = BLOCK_KINDS[blk.kind].response(blk.params, offsets)
+        fields.update(zip(out_keys, _mix(rows, [
+            fields[k] if k is None else fields.pop(k) for k in in_keys])))
+        fresh.update(out_keys)
+    out = {name: fields[port] for name, port in graph.outputs.items()}
+    for f in out.values():
+        f.setflags(write=False)     # a third of the cost of flags.writeable
+    return CircuitResponse(grid, out)
+
+
 def evaluate(graph: CircuitGraph, grid: FrequencyGrid,
              input_name: str | None = None,
              heaters: Mapping[str, float] | None = None) -> CircuitResponse:
@@ -356,25 +365,14 @@ def evaluate(graph: CircuitGraph, grid: FrequencyGrid,
 
     Returns the complex amplitude at every external output for every grid
     offset, as read-only arrays.  ``heaters`` overrides heater phases for
-    this evaluation only.  The pass mixes each block once, in evaluation
-    order, with its heaters applied, and drops each field when the one
-    port that reads it is mixed; so it holds only the fields still to be
-    read, about the graph's cut width times the grid.  The first block
-    whose rows raise a ``ShaperError`` ends it.  A caller that evaluates
-    one graph and grid many times should :func:`bind` it once instead.
+    this evaluation only.  It is :func:`_pass` from the input fields alone,
+    so it mixes each block once, in evaluation order, with its heaters
+    applied, and drops each field when the one port that reads it is
+    mixed: it holds only the fields still to be read, about the graph's
+    cut width times the grid.  The first block whose rows raise a
+    ``ShaperError`` ends it.  A caller that evaluates one graph and grid
+    many times should :func:`bind` it once instead.
     """
     start = graph.input_port(input_name)
-    changed = graph._blocks_with_heaters(heaters or {})
-    offsets = grid.offsets_ghz
-    fields = _input_fields(start, offsets.size)
-    for blk, in_keys, out_keys in _walk(graph, start):
-        blk = changed.get(blk.id, blk)
-        rows = BLOCK_KINDS[blk.kind].response(blk.params, offsets)
-        # WiringRules lets each port be used once, so each field has one
-        # reader; the zero field of open ports is shared and stays
-        fields.update(zip(out_keys, _mix(rows, [
-            fields[k] if k is None else fields.pop(k) for k in in_keys])))
-    out = {name: fields[port] for name, port in graph.outputs.items()}
-    for f in out.values():
-        f.flags.writeable = False
-    return CircuitResponse(grid, out)
+    plan = ((blk, ins, outs, None) for blk, ins, outs in _walk(graph, start))
+    return _pass(graph, grid, plan, _input_fields(start, len(grid)), heaters)

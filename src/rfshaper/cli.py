@@ -187,7 +187,7 @@ def cmd_optimize(args) -> int:
     config = OptimizerConfig(**{
         name: value for name in ("max_evals", "restarts", "seed")
         if (value := getattr(args, name)) is not None})
-    heaters = args.heaters.split(",") if args.heaters else None
+    heaters = None if args.heaters is None else args.heaters.split(",")
     _require_directory(Path(args.out).parent,
                        f"cannot write netlist {args.out}")
     if args.summary:

@@ -408,8 +408,9 @@ def coupling_sweep(overrides: Mapping[str, object], seed: int = 0
     kappas, span, step = _options("coupling_sweep", overrides, {
         "kappas": [0.05, 0.10, kappa_crit, 0.25, 0.40], "span_ghz": 5.0,
         "step_ghz": 0.01})
-    if not (step > 0 and all(0.0 <= k <= 1.0 for k in kappas)):
-        raise DomainError("coupling_sweep needs step_ghz > 0 and kappas in [0, 1]")
+    if not (step > 0 and span >= 0 and all(0.0 <= k <= 1.0 for k in kappas)):
+        raise DomainError("coupling_sweep needs step_ghz > 0, span_ghz >= 0 "
+                          "and kappas in [0, 1]")
     keys = _labels("kappas", kappas, lambda k: f"kappa_{k:.4f}")
     require_grid_size("coupling_sweep 2*span_ghz over step_ghz", 2 * span, step)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfshaper import circuit
 from rfshaper.blocks import (BLOCK_KINDS, FrequencyGrid, PhaseShifterState,
                              RingParams, WaveguideParams, h_phase_shifter)
 from rfshaper.circuit import BlockInstance, CircuitGraph, Port, bind, evaluate
@@ -491,12 +492,31 @@ def test_bind_defers_a_block_error_to_the_calls_that_keep_it():
 
 
 def test_bind_constant_outputs_are_read_only():
+    # every output of a bound call is read-only, the kept "ring_tap" (no
+    # path from ps_bar) and the re-mixed "detector" alike, and so is
+    # every output of evaluate
     graph = BIND_GRAPHS["notch_shaper"]
-    resp = bind(graph, GRID)({"ps_bar.phase": 1.0})
-    ring_tap = resp.port("ring_tap")      # no path from ps_bar
-    with pytest.raises(ValueError, match="read-only"):
-        ring_tap[0] = 0.0
-    detector = resp.port("detector")      # recomputed on every call
-    detector[0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        evaluate(graph, GRID).port("detector")[:] *= 2.0
+    bound = bind(graph, GRID)({"ps_bar.phase": 1.0})
+    for resp in (bound, evaluate(graph, GRID)):
+        for port, f in resp.fields.items():
+            with pytest.raises(ValueError, match="read-only"):
+                f[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                f[:] *= 2.0
+
+
+def test_bind_mixes_only_the_retuned_blocks_and_those_downstream(
+        monkeypatch):
+    mix, mixed = circuit._mix, []
+
+    def counting_mix(rows, ins):
+        mixed.append(sys._getframe(1).f_locals["blk"].id)   # _pass's block
+        return mix(rows, ins)
+    graph = BIND_GRAPHS["notch_shaper"]
+    evaluate_at = bind(graph, GRID)
+    monkeypatch.setattr(circuit, "_mix", counting_mix)
+    evaluate_at({"ps_bar.phase": 1.0})
+    assert mixed == ["ps_bar", "tc_bar", "comb"]
+    mixed.clear()
+    evaluate_at({})
+    assert mixed == []

@@ -416,6 +416,11 @@ ERROR_CASES = {
         ["experiment", "e.cfg", "--out-dir", "out"], 3,
         "error: option 'kappas' gives two values the label "
         "'kappa_0.1000'\n"),
+    "experiment_coupling_sweep_negative_span": (
+        {"e.cfg": "experiment coupling_sweep\nset span_ghz -5\n"},
+        ["experiment", "e.cfg", "--out-dir", "out"], 4,
+        "error: coupling_sweep needs step_ghz > 0, span_ghz >= 0 and kappas "
+        "in [0, 1]\n"),
     "experiment_bandpass_tune_detunes_share_a_label": (
         {"e.cfg": "experiment bandpass_tune\n"
                   "set detunes_ghz 8.0000001,8.0000002\n"},
@@ -456,6 +461,10 @@ ERROR_CASES = {
     "optimize_band_not_numbers": (
         {}, SHAPER_OPTIMIZE + ["conversion_extinction", "--band", "a:b"], 3,
         "error: expected numbers in lo:hi, got 'a:b'\n"),
+    "optimize_empty_heaters": (
+        {}, OPTIMIZE_ERROR + ["--heaters", "", "--max-evals", "50",
+                              "--restarts", "1"], 3,
+        "error: unknown heaters: ['']\n"),
     "optimize_negative_seed": (
         {}, OPTIMIZE_ERROR + ["--seed", "-1"], 3,
         "error: seed must be a non-negative integer, got -1\n"),

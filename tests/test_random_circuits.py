@@ -227,6 +227,7 @@ def test_bind_over_heater_subsets_equals_evaluate(graph, data):
                 assert got.keys() == want.keys()
                 for port in want:
                     assert np.array_equal(got[port], want[port]), port
+                    assert not got[port].flags.writeable, port
 
 
 def fed_from_one_input(graph: CircuitGraph) -> CircuitGraph:
