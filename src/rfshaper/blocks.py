@@ -16,6 +16,14 @@ response.  A new kind is added there and nowhere else.  The waveguide
 and ring responses are the grid kernels of :mod:`rfshaper.kernels`; the
 phase shifter and couplers are frequency-flat, so their responses below
 are scalars.
+
+A heater set to a column of K settings (see ``BlockInstance.with_heater``)
+makes its params fields ``(K, 1)`` columns.  Every check and response
+below takes such a column as well as a float, and gives in each row what
+the float would: the grid kernels broadcast a column against the
+offsets, and the frequency-flat responses and heater laws apply their
+float formula to each entry (NumPy's SIMD ``sin``, ``cos`` and powers may
+round differently from :mod:`math`).
 """
 
 from __future__ import annotations
@@ -36,7 +44,23 @@ _TWO_PI = 2.0 * math.pi
 def _require_finite(name: str, *values) -> None:
     for v in values:
         if not np.all(np.isfinite(v)):
-            raise DomainError(f"{name}: non-finite value {v!r}")
+            raise DomainError(f"{name}: non-finite value "
+                              f"{_first_failing(v, np.isfinite(v))!r}")
+
+
+def _first_failing(value, ok):
+    """``value``, or for a column its first entry where ``ok`` fails, as
+    a float: an error names the row the float call would name."""
+    if isinstance(value, np.ndarray):
+        return float(value[~ok][0])
+    return value
+
+
+def _each(fn: Callable[[float], object], column: np.ndarray) -> np.ndarray:
+    """``fn`` of each entry of a column, as a column whose rows equal the
+    float calls bit for bit."""
+    return np.array([fn(v) for v in column.ravel().tolist()]).reshape(
+        column.shape)
 
 
 #: The most points a sweep or preset range may have; one complex field
@@ -106,6 +130,16 @@ class PhaseShifterState:
         _require_finite("PhaseShifterState", self.phase_rad)
 
 
+def _in_unit_interval(x) -> bool:
+    if isinstance(x, np.ndarray):
+        return bool(np.all((0.0 <= x) & (x <= 1.0)))
+    return 0.0 <= x <= 1.0
+
+
+def _first_outside(x):
+    return _first_failing(x, (0.0 <= x) & (x <= 1.0))
+
+
 @dataclass(frozen=True)
 class RingParams:
     """A ring resonator, parametrised by FSR rather than physical length.
@@ -127,15 +161,19 @@ class RingParams:
                         self.round_trip_amplitude, self.detune_ghz)
         if not (self.fsr_ghz > 0):
             raise DomainError("fsr_ghz must be > 0")
-        if not (0.0 <= self.kappa <= 1.0):
-            raise DomainError(f"kappa out of range [0,1]: {self.kappa}")
-        if self.kappa_drop is not None and not (0.0 <= self.kappa_drop <= 1.0):
-            raise DomainError(f"kappa_drop out of range [0,1]: {self.kappa_drop}")
+        if not _in_unit_interval(self.kappa):
+            raise DomainError(
+                f"kappa out of range [0,1]: {_first_outside(self.kappa)}")
+        if self.kappa_drop is not None and not _in_unit_interval(self.kappa_drop):
+            raise DomainError(
+                f"kappa_drop out of range [0,1]: {_first_outside(self.kappa_drop)}")
         if not (0.0 < self.round_trip_amplitude <= 1.0):
             raise DomainError("round_trip_amplitude must be in (0,1]")
 
     @property
     def self_coupling(self) -> float:
+        if isinstance(self.kappa, np.ndarray):
+            return np.sqrt(1.0 - self.kappa)    # correctly rounded, as math's
         return math.sqrt(1.0 - self.kappa)
 
 
@@ -188,9 +226,15 @@ def amplitude_from_db_loss(loss_db_per_cm: float, length_cm: float) -> float:
     return 10.0 ** (-loss_db_per_cm * length_cm / 20.0)
 
 
+def _unit_phasor(phase_rad: float) -> complex:
+    return complex(math.cos(phase_rad), -math.sin(phase_rad))
+
+
 def h_phase_shifter(phase_rad: float) -> complex:
     """Pure phase delay ``exp(-1j*phi)``."""
     _require_finite("h_phase_shifter", phase_rad)
+    if isinstance(phase_rad, np.ndarray):
+        return _each(_unit_phasor, phase_rad)
     return complex(math.cos(phase_rad), -math.sin(phase_rad))
 
 
@@ -211,7 +255,10 @@ def h_tunable_coupler(phase_rad: float) -> tuple:
     downstream when pure amplitude control is wanted.
     """
     _require_finite("h_tunable_coupler", phase_rad)
-    e = complex(math.cos(phase_rad), -math.sin(phase_rad))
+    if isinstance(phase_rad, np.ndarray):
+        e = _each(_unit_phasor, phase_rad)
+    else:
+        e = complex(math.cos(phase_rad), -math.sin(phase_rad))
     bar = 0.5 * (1.0 - e)
     cross = -0.5j * (1.0 + e)
     return ((bar, cross), (cross, -bar))
@@ -265,8 +312,10 @@ class BlockKind:
     keys, and a block's params may not leave them None.
     ``response(params, offsets)`` gives the transfer-matrix rows over the
     grid: row i holds the weights of each input port in output port i, as
-    scalars or grid arrays.  ``cli_ports`` name the outputs of a
-    single-block ``rfshaper block`` sweep.
+    scalars or grid arrays; params whose heater fields are ``(K, 1)``
+    columns give ``(K, 1)`` columns or ``(K, N)`` arrays instead.
+    ``cli_ports`` name the outputs of a single-block ``rfshaper block``
+    sweep.
     """
 
     inputs: tuple[str, ...]
@@ -302,7 +351,13 @@ _PHASE_HEATER = Heater(
 def _coupling_heater(name: str, key: str) -> Heater:
     return Heater(
         name, lambda p: 2.0 * math.asin(math.sqrt(getattr(p, key))),
-        lambda p, phase: replace(p, **{key: math.sin(phase / 2) ** 2}))
+        lambda p, phase: replace(p, **{key: _each(_kappa, phase)
+                                       if isinstance(phase, np.ndarray)
+                                       else math.sin(phase / 2) ** 2}))
+
+
+def _kappa(phase: float) -> float:
+    return math.sin(phase / 2) ** 2
 
 
 _DETUNE_HEATER = Heater(

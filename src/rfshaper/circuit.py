@@ -99,12 +99,23 @@ class BlockInstance:
                     f"block {self.id!r}: {self.kind} needs {key}")
 
     def with_heater(self, heater: str, phase: float) -> "BlockInstance":
-        """Copy of this block with one heater set to the given phase."""
-        phase = phase % (2 * math.pi)
+        """Copy of this block with one heater set to the given phase.  A
+        1-D array of K phases sets it to each of them: the params take
+        the heater's fields as ``(K, 1)`` columns."""
         for h in BLOCK_KINDS[self.kind].heaters:
             if h.name == heater:
-                return dataclasses.replace(self, params=h.set(self.params, phase))
-        raise ConfigurationError(f"block {self.id!r} has no heater {heater!r}")
+                break
+        else:
+            raise ConfigurationError(
+                f"block {self.id!r} has no heater {heater!r}")
+        if isinstance(phase, np.ndarray):
+            # quiet where NumPy would warn, as float arithmetic is: an
+            # infinite setting wraps to NaN, a detune overflows to inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                params = h.set(self.params, phase.reshape(-1, 1) % (2 * math.pi))
+        else:
+            params = h.set(self.params, phase % (2 * math.pi))
+        return dataclasses.replace(self, params=params)
 
 
 def _require_output(name: str, outputs: Mapping) -> None:
@@ -243,23 +254,48 @@ class CircuitGraph:
                 for h in BLOCK_KINDS[b.kind].heaters}
 
     def with_heaters(self, settings: Mapping[str, float]) -> "CircuitGraph":
-        """New graph with the named heater phases applied to the params."""
-        changed = self._blocks_with_heaters(settings)
+        """New graph with the named heater phases applied to the params.
+        A graph holds one phase per heater; arrays of settings belong to a
+        batched call of :func:`evaluate` or of a :func:`bind` function."""
+        arrays = sorted(n for n, v in settings.items()
+                        if isinstance(v, np.ndarray))
+        if arrays:
+            raise ConfigurationError(
+                f"with_heaters takes one phase per heater, got arrays for "
+                f"{arrays}")
+        changed, _ = self._blocks_with_heaters(settings)
         return CircuitGraph(tuple(changed.get(b.id, b) for b in self.blocks),
                             self.connections, self.inputs, self.outputs)
 
     def _blocks_with_heaters(self, settings: Mapping[str, float]
-                             ) -> dict[str, BlockInstance]:
+                             ) -> tuple[dict[str, BlockInstance], int | None]:
         """The blocks that ``{"<block id>.<heater>": phase}`` settings
-        change, by id, with those phases applied."""
+        change, by id, with those phases applied, and K, the length of
+        every array among the settings (None when all are floats)."""
         changed: dict[str, BlockInstance] = {}
+        k = None
         for name, value in settings.items():
             block_id, _, heater = name.partition(".")
             if not heater or block_id not in self._by_id:
                 raise ConfigurationError(f"unknown heater {name!r}")
+            if isinstance(value, np.ndarray):
+                k = _batch_size(name, value, k)
             blk = changed.get(block_id) or self._by_id[block_id]
             changed[block_id] = blk.with_heater(heater, value)
-        return changed
+        return changed, k
+
+
+def _batch_size(name: str, value: np.ndarray, k: int | None) -> int:
+    """The length of heater ``name``'s array of settings, which must be
+    1-D, not empty, and as long as any other (``k``)."""
+    if value.ndim != 1 or value.size == 0:
+        raise ConfigurationError(
+            f"heater {name!r} takes a float or a 1-D array of settings, "
+            f"got an array of shape {value.shape}")
+    if k is not None and value.size != k:
+        raise ConfigurationError(
+            f"heater {name!r} has {value.size} settings, another has {k}")
+    return value.size
 
 
 def _walk(graph: CircuitGraph, start: Port):
@@ -300,6 +336,10 @@ def bind(graph: CircuitGraph, grid: FrequencyGrid,
     ``evaluate(graph.with_heaters(settings), grid)`` bit for bit.
     Nothing changes after ``bind`` returns, so concurrent calls need no
     locking.
+
+    A heater may also be set to a 1-D array of K settings, as in
+    :func:`evaluate`: every output is then ``(K, N)``, and row k equals
+    the call with each array's k-th value bit for bit.
     """
     start = graph.input_port(input_name)
     offsets = grid.offsets_ghz
@@ -338,8 +378,13 @@ def _pass(graph: CircuitGraph, grid: FrequencyGrid, plan, fields: dict,
     evaluation order.  A block is skipped only if ``heaters`` leave it
     unchanged, its outputs are in ``fields`` and none of its inputs was
     mixed in this pass.  Each input field is popped at its one reader
-    (``WiringRules``); the shared zero field under None stays."""
-    changed = graph._blocks_with_heaters(heaters or {})
+    (``WiringRules``); the shared zero field under None stays.
+
+    Heaters set to arrays of K settings give their blocks ``(K, 1)``
+    parameter columns, so those blocks and every block downstream of
+    them give ``(K, N)`` fields, while the ``(N,)`` fields upstream
+    broadcast against them."""
+    changed, k = graph._blocks_with_heaters(heaters or {})
     offsets = grid.offsets_ghz
     fresh: set = set()
     for blk, in_keys, out_keys, rows in plan:
@@ -355,6 +400,9 @@ def _pass(graph: CircuitGraph, grid: FrequencyGrid, plan, fields: dict,
     out = {name: fields[port] for name, port in graph.outputs.items()}
     for f in out.values():
         f.setflags(write=False)     # a third of the cost of flags.writeable
+    if k is not None:               # a port no array reaches: a (K, N) view
+        out = {name: f if f.ndim == 2 else np.broadcast_to(f, (k, f.size))
+               for name, f in out.items()}
     return CircuitResponse(grid, out)
 
 
@@ -372,6 +420,14 @@ def evaluate(graph: CircuitGraph, grid: FrequencyGrid,
     cut width times the grid.  The first block whose rows raise a
     ``ShaperError`` ends it.  A caller that evaluates one graph and grid
     many times should :func:`bind` it once instead.
+
+    A heater set to a 1-D array of K phases, rather than a float, makes
+    the call batched: every output is a read-only ``(K, N)`` array whose
+    row k equals the call with each array's k-th value bit for bit (a
+    port that no array reaches is a broadcast view of its one row).
+    Every array in one call has the same K >= 1; any other length or
+    shape is a ``ConfigurationError``, and a non-finite setting in any
+    row raises what that row's float call would.
     """
     start = graph.input_port(input_name)
     plan = ((blk, ins, outs, None) for blk, ins, outs in _walk(graph, start))

@@ -19,7 +19,8 @@ from .blocks import (FrequencyGrid, RingParams, critical_coupling_kappa,
 from .circuit import BlockInstance, CircuitGraph, CircuitResponse, Port, bind
 from .constants import DEFAULT_CARRIER_THZ, DEFAULT_P_PI_MW, FILTER_RING_FSR_GHZ
 from .errors import ConfigurationError, DomainError
-from .metrics import band_mask, notch_depth_db, peak_frequency_ghz
+from .metrics import (band_mask, notch_depth_db, peak_frequency_ghz,
+                      require_notch_in_sweep)
 from .rflink import (LinkConfig, ModulationFormat, RfResponse, bind_tones,
                      detector, rf_transmission_sweep)
 from .topologies import (FITTED_RING_AMPLITUDE, DeinterleaverSpec, ShaperConfig,
@@ -235,6 +236,7 @@ def cancel_notch(overrides: Mapping[str, object], seed: int = 0) -> ExperimentRe
                       bar_phase_rad=settings.shifter_phase_rad), overrides)
     fmt = ModulationFormat("IM", m)
     objective = Objective("notch_depth", rf_freq_ghz=f0, fmt=fmt)
+    require_notch_in_sweep(FrequencyGrid.sweep(lo, hi, step).offsets_ghz, f0)
     try:
         result = optimize(graph, objective,
                           OptimizerConfig(max_evals=polish_evals, restarts=2,
@@ -370,19 +372,21 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
     headers = ("heater_power_mw", "coupler_phase_rad", "upper_power",
                "lower_power", "carrier_power", "rf_phasor_abs")
 
+    # one batched call per table; each row is reduced from its own NumPy
+    # scalars, as a call per power would give them (NumPy's array abs and
+    # powers may round differently from its scalar ones)
+    phi_tc = np.array([heater_phase_from_power(p, DEFAULT_P_PI_MW)
+                       for p in powers])
+    tc_wrapped = phi_tc % _TWO_PI
+
     def sweep_table(compensated: bool) -> Rows:
-        rows: Rows = []
-        for p in powers:
-            phi_tc = heater_phase_from_power(p, DEFAULT_P_PI_MW)
-            phi_ps = phi_base + ((phi_anchor - phi_tc) / 2.0 if compensated else 0.0)
-            (hm,), h0, (hp,) = tones({"tc_bar.phase": phi_tc % _TWO_PI,
-                                      "ps_bar.phase": phi_ps % _TWO_PI})
-            rows.append((float(p), phi_tc % _TWO_PI,
-                         abs(hp * e_plus) ** 2,
-                         abs(hm * e_minus) ** 2,
-                         abs(h0 * e_carrier) ** 2,
-                         abs(beat(hm, h0, hp))))
-        return rows
+        phi_ps = phi_base + ((phi_anchor - phi_tc) / 2.0 if compensated else 0.0)
+        hms, h0s, hps = tones({"tc_bar.phase": tc_wrapped,
+                               "ps_bar.phase": phi_ps % _TWO_PI})
+        return [(float(p), phi, abs(hp * e_plus) ** 2, abs(hm * e_minus) ** 2,
+                 abs(h0 * e_carrier) ** 2, abs(beat(hm, h0, hp)))
+                for p, phi, (hm,), (h0,), (hp,)
+                in zip(powers, tc_wrapped, hms, h0s, hps)]
 
     tables = {}
     summary: dict[str, object] = {"rf_freq_ghz": f0, "power_step_mw": p_step,
@@ -423,12 +427,14 @@ def coupling_sweep(overrides: Mapping[str, object], seed: int = 0
     offsets = np.arange(-span, span + 1e-9, step)
     evaluate_at = bind(graph, FrequencyGrid(DEFAULT_CARRIER_THZ, offsets))
 
+    batch = evaluate_at({"ring.coupling": np.array(
+        [2.0 * math.asin(math.sqrt(kappa)) for kappa in kappas])})
     optical: dict[str, CircuitResponse] = {}
     summary: dict[str, object] = {"critical_kappa": kappa_crit,
                                   "round_trip_amplitude": gamma}
-    for kappa, key in zip(kappas, keys):
-        heater = 2.0 * math.asin(math.sqrt(kappa))
-        resp = evaluate_at({"ring.coupling": heater})
+    for row, (kappa, key) in enumerate(zip(kappas, keys)):
+        resp = CircuitResponse(batch.grid, {
+            name: f[row] for name, f in batch.fields.items()})
         power = resp.power("out")
         optical[key] = resp
         depth = -10.0 * math.log10(max(power.min(), 1e-300))

@@ -21,18 +21,22 @@ def _phase(offsets_ghz, detune_ghz: float, fsr_ghz: float) -> np.ndarray:
     trip at each offset ``f``.  Where it overflows, DomainError names the
     first such offset and NumPy warns of nothing: a bound in Python
     floats, which overflow quietly, clears the usual grid at the cost of
-    one reduction."""
+    one reduction.  A ``(K, 1)`` column of detunes gives ``(K, N)``
+    phases, and the error names the first overflowing row."""
     f = np.asarray(offsets_ghz, dtype=np.float64)
-    if (float(np.abs(f).max()) + abs(float(detune_ghz))) * TWO_PI \
-            / float(fsr_ghz) < 1e300:
+    d = (float(np.abs(detune_ghz).max()) if isinstance(detune_ghz, np.ndarray)
+         else abs(float(detune_ghz)))
+    if (float(np.abs(f).max()) + d) * TWO_PI / float(fsr_ghz) < 1e300:
         return TWO_PI * (f - detune_ghz) / fsr_ghz
     with np.errstate(over="ignore", invalid="ignore"):
         ang = TWO_PI * (f - detune_ghz) / fsr_ghz
-    bad = np.flatnonzero(~np.isfinite(ang))
-    if bad.size:
+    bad = np.nonzero(np.atleast_1d(~np.isfinite(ang)))
+    if bad[0].size:
+        row = (np.ravel(detune_ghz)[bad[0][0]]
+               if isinstance(detune_ghz, np.ndarray) else detune_ghz)
         raise DomainError(
             f"phase 2*pi*(f - detune)/fsr overflows at offset "
-            f"{np.ravel(f)[bad[0]]:g} GHz (detune {detune_ghz:g} GHz, "
+            f"{np.ravel(f)[bad[-1][0]]:g} GHz (detune {row:g} GHz, "
             f"fsr {fsr_ghz:g} GHz)")
     return ang
 
@@ -48,13 +52,19 @@ def _check_pole(den: np.ndarray, offsets: np.ndarray, loop_gain: float) -> None:
     """Reject grid points on the pole of a lossless uncoupled ring (the
     only ring with unit loop gain, since |1 - den| <= loop_gain), or so
     close to it that ``den`` is subnormal, where NumPy's complex division
-    overflows; its response at every other point is one to rounding."""
-    if loop_gain >= 1.0:
+    overflows; its response at every other point is one to rounding.
+    With ``(K, N)`` ``den`` and a float or ``(K, 1)`` loop gain, the
+    error names the first failing row's point."""
+    if isinstance(loop_gain, np.ndarray):
+        near = (np.abs(den) < _TINY) & (loop_gain >= 1.0)
+    elif loop_gain >= 1.0:
         near = np.abs(den) < _TINY
-        if near.any():
-            at = np.ravel(offsets)[np.flatnonzero(near)[0]]
-            raise SingularityError(
-                f"lossless uncoupled ring on resonance at {at:g} GHz")
+    else:
+        return
+    if near.any():
+        at = np.ravel(offsets)[np.nonzero(np.atleast_1d(near))[-1][0]]
+        raise SingularityError(
+            f"lossless uncoupled ring on resonance at {at:g} GHz")
 
 
 def ring_allpass_grid(offsets_ghz: np.ndarray, self_coupling: float,

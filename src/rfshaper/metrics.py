@@ -106,15 +106,28 @@ def passband_width_3db(offsets_ghz: np.ndarray, power: np.ndarray,
     return right[0] - left[-1]
 
 
+def require_notch_in_sweep(freqs_ghz: np.ndarray, notch_freq_ghz: float) -> None:
+    """DomainError unless the notch lies in ``[freqs[0], freqs[-1]]``: a
+    window that the sweep covers only in part would report the depth of
+    whatever dip its edge holds."""
+    lo, hi = float(freqs_ghz[0]), float(freqs_ghz[-1])
+    if not lo <= notch_freq_ghz <= hi:
+        raise DomainError(f"notch at {notch_freq_ghz:g} GHz lies outside the "
+                          f"RF sweep {lo:g} to {hi:g} GHz")
+
+
 def notch_depth_db(freqs_ghz: np.ndarray, mag_db: np.ndarray,
                    notch_freq_ghz: float) -> tuple[float, float]:
     """(depth, minimum frequency) of a dip within 3 GHz of the notch.
 
     Depth is measured against the local baseline (the window maximum), so
-    band-edge roll-off elsewhere in the sweep does not contaminate it.
+    band-edge roll-off elsewhere in the sweep does not contaminate it.  A
+    notch outside the sweep is a DomainError (see
+    :func:`require_notch_in_sweep`).
     """
     freqs = np.asarray(freqs_ghz, dtype=float)
     mag = np.asarray(mag_db, dtype=float)
+    require_notch_in_sweep(freqs, notch_freq_ghz)
     mask = band_mask(freqs, (notch_freq_ghz - 3.0, notch_freq_ghz + 3.0))
     w_f, w_m = freqs[mask], mag[mask]
     i = int(np.argmin(w_m))

@@ -146,9 +146,12 @@ def _tone_grid(fs: np.ndarray) -> FrequencyGrid:
 
 def _split_tones(resp: CircuitResponse, port: str, n: int) -> tuple:
     """``(h_minus, h_zero, h_plus)`` at ``port`` of a response over the
-    :func:`_tone_grid` of ``n`` RF frequencies."""
+    :func:`_tone_grid` of ``n`` RF frequencies.  For a batched response
+    of K rows, the sidebands are ``(K, n)`` and the carrier a ``(K, 1)``
+    column, so the three broadcast together."""
     h = resp.port(port)
-    return h[:n][::-1], h[n], h[n + 1:]
+    h_zero = h[n] if h.ndim == 1 else h[:, n:n + 1]
+    return h[..., :n][..., ::-1], h_zero, h[..., n + 1:]
 
 
 def bind_tones(link: LinkConfig, fs: np.ndarray
@@ -158,7 +161,10 @@ def bind_tones(link: LinkConfig, fs: np.ndarray
     scalar) and the upper sidebands at the RF frequencies ``fs``, as a
     function of heater settings.  The circuit is bound (see
     :func:`rfshaper.circuit.bind`) once on the mirrored offsets
-    ``{-fs[::-1], 0, fs}`` and keeps every port's field for the calls."""
+    ``{-fs[::-1], 0, fs}`` and keeps every port's field for the calls.
+    Heaters set to arrays of K settings give ``(K, fs.size)`` sidebands
+    and a ``(K, 1)`` carrier column, which broadcast together in
+    :func:`detector`'s beat."""
     evaluate_at = bind(link.graph, _tone_grid(fs))
 
     def tones(heaters: Mapping[str, float] | None = None) -> tuple:

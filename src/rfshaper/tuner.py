@@ -121,6 +121,11 @@ class Objective:
             if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
                 raise ConfigurationError(
                     f"{name} must be finite with hi > lo, got ({lo}, {hi})")
+        (p_lo, p_hi), (s_lo, s_hi) = self.passband, self.stopband
+        if p_lo <= s_hi and s_lo <= p_hi:
+            raise ConfigurationError(
+                f"passband {self.passband} and stopband {self.stopband} "
+                "share points; they must not overlap")
         if not self.band[0] > 0:
             raise ConfigurationError(
                 f"band must lie above 0 GHz, got {self.band}")
@@ -177,9 +182,16 @@ class Objective:
             return fn
 
         def fn(heaters: Mapping[str, float]) -> float:
-            flipped = dict(heaters)
-            flipped[FLIP_HEATER] = flipped.get(FLIP_HEATER, flip_base) + math.pi
-            return float(np.min(mag_db(heaters) - mag_db(flipped)))
+            if FLIP_HEATER not in heaters:
+                # the base keeps the graph's own phase, which a heater
+                # setting would wrap, so it takes a call of its own
+                base = mag_db(heaters)
+                flipped = mag_db({**heaters, FLIP_HEATER: flip_base + math.pi})
+            else:       # one call with K=2: the base and flipped settings
+                phase = heaters[FLIP_HEATER]
+                base, flipped = mag_db({**heaters, FLIP_HEATER: np.array(
+                    [phase, phase + math.pi])})
+            return float(np.min(base - flipped))
         return fn
 
 

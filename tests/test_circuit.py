@@ -520,3 +520,75 @@ def test_bind_mixes_only_the_retuned_blocks_and_those_downstream(
     mixed.clear()
     evaluate_at({})
     assert mixed == []
+
+
+def test_batched_call_of_one_setting_equals_the_float_call():
+    graph = BIND_GRAPHS["notch_shaper"]
+    evaluate_at = bind(graph, GRID)
+    want = evaluate_at({"ps_bar.phase": 1.0, "tc_bar.phase": 2.0})
+    for got in (evaluate_at({"ps_bar.phase": np.array([1.0]),
+                             "tc_bar.phase": 2.0}),
+                evaluate(graph, GRID, heaters={"ps_bar.phase": np.array([1.0]),
+                                               "tc_bar.phase": 2.0})):
+        assert got.fields.keys() == want.fields.keys()
+        for port, f in got.fields.items():
+            assert f.shape == (1, len(GRID))
+            assert np.array_equal(f[0], want.fields[port])
+
+
+def test_batched_outputs_are_read_only_and_unreached_ports_are_views():
+    # ring_tap has no path from ps_bar: it is the kept field, broadcast
+    graph = BIND_GRAPHS["notch_shaper"]
+    phases = np.linspace(0.0, 6.0, 4)
+    for resp in (bind(graph, GRID)({"ps_bar.phase": phases}),
+                 evaluate(graph, GRID, heaters={"ps_bar.phase": phases})):
+        for port, f in resp.fields.items():
+            assert f.shape == (4, len(GRID)), port
+            with pytest.raises(ValueError, match="read-only"):
+                f[0, 0] = 0.0
+        assert resp.fields["ring_tap"].strides[0] == 0
+        assert resp.fields["detector"].strides[0] != 0
+    assert not np.shares_memory(phases, resp.fields["detector"])
+
+
+@pytest.mark.parametrize("heaters, message", [
+    ({"ps_bar.phase": np.zeros((2, 2))},
+     "heater 'ps_bar.phase' takes a float or a 1-D array of settings, got "
+     "an array of shape (2, 2)"),
+    ({"ps_bar.phase": np.zeros(0)},
+     "heater 'ps_bar.phase' takes a float or a 1-D array of settings, got "
+     "an array of shape (0,)"),
+    ({"ps_bar.phase": np.array(1.0)},
+     "heater 'ps_bar.phase' takes a float or a 1-D array of settings, got "
+     "an array of shape ()"),
+    ({"ps_bar.phase": np.zeros(3), "tc_bar.phase": np.zeros(2)},
+     "heater 'tc_bar.phase' has 2 settings, another has 3"),
+])
+def test_batched_heaters_take_1d_arrays_of_one_length(heaters, message):
+    graph = BIND_GRAPHS["notch_shaper"]
+    for call in (bind(graph, GRID),
+                 lambda h: evaluate(graph, GRID, heaters=h)):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            call(heaters)
+
+
+@pytest.mark.parametrize("heater", ["ps_bar.phase", "ad.coupling_drop",
+                                    "ap.detune"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_setting_in_a_batch_raises_as_the_float_does(heater,
+                                                                 bad):
+    graph = BIND_GRAPHS["notch_shaper"]
+    evaluate_at = bind(graph, GRID)
+    with pytest.raises(ShaperError) as want:
+        evaluate_at({heater: bad})
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        evaluate_at({heater: np.array([0.5, bad, 1.0])})
+
+
+def test_with_heaters_takes_one_phase_per_heater():
+    graph = BIND_GRAPHS["notch_shaper"]
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "with_heaters takes one phase per heater, got arrays for "
+            "['ps_bar.phase']")):
+        graph.with_heaters({"ps_bar.phase": np.array([1.0, 2.0]),
+                            "tc_bar.phase": 1.0})

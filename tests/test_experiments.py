@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rfshaper.errors import ConfigurationError
+from rfshaper.errors import ConfigurationError, DomainError
 from rfshaper.experiments import run_experiment
 
 
@@ -49,6 +49,18 @@ def test_cancel_notch_seed_deterministic():
     assert a.summary == b.summary
     np.testing.assert_array_equal(a.traces["cancel"].mag_db,
                                   b.traces["cancel"].mag_db)
+
+
+def test_cancel_notch_outside_the_sweep_fails_before_the_polish(monkeypatch):
+    from rfshaper import experiments
+
+    def no_polish(*args, **kwargs):
+        raise AssertionError("polished a notch outside the sweep")
+    monkeypatch.setattr(experiments, "optimize", no_polish)
+    with pytest.raises(DomainError, match="^notch at 29 GHz lies outside "
+                                          "the RF sweep 6 to 14 GHz$"):
+        run_experiment("cancel_notch", {"sweep": (6.0, 14.0, 0.01),
+                                        "notch_freq_ghz": 29.0})
 
 
 def test_bandpass_peaks_match_detunes():
@@ -142,3 +154,20 @@ def test_amplitude_tuning_binds_its_circuit_once(monkeypatch):
         monkeypatch.setattr(module, "bind", counting_bind)
     run_experiment("amplitude_tuning", {"power_step_mw": 5.0})
     assert grids == [[-20.0, 0.0, 20.0]]
+
+
+def test_amplitude_tuning_reads_each_table_from_one_batched_pass(
+        monkeypatch):
+    # two passes find the shifter's base phase, one per table reads its
+    # rows: a pass per table row would make 2 + 2 * 141
+    from rfshaper import circuit
+    passes = []
+
+    def counting_pass(graph, grid, plan, fields, heaters):
+        passes.append(heaters)
+        return run_pass(graph, grid, plan, fields, heaters)
+    run_pass = circuit._pass
+    monkeypatch.setattr(circuit, "_pass", counting_pass)
+    result = run_experiment("amplitude_tuning")
+    assert len(passes) == 4
+    assert [len(result.tables[t][1]) for t in result.tables] == [141, 141]

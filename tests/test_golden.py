@@ -553,6 +553,18 @@ ERROR_CASES = {
          "--out", "t.nl"], 4,
         "error: objective gave no comparable value in 40 evaluations "
         "(every value was NaN or -inf)\n"),
+    "experiment_ssb_notch_outside_sweep": (
+        {"e.cfg": "experiment ssb_notch\nset notch_freq_ghz 1\n"},
+        ["experiment", "e.cfg", "--out-dir", "out"], 4,
+        "error: notch at 1 GHz lies outside the RF sweep 2 to 28 GHz\n"),
+    "experiment_cancel_notch_outside_sweep": (
+        {"e.cfg": "experiment cancel_notch\nset notch_freq_ghz 1\n"},
+        ["experiment", "e.cfg", "--out-dir", "out"], 4,
+        "error: notch at 1 GHz lies outside the RF sweep 2 to 28 GHz\n"),
+    "optimize_passband_overlaps_stopband": (
+        {}, OPTIMIZE_ERROR + ["--passband", "3:5", "--stopband", "4:6"], 3,
+        "error: passband (3.0, 5.0) and stopband (4.0, 6.0) share points; "
+        "they must not overlap\n"),
     "optimize_stopband_too_many_points": (
         {}, OPTIMIZE_ERROR + ["--stopband=-1e308:-3"], 4,
         "error: sweep -1e+308:-3:0.25 gives inf points, more than the limit "

@@ -110,6 +110,14 @@ def test_notch_depth_uses_local_baseline():
     assert f_min == pytest.approx(10.0, abs=0.01)
 
 
+@pytest.mark.parametrize("notch", [0.99, 30.0, np.nan])
+def test_notch_outside_the_sweep_has_no_depth(notch):
+    freqs = np.arange(1.0, 30.0, 0.01)
+    with pytest.raises(DomainError, match=f"^notch at {notch:g} GHz lies "
+                                          "outside the RF sweep 1 to 29.99 GHz$"):
+        notch_depth_db(freqs, np.zeros_like(freqs), notch)
+
+
 def test_peak_frequency_parabolic_refinement():
     freqs = np.arange(0.0, 20.0, 0.1)
     mag = -((freqs - 7.03) ** 2)

@@ -8,7 +8,7 @@ square: a lossless one has a unitary transfer matrix.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rfshaper.blocks import (BLOCK_KINDS, FrequencyGrid, PhaseShifterState,
@@ -288,3 +288,54 @@ def test_streamed_rf_sweep_equals_the_bound_tones(graph, kind, data):
         assert not isinstance(got[0], type), got
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+def outcome(fn):
+    """``fn().fields``, or the type and message of the ShaperError it
+    raises."""
+    try:
+        return fn().fields
+    except ShaperError as exc:
+        return type(exc), str(exc)
+
+
+heater_values = st.one_of(st.floats(-10.0, 10.0),
+                          st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(graph=st.one_of(graphs(), graphs(params=extreme_params)),
+       k=st.integers(1, 5), data=st.data())
+@PROPERTY
+def test_batched_heaters_give_the_float_calls_row_by_row(graph, k, data):
+    names = graph.heater_names()
+    assume(names)
+    chosen = data.draw(st.lists(st.sampled_from(names), min_size=1,
+                                unique=True), label="heaters")
+    batched = {}
+    for name in chosen:
+        if data.draw(st.booleans(), label=f"{name} is an array"):
+            batched[name] = np.array(data.draw(
+                st.lists(heater_values, min_size=k, max_size=k), label=name))
+        else:
+            batched[name] = data.draw(heater_values, label=name)
+    if not any(isinstance(v, np.ndarray) for v in batched.values()):
+        batched[chosen[0]] = np.full(k, float(batched[chosen[0]]))
+    rows = [{n: float(v[i]) if isinstance(v, np.ndarray) else v
+             for n, v in batched.items()} for i in range(k)]
+    for name in graph.inputs:
+        evaluate_at = bind(graph, GRID, name)
+        for call in (evaluate_at,
+                     lambda h: evaluate(graph, GRID, name, h)):
+            want = [outcome(lambda: call(row)) for row in rows]
+            got = outcome(lambda: call(batched))
+            errors = [w for w in want if not isinstance(w, dict)]
+            if errors:
+                # the first row that fails at the first failing step
+                assert got in errors
+                continue
+            assert isinstance(got, dict), got
+            for port, field in got.items():
+                assert field.shape == (k, len(GRID)), port
+                assert not field.flags.writeable, port
+                for i in range(k):
+                    assert np.array_equal(field[i], want[i][port]), (port, i)

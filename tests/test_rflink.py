@@ -243,6 +243,19 @@ def test_bind_tones_reads_the_mirrored_grid():
     assert np.array_equal(h_plus, h[4:])
 
 
+def test_bind_tones_of_a_batch_gives_each_setting_row_by_row():
+    tones = bind_tones(LinkConfig(ModulationFormat("PM", 0.2), build_shaper()),
+                       np.array([2.0, 5.0, 11.0]))
+    phases = np.array([0.0, 1.0, 4.0, 6.0])
+    h_minus, h_zero, h_plus = tones({"ps_bar.phase": phases,
+                                     "tc_bar.phase": 2.0})
+    assert h_minus.shape == h_plus.shape == (4, 3) and h_zero.shape == (4, 1)
+    for k, phase in enumerate(phases):
+        want = tones({"ps_bar.phase": float(phase), "tc_bar.phase": 2.0})
+        for got, w in zip((h_minus[k], h_zero[k, 0], h_plus[k]), want):
+            assert np.array_equal(got, w)
+
+
 def test_bind_tones_overflow_names_the_same_block_for_any_heaters():
     graph = build_shaper()
     tones = bind_tones(LinkConfig(ModulationFormat(), graph),

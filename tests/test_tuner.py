@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from rfshaper import kernels, rflink
-from rfshaper.blocks import (PhaseShifterState, RingParams,
+from rfshaper.blocks import (FrequencyGrid, PhaseShifterState, RingParams,
                              critical_coupling_kappa, h_phase_shifter,
                              h_tunable_coupler)
 from rfshaper.circuit import BlockInstance, CircuitGraph, Port
 from rfshaper.errors import AnalysisError, ConfigurationError, DomainError
 from rfshaper.experiments import _notch_shaper
 from rfshaper.topologies import (DeinterleaverSpec, FITTED_RING_AMPLITUDE,
-                                 build_deinterleaver, build_shaper)
-from rfshaper.tuner import (OBJECTIVE_KINDS, Objective, OptimizerConfig,
+                                 ShaperConfig, build_deinterleaver,
+                                 build_shaper)
+from rfshaper.tuner import (FLIP_HEATER, OBJECTIVE_KINDS, RF_STEP_GHZ,
+                            Objective, OptimizerConfig,
                             compensate_coupler_phase, optimize,
                             synthesize_cancellation_settings)
 
@@ -72,6 +74,9 @@ def test_objective_port_default_follows_kind(kind, port):
     ({"stopband": (-3.0, -27.0)}, "stopband"),
     ({"band": (math.nan, 25.0)}, "band"),
     ({"band": (0.0, 25.0)}, "band"),
+    ({"passband": (3.0, 5.0), "stopband": (4.0, 6.0)}, "share points"),
+    ({"passband": (3.0, 5.0), "stopband": (5.0, 6.0)}, "share points"),
+    ({"passband": (-6.0, -3.0), "stopband": (-5.0, -4.0)}, "share points"),
 ])
 def test_objective_rejects_bad_settings(kwargs, field):
     with pytest.raises(ConfigurationError, match=field):
@@ -211,6 +216,35 @@ def test_bound_conversion_extinction_reads_tones_only(monkeypatch):
     assert len(calls) == at_bind
     assert responses == []
     assert np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("tunes_flip_heater", [True, False])
+def test_conversion_extinction_equals_its_base_and_flipped_calls(
+        tunes_flip_heater):
+    # the graph's own shifter phase lies outside [0, 2*pi): a base call
+    # that leaves the shifter alone must not wrap it
+    graph = build_shaper(ShaperConfig(bar_phase_rad=7.0))
+    objective = Objective("conversion_extinction",
+                          fmt=rflink.ModulationFormat("PM", 0.2))
+    extinction = objective.build(graph)
+    tones = rflink.bind_tones(
+        rflink.LinkConfig(objective.fmt, graph),
+        FrequencyGrid.sweep(*objective.band, RF_STEP_GHZ).offsets_ghz)
+    beat = rflink.detector(objective.fmt)
+    ref = rflink.back_to_back_reference(objective.fmt)
+
+    def mag_db(heaters):
+        return rflink.magnitude_db(beat(*tones(heaters)), ref)
+    own = graph.heater_values()[FLIP_HEATER]
+    rng = np.random.default_rng(1)
+    for ps, tc in rng.uniform(0.0, 2 * math.pi, size=(20, 2)):
+        heaters = {"tc_bar.phase": tc}
+        if tunes_flip_heater:
+            heaters[FLIP_HEATER] = ps
+        flipped = {**heaters,
+                   FLIP_HEATER: heaters.get(FLIP_HEATER, own) + math.pi}
+        want = float(np.min(mag_db(heaters) - mag_db(flipped)))
+        assert extinction(heaters) == want
 
 
 def test_optimize_deterministic_given_seed():
