@@ -5,19 +5,23 @@ phase coordinates; phases are wrapped to [0, 2*pi) only when a candidate
 is evaluated, so the simplex never fights the 0/2*pi seam.  Runs are
 bit-reproducible for a fixed seed and never report a value worse than
 the best evaluated point.  Restarts are independent (objective
-evaluations are pure over a read-only graph template), so they could be
-farmed out concurrently without changing results.
+evaluations are pure over a read-only graph template), so they advance
+together: each round evaluates the next candidate of every live restart
+in one bound call, with the same results as running the restarts one
+after another.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Generator, Mapping, Sequence
 
 import numpy as np
 
+from . import blocks
 from .blocks import FrequencyGrid, h_tunable_coupler
 from .circuit import CircuitGraph, bind
 from .constants import DEFAULT_CARRIER_THZ
@@ -132,7 +136,7 @@ class Objective:
         if self.port is None:
             object.__setattr__(self, "port", OBJECTIVE_KINDS[self.kind])
 
-    def build(self, graph: CircuitGraph) -> Callable[[Mapping[str, float]], float]:
+    def build(self, graph: CircuitGraph) -> Callable[[Mapping], float | np.ndarray]:
         """Bind this objective to a graph template.
 
         The optical kinds read the port's power from
@@ -140,6 +144,13 @@ class Objective:
         magnitude from :func:`rfshaper.rflink.bind_tones`; either binds
         the circuit once, and the bound function reduces what it reads
         to the objective's value.
+
+        The bound function takes heater settings as floats, and returns
+        a float; or with some set to 1-D arrays of K candidates' settings
+        (as :func:`rfshaper.circuit.bind` takes them), and returns an
+        array of K values, each equal to its candidate's float call.  It
+        reads the candidates in calls of at most ``MAX_GRID_POINTS``
+        points per field and reduces each row with the float call's code.
         """
         port = self.port
         if self.kind == "deinterleaver_extinction":
@@ -147,20 +158,18 @@ class Objective:
                 FrequencyGrid.sweep(*band, GRID_STEP_GHZ).offsets_ghz
                 for band in (self.stopband, self.passband)]))
             evaluate_at = bind(graph, FrequencyGrid(DEFAULT_CARRIER_THZ, offs))
-
-            def fn(heaters: Mapping[str, float]) -> float:
-                return extinction_db(offs, evaluate_at(heaters).power(port),
-                                     self.passband, self.stopband)
-            return fn
+            return _by_rows(
+                lambda heaters: evaluate_at(heaters).power(port),
+                lambda power: extinction_db(offs, power, self.passband,
+                                            self.stopband), offs.size)
 
         if self.kind == "critical_coupling":
             evaluate_at = bind(graph, FrequencyGrid(
                 DEFAULT_CARRIER_THZ, np.array([self.offset_ghz])))
-
-            def fn(heaters: Mapping[str, float]) -> float:
-                p = float(evaluate_at(heaters).power(port)[0])
-                return -10.0 * math.log10(max(p, 1e-300))
-            return fn
+            return _by_rows(
+                lambda heaters: evaluate_at(heaters).power(port),
+                lambda power: -10.0 * math.log10(max(float(power[0]), 1e-300)),
+                1)
 
         if self.kind == "notch_depth":
             fs = np.array([float(self.rf_freq_ghz)])
@@ -173,43 +182,74 @@ class Objective:
         beat = detector(self.fmt)
         ref = back_to_back_reference(self.fmt)
 
-        def mag_db(heaters: Mapping[str, float]) -> np.ndarray:
+        def mag_db(heaters: Mapping) -> np.ndarray:
             return magnitude_db(beat(*tones(heaters)), ref)
 
         if self.kind == "notch_depth":
-            def fn(heaters: Mapping[str, float]) -> float:
-                return -float(mag_db(heaters)[0])
-            return fn
+            return _by_rows(mag_db, lambda mag: -float(mag[0]), 2 * fs.size + 1)
 
-        def fn(heaters: Mapping[str, float]) -> float:
+        def change_db(heaters: Mapping) -> np.ndarray:
+            """The base minus the flipped magnitude: one row per candidate."""
             if FLIP_HEATER not in heaters:
                 # the base keeps the graph's own phase, which a heater
                 # setting would wrap, so it takes a call of its own
-                base = mag_db(heaters)
-                flipped = mag_db({**heaters, FLIP_HEATER: flip_base + math.pi})
-            else:       # one call with K=2: the base and flipped settings
-                phase = heaters[FLIP_HEATER]
-                base, flipped = mag_db({**heaters, FLIP_HEATER: np.array(
-                    [phase, phase + math.pi])})
-            return float(np.min(base - flipped))
-        return fn
+                return (mag_db(heaters)
+                        - mag_db({**heaters, FLIP_HEATER: flip_base + math.pi}))
+            # one call for K candidates (1 for floats): K base rows, then
+            # K flipped ones
+            phase = heaters[FLIP_HEATER]
+            both = mag_db({**{n: np.concatenate([v, v])
+                              if isinstance(v, np.ndarray) else v
+                              for n, v in heaters.items()},
+                           FLIP_HEATER: np.append(phase, phase + math.pi)})
+            k = len(both) // 2
+            return both[:k] - both[k:]
+        return _by_rows(change_db, lambda change: float(np.min(change)),
+                        2 * (2 * fs.size + 1))
 
 
-def _nelder_mead_max(fn: Callable[[np.ndarray], float], x0: np.ndarray,
-                     scale: float, max_evals: int
-                     ) -> tuple[np.ndarray, float, int, bool]:
-    """Maximize fn; returns (best_x, best_f, evals, converged).
+def _by_rows(read: Callable[[Mapping], np.ndarray],
+             reduce: Callable[[np.ndarray], float], points: int
+             ) -> Callable[[Mapping], float | np.ndarray]:
+    """An objective's bound function: ``reduce(read(heaters))`` for float
+    settings.  For settings with 1-D arrays of K candidates, ``read``
+    gives a row per candidate and ``reduce`` makes each row's value; the
+    candidates are read in calls of at most ``max(1, MAX_GRID_POINTS //
+    points)``, so that a field holds at most ``MAX_GRID_POINTS`` points
+    (``points`` is what one candidate holds per field)."""
+    def fn(heaters: Mapping) -> float | np.ndarray:
+        k = next((v.size for v in heaters.values()
+                  if isinstance(v, np.ndarray)), None)
+        if k is None:
+            return reduce(read(heaters))
+        rows = max(1, blocks.MAX_GRID_POINTS // points)
+        values: list[float] = []
+        for lo in range(0, k, rows):
+            part = heaters if rows >= k else {
+                n: v[lo:lo + rows] if isinstance(v, np.ndarray) else v
+                for n, v in heaters.items()}
+            values.extend(map(reduce, read(part)))
+        return np.array(values)
+    return fn
+
+
+def _nelder_mead_max(x0: np.ndarray, scale: float, max_evals: int
+                     ) -> Generator[np.ndarray, float,
+                                    tuple[np.ndarray, float, int, bool]]:
+    """Maximize a function: yields each candidate in turn, receives its
+    value, and returns (best_x, best_f, evals, converged).
 
     A NaN value counts as -inf, so a NaN vertex is always the worst.
     """
     n = x0.size
     evals = 0
-    history: list[float] = []
+    # the best value so far after each evaluation; only the last window
+    # is read
+    history: deque[float] = deque(maxlen=CONVERGENCE_WINDOW + 1)
 
-    def f(x: np.ndarray) -> float:
+    def record(v: float) -> float:
         nonlocal evals
         evals += 1
-        v = fn(x)
         if math.isnan(v):
             v = -math.inf
         best = history[-1] if history else -math.inf
@@ -221,7 +261,9 @@ def _nelder_mead_max(fn: Callable[[np.ndarray], float], x0: np.ndarray,
         p = x0.copy()
         p[i] += scale
         simplex.append(p)
-    values = [f(p) for p in simplex]
+    values = []
+    for p in simplex:
+        values.append(record((yield p)))
 
     def converged_now() -> bool:
         if len(history) < CONVERGENCE_WINDOW + 1:
@@ -239,10 +281,10 @@ def _nelder_mead_max(fn: Callable[[np.ndarray], float], x0: np.ndarray,
         centroid = np.mean(simplex[:-1], axis=0)
         worst = simplex[-1]
         reflect = centroid + (centroid - worst)
-        fr = f(reflect)
+        fr = record((yield reflect))
         if fr > values[0]:
             expand = centroid + 2.0 * (centroid - worst)
-            fe = f(expand) if evals < max_evals else -math.inf
+            fe = record((yield expand)) if evals < max_evals else -math.inf
             if fe > fr:
                 simplex[-1], values[-1] = expand, fe
             else:
@@ -251,7 +293,7 @@ def _nelder_mead_max(fn: Callable[[np.ndarray], float], x0: np.ndarray,
             simplex[-1], values[-1] = reflect, fr
         else:
             contract = centroid + 0.5 * (worst - centroid)
-            fc = f(contract) if evals < max_evals else -math.inf
+            fc = record((yield contract)) if evals < max_evals else -math.inf
             if fc > values[-1]:
                 simplex[-1], values[-1] = contract, fc
             else:
@@ -259,7 +301,7 @@ def _nelder_mead_max(fn: Callable[[np.ndarray], float], x0: np.ndarray,
                     if evals >= max_evals:
                         break
                     simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = f(simplex[i])
+                    values[i] = record((yield simplex[i]))
     i_best = int(np.argmax(values))
     return simplex[i_best], values[i_best], evals, converged
 
@@ -273,6 +315,18 @@ def optimize(graph_template: CircuitGraph, objective: Objective,
     are sampled uniformly over wrapped phases from the seeded generator.
     Results are invariant to heater name ordering and bit-reproducible
     for a fixed seed.
+
+    The restarts advance in rounds.  Each round evaluates the next
+    candidate of every live restart in one call of the function that
+    ``objective.build`` returns: a round with one live restart passes
+    each heater as a float, and one with K > 1 as a 1-D array of the K
+    candidates' settings, in restart order.  Each restart's candidates,
+    and so the result, equal those of running the restarts one after
+    another.  So do errors: if a round's call raises, its candidates are
+    evaluated again one at a time; the first that raises stops its
+    restart and every later one, and once the earlier restarts end,
+    ``optimize`` raises the error of the lowest-numbered restart that
+    failed.
     """
     names = sorted(heater_names if heater_names is not None
                    else graph_template.heater_names())
@@ -284,19 +338,6 @@ def optimize(graph_template: CircuitGraph, objective: Objective,
     unknown = set(names) - set(graph_template.heater_names())
     if unknown:
         raise ConfigurationError(f"unknown heaters: {sorted(unknown)}")
-
-    scalar = objective.build(graph_template)
-
-    def fn(x: np.ndarray) -> float:
-        settings = {n: float(v) % _TWO_PI for n, v in zip(names, x)}
-        return scalar(settings)
-
-    current = graph_template.heater_values()
-    start_list: list[np.ndarray] = [np.array([current[n] for n in names])]
-    rng = np.random.default_rng(config.seed)
-    while len(start_list) < config.restarts:
-        start_list.append(rng.uniform(0.0, _TWO_PI, size=len(names)))
-
     budget = config.max_evals // config.restarts
     if budget < 2 * len(names) + 2:
         raise ConfigurationError(
@@ -304,13 +345,66 @@ def optimize(graph_template: CircuitGraph, objective: Objective,
             f"leaves {budget} evaluations per restart; {len(names)} heaters "
             f"need at least {2 * len(names) + 2}, so max_evals >= "
             f"{(2 * len(names) + 2) * config.restarts}")
+
+    bound = objective.build(graph_template)
+
+    def settings(xs: list[np.ndarray]) -> dict:
+        """Wrapped heater phases: floats for one candidate, a 1-D array
+        per heater for several."""
+        if len(xs) == 1:
+            return {n: float(v) % _TWO_PI for n, v in zip(names, xs[0])}
+        return {n: np.array([float(x[i]) % _TWO_PI for x in xs])
+                for i, n in enumerate(names)}
+
+    def evaluate(xs: list[np.ndarray]) -> tuple[list[float], Exception | None]:
+        """The values of the leading candidates, up to the first that
+        raises, and its error."""
+        if len(xs) > 1:
+            try:
+                return [float(v) for v in bound(settings(xs))], None
+            except Exception:   # the float calls below raise it again
+                pass
+        values = []
+        for x in xs:
+            try:
+                values.append(bound(settings([x])))
+            except Exception as exc:    # raised once the earlier restarts end
+                return values, exc
+        return values, None
+
+    current = graph_template.heater_values()
+    start_list: list[np.ndarray] = [np.array([current[n] for n in names])]
+    rng = np.random.default_rng(config.seed)
+    while len(start_list) < config.restarts:
+        start_list.append(rng.uniform(0.0, _TWO_PI, size=len(names)))
+
+    runs = [_nelder_mead_max(np.asarray(x0, dtype=float), 0.7, budget)
+            for x0 in start_list]
+    pending = {i: next(run) for i, run in enumerate(runs)}    # in restart order
+    outcomes: dict[int, tuple[np.ndarray, float, int, bool]] = {}
+    error = None
+    while pending:
+        live = list(pending)
+        values, failure = evaluate(list(pending.values()))
+        for i, v in zip(live, values):
+            try:
+                pending[i] = runs[i].send(v)
+            except StopIteration as stop:
+                del pending[i]
+                outcomes[i] = stop.value
+        if failure is not None:   # no restart left live follows a failed one
+            error = failure
+            for i in live[len(values):]:
+                del pending[i]
+    if error is not None:
+        raise error
+
     traces: list[RestartTrace] = []
     best_x, best_v = None, -math.inf
     total = 0
     all_converged = True
-    for x0 in start_list:
-        bx, bv, ev, conv = _nelder_mead_max(
-            fn, np.asarray(x0, dtype=float), 0.7, budget)
+    for i, x0 in enumerate(start_list):
+        bx, bv, ev, conv = outcomes[i]
         total += ev
         all_converged = all_converged and conv
         traces.append(RestartTrace(
