@@ -40,12 +40,14 @@ def test_tracer_wraps_and_counts_cli_runs(tmp_path, capsys):
                      "notch_depth", "--heaters", "ps_bar.phase,tc_bar.phase",
                      "--max-evals", "20", "--restarts", "2",
                      "--out", str(tmp_path / "t.nl")]) == 0
-    capsys.readouterr()
+    printed = capsys.readouterr().out.splitlines()
     assert csvout.write_rf_csv is writer
     assert "build" in vars(tuner.Objective)
     table = tracer.layer_table()
     for key in ("csvout.rows", "csvout.bytes", "tuner.objective.calls",
                 "cli.calls", "experiments.calls"):
         assert table[key] > 0, key
-    assert table["tuner.objective.calls"] == 20
+    # 20 evaluations: the two restarts' candidates share each bound call
+    assert "evaluations 20" in printed
+    assert table["tuner.objective.calls"] == 10
     assert table["cli.calls"] == 2
