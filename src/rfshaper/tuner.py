@@ -145,12 +145,12 @@ class Objective:
         the circuit once, and the bound function reduces what it reads
         to the objective's value.
 
-        The bound function takes heater settings as floats, and returns
-        a float; or with some set to 1-D arrays of K candidates' settings
-        (as :func:`rfshaper.circuit.bind` takes them), and returns an
-        array of K values, each equal to its candidate's float call.  It
-        reads the candidates in calls of at most ``MAX_GRID_POINTS``
-        points per field and reduces each row with the float call's code.
+        The bound function takes heater settings as floats and returns a
+        float.  Given 1-D arrays of K candidates' settings instead (as
+        :func:`rfshaper.circuit.bind` takes them), it returns an array of
+        K values, each equal to its candidate's float call: it reads the
+        candidates in calls of at most ``MAX_GRID_POINTS`` points per
+        field, and reduces each row with the float call's code.
         """
         port = self.port
         if self.kind == "deinterleaver_extinction":
@@ -197,12 +197,17 @@ class Objective:
                         - mag_db({**heaters, FLIP_HEATER: flip_base + math.pi}))
             # one call for K candidates (1 for floats): K base rows, then
             # K flipped ones
+            arrays = {n: v for n, v in heaters.items()
+                      if isinstance(v, np.ndarray)}
             phase = heaters[FLIP_HEATER]
-            both = mag_db({**{n: np.concatenate([v, v])
-                              if isinstance(v, np.ndarray) else v
-                              for n, v in heaters.items()},
-                           FLIP_HEATER: np.append(phase, phase + math.pi)})
-            k = len(both) // 2
+            if not isinstance(phase, np.ndarray):
+                phase = np.full(max((v.size for v in arrays.values()),
+                                    default=1), phase)
+            both = mag_db({**heaters,
+                           **{n: np.concatenate([v, v])
+                              for n, v in arrays.items()},
+                           FLIP_HEATER: np.concatenate([phase, phase + math.pi])})
+            k = phase.size
             return both[:k] - both[k:]
         return _by_rows(change_db, lambda change: float(np.min(change)),
                         2 * (2 * fs.size + 1))

@@ -1,9 +1,13 @@
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rfshaper import kernels, rflink
+from rfshaper import blocks, circuit, kernels, rflink
 from rfshaper.blocks import (FrequencyGrid, PhaseShifterState, RingParams,
                              critical_coupling_kappa, h_phase_shifter,
                              h_tunable_coupler)
@@ -13,10 +17,13 @@ from rfshaper.experiments import _notch_shaper
 from rfshaper.topologies import (DeinterleaverSpec, FITTED_RING_AMPLITUDE,
                                  ShaperConfig, build_deinterleaver,
                                  build_shaper)
-from rfshaper.tuner import (FLIP_HEATER, OBJECTIVE_KINDS, RF_STEP_GHZ,
-                            Objective, OptimizerConfig,
+from rfshaper.tuner import (CONVERGENCE_WINDOW, FLIP_HEATER, OBJECTIVE_KINDS,
+                            RF_STEP_GHZ, Objective, OptimizerConfig,
+                            RestartTrace, TuningResult, _nelder_mead_max,
                             compensate_coupler_phase, optimize,
                             synthesize_cancellation_settings)
+
+TWO_PI = 2 * math.pi
 
 
 def single_heater_graph():
@@ -348,3 +355,305 @@ def test_cancellation_settings_zero_db_is_pure_antiphase():
     bar = h_tunable_coupler(s.coupler_phase_rad)[0][0] * \
         h_phase_shifter(s.shifter_phase_rad)
     assert bar == pytest.approx(-1.0 + 0.0j, abs=1e-12)
+
+
+# --- lockstep restarts ------------------------------------------------------
+
+def ring_graph():
+    ring = BlockInstance("r", "ring_allpass",
+                         RingParams(50.0, 0.5,
+                                    round_trip_amplitude=FITTED_RING_AMPLITUDE))
+    return CircuitGraph((ring,), (), {"in": Port("r", "in")},
+                        {"out": Port("r", "out")})
+
+
+def notch_graph():
+    s = synthesize_cancellation_settings(7.0)
+    return _notch_shaper(10.0, 7.0, s.coupler_phase_rad, s.shifter_phase_rad)
+
+
+#: (label, graph, objective, heater names) for each objective kind; the
+#: shaper's own shifter phase lies outside [0, 2*pi)
+KIND_CASES = {
+    "deinterleaver_extinction": (
+        lambda: build_deinterleaver(DeinterleaverSpec()),
+        Objective("deinterleaver_extinction"), None),
+    "critical_coupling": (ring_graph, Objective("critical_coupling",
+                                                port="out"), None),
+    "notch_depth": (notch_graph, Objective("notch_depth", rf_freq_ghz=10.0),
+                    ["ps_bar.phase", "tc_bar.phase"]),
+    "conversion_extinction": (
+        lambda: build_shaper(ShaperConfig(bar_phase_rad=7.0)),
+        Objective("conversion_extinction"), ["ps_bar.phase", "tc_bar.phase"]),
+    "conversion_extinction, shifter untuned": (
+        lambda: build_shaper(ShaperConfig(bar_phase_rad=7.0)),
+        Objective("conversion_extinction"), ["tc_bar.phase"]),
+}
+
+
+def same_value(a, b) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def sequential_optimize(graph, objective, config, heater_names=None):
+    """``optimize`` as one loop: each restart runs to its end before the
+    next begins, with one float call per candidate."""
+    names = sorted(heater_names if heater_names is not None
+                   else graph.heater_names())
+    budget = config.max_evals // config.restarts
+    bound = objective.build(graph)
+    current = graph.heater_values()
+    rng = np.random.default_rng(config.seed)
+    starts = [np.array([current[n] for n in names])] + [
+        rng.uniform(0.0, TWO_PI, size=len(names))
+        for _ in range(config.restarts - 1)]
+    traces, best_x, best_v = [], None, -math.inf
+    for x0 in starts:
+        run = _nelder_mead_max(np.asarray(x0, dtype=float), 0.7, budget)
+        x = next(run)
+        while True:
+            try:
+                x = run.send(bound({n: float(v) % TWO_PI
+                                    for n, v in zip(names, x)}))
+            except StopIteration as stop:
+                bx, bv, ev, conv = stop.value
+                break
+        traces.append(RestartTrace(
+            {n: float(v) % TWO_PI for n, v in zip(names, x0)}, bv, ev, conv))
+        if bv > best_v:
+            best_x, best_v = bx, bv
+    if best_x is None:
+        raise AnalysisError("objective gave no comparable value")
+    return TuningResult({n: float(v) % TWO_PI for n, v in zip(names, best_x)},
+                        best_v, sum(t.evaluations for t in traces),
+                        all(t.converged for t in traces), tuple(traces))
+
+
+def outcome(run, *args, **kwargs):
+    """A run's result as its ``repr``, or its error's type and message."""
+    try:
+        return repr(run(*args, **kwargs))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _yield_steps() -> dict[int, str]:
+    source, first = inspect.getsourcelines(_nelder_mead_max)
+    return {first + i: step for i, line in enumerate(source)
+            for step in ("p", "reflect", "expand", "contract", "simplex[i]")
+            if f"(yield {step})" in line}
+
+
+def one_restart(bound, names, x0, budget):
+    """One restart run alone with float calls: the Nelder-Mead step of
+    each candidate it yields (by the source line of the yield it is
+    suspended at), and the ``DomainError`` that ends it, if one does."""
+    lines = _yield_steps()
+    run = _nelder_mead_max(np.asarray(x0, dtype=float), 0.7, budget)
+    steps, x = [], next(run)
+    while True:
+        steps.append(lines[run.gi_frame.f_lineno])
+        try:
+            value = bound({n: float(v) % TWO_PI for n, v in zip(names, x)})
+        except DomainError as exc:
+            return steps, exc
+        try:
+            x = run.send(value)
+        except StopIteration:
+            return steps, None
+
+
+@pytest.mark.parametrize("label", sorted(KIND_CASES))
+def test_bound_objective_rows_equal_their_float_calls(label):
+    make_graph, objective, names = KIND_CASES[label]
+    graph = make_graph()
+    names = names or sorted(graph.heater_names())
+    bound = objective.build(graph)
+    rng = np.random.default_rng(len(label))
+    for k in range(2, 9):
+        # settings outside [0, 2*pi) too: the bound function takes them raw
+        xs = rng.uniform(-10.0, 20.0, size=(k, len(names)))
+        values = bound({n: xs[:, i] for i, n in enumerate(names)})
+        assert values.shape == (k,)
+        for x, v in zip(xs, values):
+            want = bound({n: float(p) for n, p in zip(names, x)})
+            assert isinstance(want, float)
+            assert same_value(float(v), want), (label, k, x)
+
+
+def test_bound_objective_mixes_float_and_array_settings():
+    graph = build_shaper(ShaperConfig(bar_phase_rad=7.0))
+    bound = Objective("conversion_extinction").build(graph)
+    tcs = np.array([0.3, 2.0, 5.5])
+    values = bound({FLIP_HEATER: 1.25, "tc_bar.phase": tcs})
+    assert [float(v) for v in values] == [
+        bound({FLIP_HEATER: 1.25, "tc_bar.phase": float(tc)}) for tc in tcs]
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_lockstep_optimize_equals_restarts_run_one_after_another(data):
+    label = data.draw(st.sampled_from(sorted(KIND_CASES)), label="kind")
+    make_graph, objective, names = KIND_CASES[label]
+    graph = make_graph()
+    n = len(names or graph.heater_names())
+    restarts = data.draw(st.integers(1, 8), label="restarts")
+    # any budget from one simplex up: runs end mid-shrink, mid-expand or
+    # on convergence
+    budget = data.draw(st.integers(2 * n + 2, 2 * n + 62), label="budget")
+    max_evals = restarts * budget + data.draw(st.integers(0, restarts - 1))
+    config = OptimizerConfig(max_evals, restarts,
+                             data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    want = outcome(sequential_optimize, graph, objective, config, names)
+    assert outcome(optimize, graph, objective, config, names) == want
+
+
+@pytest.mark.parametrize("label", ["deinterleaver_extinction", "notch_depth"])
+def test_lockstep_optimize_equals_sequential_when_budgets_cut_a_step(label):
+    # budgets chosen so that restart 0 stops before an expansion (its
+    # reflection was the last candidate) or inside a shrink
+    make_graph, objective, names = KIND_CASES[label]
+    graph = make_graph()
+    names = names or sorted(graph.heater_names())
+    start = [graph.heater_values()[n] for n in names]
+    steps, _ = one_restart(objective.build(graph), names, start, 600)
+    shrink = "simplex[i]"
+    cut_expand = [b for b in range(2 * len(names) + 2, len(steps))
+                  if steps[b] == "expand"][:2]
+    cut_shrink = [b for b in range(2 * len(names) + 2, len(steps))
+                  if steps[b - 1] == shrink and steps[b] == shrink][:2]
+    assert cut_expand and cut_shrink
+    for budget in cut_expand + cut_shrink:
+        config = OptimizerConfig(3 * budget, 3, seed=budget)
+        want = sequential_optimize(graph, objective, config, names)
+        assert want.restarts[0].evaluations == budget
+        assert repr(optimize(graph, objective, config, names)) == repr(want)
+
+
+def guarded_objective(center: float, lo: float, hi: float) -> ScalarObjective:
+    """A quadratic bowl that raises for wrapped phases in [lo, hi]; with
+    arrays, for the first such row, as a batched bound call would."""
+    def fn(graph, heaters):
+        phi = np.atleast_1d(heaters["ps.phase"])
+        bad = phi[(lo <= phi) & (phi <= hi)]
+        if bad.size:
+            raise DomainError(f"phase {float(bad[0])!r} is forbidden")
+        d = (phi - center + math.pi) % TWO_PI - math.pi
+        value = -d * d
+        return value if isinstance(heaters["ps.phase"], np.ndarray) else float(value[0])
+    return ScalarObjective(fn)
+
+
+@pytest.mark.parametrize("seed, lo, hi", [
+    # a later restart fails in an earlier round than the first to fail
+    (12, 1.0, 1.3), (7, 4.0, 4.3), (17, 1.0, 1.3),
+    # a later restart fails in a later round
+    (10, 1.0, 1.3), (16, 4.0, 4.3)])
+def test_lockstep_raises_the_error_sequential_restarts_raise(seed, lo, hi):
+    graph = single_heater_graph()
+    objective = guarded_objective(3.0, lo, hi)
+    config = OptimizerConfig(360, 6, seed)
+    rng = np.random.default_rng(seed)
+    starts = [np.array([0.0])] + [rng.uniform(0.0, TWO_PI, size=1)
+                                  for _ in range(5)]
+    bound = objective.build(graph)
+    failed_at = {}          # restart -> its evaluations, the failing one too
+    for i, x0 in enumerate(starts):
+        steps, error = one_restart(bound, ["ps.phase"], x0, 60)
+        if error is not None:
+            failed_at[i] = len(steps)
+    # the sequential loop raises the error of the lowest-numbered restart
+    # to fail; lockstep must run the restarts before it to their end and
+    # stop every later one, which also fails
+    first = min(failed_at)
+    assert first > 0 and len(failed_at) > 1
+    want = outcome(sequential_optimize, graph, objective, config)
+    assert want[0] is DomainError
+    assert outcome(optimize, graph, objective, config) == want
+
+
+@pytest.mark.parametrize("label, points, rows", [
+    # 194 offsets: -27..-3 and 3..27 GHz every 0.25 GHz
+    ("deinterleaver_extinction", 194, 3),
+    # 43 tone offsets (21 RF frequencies), a base and a flipped row each
+    ("conversion_extinction", 2 * 43, 2),
+    ("notch_depth", 3, 1),
+])
+def test_lockstep_calls_hold_at_most_max_grid_points(monkeypatch, label,
+                                                     points, rows):
+    make_graph, objective, names = KIND_CASES[label]
+    graph = make_graph()
+    config = OptimizerConfig(7 * 40, 7, seed=3)
+    want = sequential_optimize(graph, objective, config, names)
+    monkeypatch.setattr(blocks, "MAX_GRID_POINTS", rows * points + points - 1)
+    sizes = []
+
+    def counting_pass(graph, grid, plan, fields, heaters):
+        sizes.append(max((v.size * grid.offsets_ghz.size
+                          for v in heaters.values()
+                          if isinstance(v, np.ndarray)), default=0))
+        return run_pass(graph, grid, plan, fields, heaters)
+    run_pass = circuit._pass
+    monkeypatch.setattr(circuit, "_pass", counting_pass)
+    assert repr(optimize(graph, objective, config, names)) == repr(want)
+    assert max(sizes) == rows * points
+
+
+@pytest.mark.parametrize("seed, evaluations, passes", [(7, 1775, 389),
+                                                       (0, 2687, 1250)])
+def test_optimize_makes_one_pass_per_round(monkeypatch, seed, evaluations,
+                                           passes):
+    # one pass per evaluation if the restarts ran one after another
+    batches = []
+
+    def counting_pass(graph, grid, plan, fields, heaters):
+        sizes = {v.size if isinstance(v, np.ndarray) else None
+                 for v in heaters.values()}
+        assert len(sizes) == 1          # all floats, or arrays of one size
+        batches.append(sizes.pop())
+        return run_pass(graph, grid, plan, fields, heaters)
+    run_pass = circuit._pass
+    monkeypatch.setattr(circuit, "_pass", counting_pass)
+    result = optimize(build_deinterleaver(DeinterleaverSpec()),
+                      Objective("deinterleaver_extinction"),
+                      OptimizerConfig(seed=seed))
+    assert result.evaluations == evaluations
+    assert len(batches) == passes
+    # restarts only leave the live set; a round with one live restart
+    # passes floats, never an array of one setting
+    live = [1 if k is None else k for k in batches]
+    assert 1 not in batches
+    assert live == sorted(live, reverse=True)
+    assert sum(live) == evaluations
+
+
+def test_optimize_checks_the_budget_before_it_binds_or_draws():
+    class Unbound:
+        def build(self, graph):
+            raise AssertionError("bound before the budget check")
+    graph = build_deinterleaver(DeinterleaverSpec())
+    config = OptimizerConfig(max_evals=1000, restarts=10 ** 5)
+    with pytest.raises(ConfigurationError, match="leaves 0 evaluations"):
+        optimize(graph, Unbound(), config)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match="leaves 0 evaluations"):
+            optimize(graph, Objective("deinterleaver_extinction"), config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def test_restart_keeps_only_the_convergence_window_of_its_history():
+    run = _nelder_mead_max(np.array([0.0, 0.0]), 0.7, 5000)
+    x, longest, evals = next(run), 0, 0
+    while True:
+        longest = max(longest, len(run.gi_frame.f_locals["history"]))
+        try:
+            x = run.send(-float(np.sum((x - 1.0) ** 2)))
+        except StopIteration as stop:
+            evals = stop.value[2]
+            break
+    assert evals > CONVERGENCE_WINDOW + 1
+    assert longest == CONVERGENCE_WINDOW + 1
