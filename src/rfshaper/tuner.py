@@ -203,10 +203,9 @@ class Objective:
             if not isinstance(phase, np.ndarray):
                 phase = np.full(max((v.size for v in arrays.values()),
                                     default=1), phase)
-            both = mag_db({**heaters,
-                           **{n: np.concatenate([v, v])
-                              for n, v in arrays.items()},
-                           FLIP_HEATER: np.concatenate([phase, phase + math.pi])})
+            doubled = {n: np.concatenate([v, v]) for n, v in arrays.items()}
+            both = mag_db({**heaters, **doubled, FLIP_HEATER: np.concatenate(
+                [phase, phase + math.pi])})
             k = phase.size
             return both[:k] - both[k:]
         return _by_rows(change_db, lambda change: float(np.min(change)),

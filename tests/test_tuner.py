@@ -372,8 +372,9 @@ def notch_graph():
     return _notch_shaper(10.0, 7.0, s.coupler_phase_rad, s.shifter_phase_rad)
 
 
-#: (label, graph, objective, heater names) for each objective kind; the
-#: shaper's own shifter phase lies outside [0, 2*pi)
+#: (graph builder, objective, heater names or None for all) by label, for
+#: each objective kind; the shaper's own shifter phase lies outside
+#: [0, 2*pi)
 KIND_CASES = {
     "deinterleaver_extinction": (
         lambda: build_deinterleaver(DeinterleaverSpec()),
@@ -502,8 +503,8 @@ def test_lockstep_optimize_equals_restarts_run_one_after_another(data):
     # on convergence
     budget = data.draw(st.integers(2 * n + 2, 2 * n + 62), label="budget")
     max_evals = restarts * budget + data.draw(st.integers(0, restarts - 1))
-    config = OptimizerConfig(max_evals, restarts,
-                             data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    config = OptimizerConfig(max_evals, restarts, seed)
     want = outcome(sequential_optimize, graph, objective, config, names)
     assert outcome(optimize, graph, objective, config, names) == want
 
@@ -540,7 +541,9 @@ def guarded_objective(center: float, lo: float, hi: float) -> ScalarObjective:
             raise DomainError(f"phase {float(bad[0])!r} is forbidden")
         d = (phi - center + math.pi) % TWO_PI - math.pi
         value = -d * d
-        return value if isinstance(heaters["ps.phase"], np.ndarray) else float(value[0])
+        if isinstance(heaters["ps.phase"], np.ndarray):
+            return value
+        return float(value[0])
     return ScalarObjective(fn)
 
 
