@@ -13,6 +13,7 @@ after another.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from collections import deque
@@ -38,6 +39,9 @@ CONVERGENCE_TOL, CONVERGENCE_WINDOW = 1e-6, 50
 GRID_STEP_GHZ = 0.25              # deinterleaver_extinction offset grid
 RF_STEP_GHZ = 0.5                 # conversion_extinction RF sweep
 FLIP_HEATER = "ps_bar.phase"      # conversion_extinction advances it by pi
+#: The most restarts ``optimize`` keeps live, and so evaluates in one
+#: round; the next starts when a live one ends.
+MAX_LIVE_RESTARTS = 64
 
 
 @dataclass(frozen=True)
@@ -197,13 +201,9 @@ class Objective:
                         - mag_db({**heaters, FLIP_HEATER: flip_base + math.pi}))
             # one call for K candidates (1 for floats): K base rows, then
             # K flipped ones
-            arrays = {n: v for n, v in heaters.items()
-                      if isinstance(v, np.ndarray)}
-            phase = heaters[FLIP_HEATER]
-            if not isinstance(phase, np.ndarray):
-                phase = np.full(max((v.size for v in arrays.values()),
-                                    default=1), phase)
-            doubled = {n: np.concatenate([v, v]) for n, v in arrays.items()}
+            phase = np.atleast_1d(heaters[FLIP_HEATER])
+            doubled = {n: np.concatenate([v, v]) for n, v in heaters.items()
+                       if isinstance(v, np.ndarray)}
             both = mag_db({**heaters, **doubled, FLIP_HEATER: np.concatenate(
                 [phase, phase + math.pi])})
             k = phase.size
@@ -320,17 +320,18 @@ def optimize(graph_template: CircuitGraph, objective: Objective,
     Results are invariant to heater name ordering and bit-reproducible
     for a fixed seed.
 
-    The restarts advance in rounds.  Each round evaluates the next
-    candidate of every live restart in one call of the function that
-    ``objective.build`` returns: a round with one live restart passes
-    each heater as a float, and one with K > 1 as a 1-D array of the K
-    candidates' settings, in restart order.  Each restart's candidates,
-    and so the result, equal those of running the restarts one after
-    another.  So do errors: if a round's call raises, its candidates are
-    evaluated again one at a time; the first that raises stops its
-    restart and every later one, and once the earlier restarts end,
-    ``optimize`` raises the error of the lowest-numbered restart that
-    failed.
+    The restarts advance in rounds.  At most ``MAX_LIVE_RESTARTS`` are
+    live at once; the next in order starts when a live one ends.  Each
+    round evaluates the next candidate of every live restart in one call
+    of the function that ``objective.build`` returns: a round with one
+    live restart passes each heater as a float, and one with K > 1 as a
+    1-D array of the K candidates' settings, in restart order.  Each
+    restart's candidates, and so the result, equal those of running the
+    restarts one after another.  So do errors: if a round's call raises,
+    its candidates are evaluated again one at a time; the first that
+    raises stops its restart and every later one, none starts after it,
+    and once the earlier restarts end, ``optimize`` raises the error of
+    the lowest-numbered restart that failed.
     """
     names = sorted(heater_names if heater_names is not None
                    else graph_template.heater_names())
@@ -382,24 +383,34 @@ def optimize(graph_template: CircuitGraph, objective: Objective,
     while len(start_list) < config.restarts:
         start_list.append(rng.uniform(0.0, _TWO_PI, size=len(names)))
 
-    runs = [_nelder_mead_max(np.asarray(x0, dtype=float), 0.7, budget)
-            for x0 in start_list]
-    pending = {i: next(run) for i, run in enumerate(runs)}    # in restart order
+    # restarts start in order as live ones end, at most MAX_LIVE_RESTARTS
+    # at a time, so the simplices held stay bounded however many there are
+    queued = iter(enumerate(start_list))
+    live: dict[int, tuple[Generator, np.ndarray]] = {}    # in restart order
     outcomes: dict[int, tuple[np.ndarray, float, int, bool]] = {}
     error = None
-    while pending:
-        live = list(pending)
-        values, failure = evaluate(list(pending.values()))
-        for i, v in zip(live, values):
+    while True:
+        if error is None:       # no restart starts after a failed one
+            for i, x0 in itertools.islice(queued,
+                                          MAX_LIVE_RESTARTS - len(live)):
+                run = _nelder_mead_max(np.asarray(x0, dtype=float), 0.7,
+                                       budget)
+                live[i] = run, next(run)
+        if not live:
+            break
+        order = list(live)
+        values, failure = evaluate([x for _, x in live.values()])
+        for i, v in zip(order, values):
+            run = live[i][0]
             try:
-                pending[i] = runs[i].send(v)
+                live[i] = run, run.send(v)
             except StopIteration as stop:
-                del pending[i]
+                del live[i]
                 outcomes[i] = stop.value
         if failure is not None:   # no restart left live follows a failed one
             error = failure
-            for i in live[len(values):]:
-                del pending[i]
+            for i in order[len(values):]:
+                del live[i]
     if error is not None:
         raise error
 
