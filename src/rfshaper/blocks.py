@@ -17,8 +17,9 @@ and ring responses are the grid kernels of :mod:`rfshaper.kernels`; the
 phase shifter and couplers are frequency-flat, so their responses below
 are scalars.
 
-A heater set to a column of K settings (see ``BlockInstance.with_heater``)
-makes its params fields ``(K, 1)`` columns.  Every check and response
+A heater set to a column of K settings (see ``BlockInstance.with_heater``,
+which applies all of a block's heaters in one params record) makes its
+params fields ``(K, 1)`` columns.  Every check and response
 below takes such a column as well as a float, and gives in each row what
 the float would: the grid kernels broadcast a column against the
 offsets, and the frequency-flat responses and heater laws apply their
@@ -29,7 +30,7 @@ round differently from :mod:`math`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -265,15 +266,24 @@ def h_tunable_coupler(phase_rad: float) -> tuple:
 
 
 def heater_phase_from_power(power_mw: float, p_pi_mw: float) -> float:
-    """Linear heater model: ``pi`` phase per ``p_pi_mw`` of heater power."""
+    """Linear heater model: ``pi`` phase per ``p_pi_mw`` of heater power.
+
+    ``power_mw`` may also be an array of powers, which gives the array of
+    their phases, each equal to its float call bit for bit (a product and
+    a quotient are correctly rounded in NumPy as in Python); an error
+    names the first failing power."""
     _require_finite("heater_phase_from_power", power_mw, p_pi_mw)
     if p_pi_mw <= 0:
         raise ConfigurationError("p_pi_mw must be > 0")
-    if power_mw < 0:
-        raise DomainError("power_mw must be >= 0")
-    phase = math.pi * power_mw / p_pi_mw
-    if not math.isfinite(phase):
-        raise DomainError(f"power_mw {power_mw:g} gives a non-finite phase")
+    if not np.all(power_mw >= 0):
+        raise DomainError("power_mw must be >= 0, got "
+                          f"{_first_failing(power_mw, power_mw >= 0):g}")
+    with np.errstate(over="ignore"):    # an overflow is reported below
+        phase = math.pi * power_mw / p_pi_mw
+    finite = np.isfinite(phase)
+    if not np.all(finite):
+        raise DomainError(f"power_mw {_first_failing(power_mw, finite):g} "
+                          "gives a non-finite phase")
     return phase
 
 
@@ -294,13 +304,16 @@ def critical_coupling_kappa(round_trip_amplitude: float) -> float:
 class Heater:
     """A tunable phase of a block kind.
 
-    ``get(params)`` is the phase the params imply; ``set(params, phase)``
-    returns params with the phase (already wrapped to [0, 2*pi)) applied.
+    ``get(params)`` is the phase the params imply; ``update(params, phase)``
+    gives the params fields that the phase (already wrapped to
+    [0, 2*pi)) sets, as ``{field: value}``.  It reads only fields that no
+    heater sets, so the maps of one block's heaters can be merged and
+    applied in one new params record.
     """
 
     name: str
     get: Callable[[object], float]
-    set: Callable[[object, float], object]
+    update: Callable[[object, float], dict]
 
 
 @dataclass(frozen=True)
@@ -341,7 +354,7 @@ class BlockKind:
 
 _PHASE_HEATER = Heater(
     "phase", lambda p: p.phase_rad % _TWO_PI,
-    lambda p, phase: PhaseShifterState(phase_rad=phase))
+    lambda p, phase: {"phase_rad": phase})
 
 
 # Ring couplers are tunable MZI couplers, so a coupling heater is a phase
@@ -351,9 +364,9 @@ _PHASE_HEATER = Heater(
 def _coupling_heater(name: str, key: str) -> Heater:
     return Heater(
         name, lambda p: 2.0 * math.asin(math.sqrt(getattr(p, key))),
-        lambda p, phase: replace(p, **{key: _each(_kappa, phase)
-                                       if isinstance(phase, np.ndarray)
-                                       else math.sin(phase / 2) ** 2}))
+        lambda p, phase: {key: _each(_kappa, phase)
+                          if isinstance(phase, np.ndarray)
+                          else math.sin(phase / 2) ** 2})
 
 
 def _kappa(phase: float) -> float:
@@ -363,7 +376,7 @@ def _kappa(phase: float) -> float:
 _DETUNE_HEATER = Heater(
     "detune",
     lambda p: (_TWO_PI * ((p.detune_ghz % p.fsr_ghz) / p.fsr_ghz)) % _TWO_PI,
-    lambda p, phase: replace(p, detune_ghz=p.fsr_ghz * phase / _TWO_PI))
+    lambda p, phase: {"detune_ghz": p.fsr_ghz * phase / _TWO_PI})
 
 
 def _ring_adddrop_rows(p: RingParams, offsets):

@@ -375,8 +375,7 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
     # one batched call per table; each row is reduced from its own NumPy
     # scalars, as a call per power would give them (NumPy's array abs and
     # powers may round differently from its scalar ones)
-    phi_tc = np.array([heater_phase_from_power(p, DEFAULT_P_PI_MW)
-                       for p in powers])
+    phi_tc = heater_phase_from_power(powers, DEFAULT_P_PI_MW)
     tc_wrapped = phi_tc % _TWO_PI
 
     def sweep_table(compensated: bool) -> Rows:

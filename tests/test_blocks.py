@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +236,25 @@ def test_heater_phase_rejects_a_non_finite_phase():
         heater_phase_from_power(1e308, 35.0)
     with pytest.raises(DomainError, match="power_mw 1 gives"):
         heater_phase_from_power(1.0, 1e-320)
+
+
+def test_heater_phases_of_an_array_equal_the_float_calls():
+    powers = np.arange(0.0, 35.0 + 1e-9, 0.25)
+    phases = heater_phase_from_power(powers, 35.0)
+    assert phases.shape == powers.shape
+    assert phases.tobytes() == np.array(
+        [heater_phase_from_power(p, 35.0) for p in powers.tolist()]).tobytes()
+
+
+@pytest.mark.parametrize("powers, message", [
+    ([1.0, -2.0, -3.0], "power_mw must be >= 0, got -2"),
+    ([1.0, 1e308, 1.5e308], "power_mw 1e+308 gives a non-finite phase"),
+    ([1.0, math.nan, math.inf], "heater_phase_from_power: non-finite value nan"),
+])
+def test_heater_phases_of_an_array_name_the_first_failing_power(powers,
+                                                                 message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        heater_phase_from_power(np.array(powers), 35.0)
 
 
 def test_critical_coupling_kappa():

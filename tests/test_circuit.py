@@ -13,8 +13,8 @@ from rfshaper import circuit
 from rfshaper.blocks import (BLOCK_KINDS, FrequencyGrid, PhaseShifterState,
                              RingParams, WaveguideParams, h_phase_shifter)
 from rfshaper.circuit import BlockInstance, CircuitGraph, Port, bind, evaluate
-from rfshaper.errors import (ConfigurationError, ShaperError, SingularityError,
-                             TopologyError)
+from rfshaper.errors import (ConfigurationError, DomainError, ShaperError,
+                             SingularityError, TopologyError)
 from rfshaper.experiments import _notch_shaper
 from rfshaper.netlist import NetlistDocument, document_to_text, parse_netlist
 from rfshaper.topologies import DeinterleaverSpec, build_deinterleaver
@@ -592,3 +592,49 @@ def test_with_heaters_takes_one_phase_per_heater():
             "['ps_bar.phase']")):
         graph.with_heaters({"ps_bar.phase": np.array([1.0, 2.0]),
                             "tc_bar.phase": 1.0})
+
+
+def test_the_order_of_a_blocks_settings_does_not_change_its_error():
+    # kappa NaN and a detune that overflows to inf: both fields fail, and
+    # the params record checks them in field order whatever the settings'
+    g = chain_graph([BlockInstance("r", "ring_allpass",
+                                   RingParams(fsr_ghz=1e308, kappa=0.1))])
+    for settings in ({"r.detune": 2.0, "r.coupling": math.nan},
+                     {"r.coupling": math.nan, "r.detune": 2.0},
+                     {"r.detune": np.array([2.0, 0.5]),
+                      "r.coupling": np.array([0.5, math.nan])},
+                     {"r.coupling": np.array([0.5, math.nan]),
+                      "r.detune": np.array([2.0, 0.5])}):
+        for call in (bind(g, GRID), lambda h: evaluate(g, GRID, heaters=h)):
+            with pytest.raises(DomainError, match=re.escape(
+                    "RingParams: non-finite value nan")):
+                call(settings)
+
+
+def test_an_unknown_heater_is_named_before_a_bad_value():
+    graph = BIND_GRAPHS["deinterleaver"]
+    with pytest.raises(ConfigurationError, match="no heater 'phase'"):
+        bind(graph, GRID)({"r1.coupling": math.nan, "r2.phase": 1.0})
+
+
+@pytest.mark.parametrize("k", [None, 8])
+def test_a_bound_call_rebuilds_each_retuned_block_once(monkeypatch, k):
+    graph = BIND_GRAPHS["deinterleaver"]
+    evaluate_at = bind(graph, GRID)
+    counts = dict.fromkeys((BlockInstance, RingParams, PhaseShifterState), 0)
+
+    def counting(cls):
+        check = cls.__post_init__
+
+        def post_init(self):
+            counts[cls] += 1
+            check(self)
+        return post_init
+
+    for cls in counts:
+        monkeypatch.setattr(cls, "__post_init__", counting(cls))
+    phases = [0.5 + 0.25 * i for i in range(len(graph.heater_names()))]
+    evaluate_at({name: phase if k is None else np.full(k, phase)
+                 for name, phase in zip(graph.heater_names(), phases)})
+    # six retuned blocks: three rings, two tunable couplers, one shifter
+    assert counts == {BlockInstance: 6, RingParams: 3, PhaseShifterState: 3}

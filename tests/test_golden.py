@@ -512,6 +512,10 @@ ERROR_CASES = {
         {"e.cfg": "experiment amplitude_tuning\nset anchor_power_mw 1e308\n"},
         ["experiment", "e.cfg", "--out-dir", "out"], 4,
         "error: power_mw 1e+308 gives a non-finite phase\n"),
+    "experiment_amplitude_tuning_negative_anchor_power": (
+        {"e.cfg": "experiment amplitude_tuning\nset anchor_power_mw -2\n"},
+        ["experiment", "e.cfg", "--out-dir", "out"], 4,
+        "error: power_mw must be >= 0, got -2\n"),
     "block_tiny_fsr": (
         {}, block("ring_allpass", "kappa=0.1", "fsr_ghz=1e-320"), 4,
         "error: phase 2*pi*(f - detune)/fsr overflows at offset -30 GHz "

@@ -349,3 +349,35 @@ def test_batched_heaters_give_the_float_calls_row_by_row(graph, k, data):
                 assert not field.flags.writeable, port
                 for i in range(k):
                     assert np.array_equal(field[i], want[i][port]), (port, i)
+
+
+def bits_or_error(fn):
+    """Each field's shape and bytes from ``fn()``, or the type and
+    message of the ShaperError it raises."""
+    try:
+        return {port: (f.shape, f.tobytes()) for port, f in fn().fields.items()}
+    except ShaperError as exc:
+        return type(exc), str(exc)
+
+
+@given(graph=st.one_of(graphs(), graphs(params=extreme_params)),
+       k=st.one_of(st.none(), st.integers(1, 4)), data=st.data())
+@PROPERTY
+def test_the_order_of_the_settings_changes_no_field_and_no_error(graph, k,
+                                                                data):
+    names = graph.heater_names()
+    assume(names)
+    chosen = data.draw(st.lists(st.sampled_from(names), min_size=1,
+                                unique=True), label="heaters")
+    # bad values are drawn often, so that two heaters fail together
+    value = st.one_of(st.sampled_from([np.nan, np.inf, 1e308]), heater_values)
+    values = value if k is None else st.builds(
+        np.array, st.lists(value, min_size=k, max_size=k))
+    settings = {name: data.draw(values, label=name) for name in chosen}
+    permuted = dict(data.draw(st.permutations(list(settings.items())),
+                              label="order"))
+    for name in graph.inputs:
+        evaluate_at = bind(graph, GRID, name)
+        for call in (evaluate_at, lambda h: evaluate(graph, GRID, name, h)):
+            assert (bits_or_error(lambda: call(settings))
+                    == bits_or_error(lambda: call(permuted)))
