@@ -103,9 +103,11 @@ class BlockInstance:
         new params record, so its ``__post_init__`` checks the final
         fields once, whatever the order of ``settings``.  A 1-D array of
         K phases sets a heater to each of them: the params take its fields
-        as ``(K, 1)`` columns."""
+        as ``(K, 1)`` columns.  No settings leave the block as it is."""
+        if not settings:
+            return self
         params = self.params
-        fields = dict(vars(params))
+        fields: dict = {}
         for name, phase in settings.items():
             h = _heater(self, name)
             if isinstance(phase, np.ndarray):
@@ -118,7 +120,8 @@ class BlockInstance:
                 fields.update(h.update(params, phase % (2 * math.pi)))
         # constructors rather than dataclasses.replace, which costs about
         # a microsecond more per record on the tuner's path
-        return BlockInstance(self.id, self.kind, type(params)(**fields))
+        return BlockInstance(self.id, self.kind,
+                             type(params)(**{**vars(params), **fields}))
 
 
 _HEATERS = {kind: {h.name: h for h in spec.heaters}

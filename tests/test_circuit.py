@@ -638,3 +638,10 @@ def test_a_bound_call_rebuilds_each_retuned_block_once(monkeypatch, k):
                  for name, phase in zip(graph.heater_names(), phases)})
     # six retuned blocks: three rings, two tunable couplers, one shifter
     assert counts == {BlockInstance: 6, RingParams: 3, PhaseShifterState: 3}
+
+
+def test_with_heater_checks_names_and_keeps_a_block_without_settings():
+    coupler = BlockInstance("c", "coupler_3db")
+    assert coupler.with_heater({}) is coupler
+    with pytest.raises(ConfigurationError, match="block 'c' has no heater"):
+        coupler.with_heater({"phase": 1.0})
