@@ -275,9 +275,10 @@ def heater_phase_from_power(power_mw: float, p_pi_mw: float) -> float:
     _require_finite("heater_phase_from_power", power_mw, p_pi_mw)
     if p_pi_mw <= 0:
         raise ConfigurationError("p_pi_mw must be > 0")
-    if not np.all(power_mw >= 0):
+    nonnegative = power_mw >= 0
+    if not np.all(nonnegative):
         raise DomainError("power_mw must be >= 0, got "
-                          f"{_first_failing(power_mw, power_mw >= 0):g}")
+                          f"{_first_failing(power_mw, nonnegative):g}")
     with np.errstate(over="ignore"):    # an overflow is reported below
         phase = math.pi * power_mw / p_pi_mw
     finite = np.isfinite(phase)
