@@ -17,13 +17,12 @@ and ring responses are the grid kernels of :mod:`rfshaper.kernels`; the
 phase shifter and couplers are frequency-flat, so their responses below
 are scalars.
 
-A heater set to a column of K settings (see ``BlockInstance.with_heater``,
-which applies all of a block's heaters in one params record) makes its
-params fields ``(K, 1)`` columns.  Every check and response
+``Heater.update`` turns a float phase into params fields, and a 1-D
+array of K phases into ``(K, 1)`` columns.  Every check and response
 below takes such a column as well as a float, and gives in each row what
-the float would: the grid kernels broadcast a column against the
-offsets, and the frequency-flat responses and heater laws apply their
-float formula to each entry (NumPy's SIMD ``sin``, ``cos`` and powers may
+the float would bit for bit: the grid kernels broadcast a column against
+the offsets, and the heater laws and the flat responses' phasor apply
+their float formula to each entry (NumPy's SIMD ``sin`` and ``cos`` may
 round differently from :mod:`math`).
 """
 
@@ -50,18 +49,18 @@ def _require_finite(name: str, *values) -> None:
 
 
 def _first_failing(value, ok):
-    """``value``, or for a column its first entry where ``ok`` fails, as
-    a float: an error names the row the float call would name."""
-    if isinstance(value, np.ndarray):
-        return float(value[~ok][0])
-    return value
+    """The first entry of ``value`` (a number or a column) where ``ok``
+    fails, as a plain number: an error names the row the float call
+    would name, and ``nan`` rather than ``np.float64(nan)``."""
+    return np.ravel(value)[~np.ravel(ok)][0].item()
 
 
-def _each(fn: Callable[[float], object], column: np.ndarray) -> np.ndarray:
-    """``fn`` of each entry of a column, as a column whose rows equal the
-    float calls bit for bit."""
-    return np.array([fn(v) for v in column.ravel().tolist()]).reshape(
-        column.shape)
+def _require_unit_interval(name: str, x) -> None:
+    ok = (0.0 <= x) & (x <= 1.0)
+    # a float gives a Python bool, and np.all costs microseconds on one
+    if ok is not True and not np.all(ok):
+        raise DomainError(
+            f"{name} out of range [0,1]: {_first_failing(x, ok)}")
 
 
 #: The most points a sweep or preset range may have; one complex field
@@ -131,16 +130,6 @@ class PhaseShifterState:
         _require_finite("PhaseShifterState", self.phase_rad)
 
 
-def _in_unit_interval(x) -> bool:
-    if isinstance(x, np.ndarray):
-        return bool(np.all((0.0 <= x) & (x <= 1.0)))
-    return 0.0 <= x <= 1.0
-
-
-def _first_outside(x):
-    return _first_failing(x, (0.0 <= x) & (x <= 1.0))
-
-
 @dataclass(frozen=True)
 class RingParams:
     """A ring resonator, parametrised by FSR rather than physical length.
@@ -162,20 +151,15 @@ class RingParams:
                         self.round_trip_amplitude, self.detune_ghz)
         if not (self.fsr_ghz > 0):
             raise DomainError("fsr_ghz must be > 0")
-        if not _in_unit_interval(self.kappa):
-            raise DomainError(
-                f"kappa out of range [0,1]: {_first_outside(self.kappa)}")
-        if self.kappa_drop is not None and not _in_unit_interval(self.kappa_drop):
-            raise DomainError(
-                f"kappa_drop out of range [0,1]: {_first_outside(self.kappa_drop)}")
+        _require_unit_interval("kappa", self.kappa)
+        if self.kappa_drop is not None:
+            _require_unit_interval("kappa_drop", self.kappa_drop)
         if not (0.0 < self.round_trip_amplitude <= 1.0):
             raise DomainError("round_trip_amplitude must be in (0,1]")
 
     @property
     def self_coupling(self) -> float:
-        if isinstance(self.kappa, np.ndarray):
-            return np.sqrt(1.0 - self.kappa)    # correctly rounded, as math's
-        return math.sqrt(1.0 - self.kappa)
+        return np.sqrt(1.0 - self.kappa)    # correctly rounded, as math's
 
 
 @dataclass(frozen=True)
@@ -228,15 +212,18 @@ def amplitude_from_db_loss(loss_db_per_cm: float, length_cm: float) -> float:
 
 
 def _unit_phasor(phase_rad: float) -> complex:
+    """``exp(-1j*phi)`` by :mod:`math`; a column entry by entry, since
+    NumPy's SIMD ``sin`` and ``cos`` may round differently."""
+    if isinstance(phase_rad, np.ndarray):
+        return np.array([_unit_phasor(v) for v in phase_rad.ravel().tolist()]
+                        ).reshape(phase_rad.shape)
     return complex(math.cos(phase_rad), -math.sin(phase_rad))
 
 
 def h_phase_shifter(phase_rad: float) -> complex:
     """Pure phase delay ``exp(-1j*phi)``."""
     _require_finite("h_phase_shifter", phase_rad)
-    if isinstance(phase_rad, np.ndarray):
-        return _each(_unit_phasor, phase_rad)
-    return complex(math.cos(phase_rad), -math.sin(phase_rad))
+    return _unit_phasor(phase_rad)
 
 
 def h_coupler_3db() -> tuple:
@@ -256,10 +243,7 @@ def h_tunable_coupler(phase_rad: float) -> tuple:
     downstream when pure amplitude control is wanted.
     """
     _require_finite("h_tunable_coupler", phase_rad)
-    if isinstance(phase_rad, np.ndarray):
-        e = _each(_unit_phasor, phase_rad)
-    else:
-        e = complex(math.cos(phase_rad), -math.sin(phase_rad))
+    e = _unit_phasor(phase_rad)
     bar = 0.5 * (1.0 - e)
     cross = -0.5j * (1.0 + e)
     return ((bar, cross), (cross, -bar))
@@ -303,18 +287,29 @@ def critical_coupling_kappa(round_trip_amplitude: float) -> float:
 
 @dataclass(frozen=True)
 class Heater:
-    """A tunable phase of a block kind.
+    """A tunable phase of a block kind, which sets the params ``field``.
 
-    ``get(params)`` is the phase the params imply; ``update(params, phase)``
-    gives the params fields that the phase (already wrapped to
-    [0, 2*pi)) sets, as ``{field: value}``.  It reads only fields that no
-    heater sets, so the maps of one block's heaters can be merged and
-    applied in one new params record.
+    ``get(params)`` is the phase the params imply.  ``law(params, phase)``
+    is the field's float formula for a phase in [0, 2*pi).  It reads only
+    fields that no heater sets, so the updates of one block's heaters can
+    be merged and applied in one new params record.
     """
 
     name: str
+    field: str
     get: Callable[[object], float]
-    update: Callable[[object, float], dict]
+    law: Callable[[object, float], float]
+
+    def update(self, params, phase) -> dict:
+        """``{field: value}`` for ``phase`` wrapped to [0, 2*pi).  A 1-D
+        array of K phases gives a ``(K, 1)`` column, each row the float
+        call's value bit for bit: the law is applied to each entry in
+        Python floats, which are quiet where NumPy warns (an infinite
+        phase wraps to NaN, a detune overflows to inf)."""
+        if isinstance(phase, np.ndarray):    # the one float-or-column fork
+            return {self.field: np.array([self.law(params, v % _TWO_PI)
+                                          for v in phase.tolist()])[:, None]}
+        return {self.field: self.law(params, phase % _TWO_PI)}
 
 
 @dataclass(frozen=True)
@@ -353,9 +348,8 @@ class BlockKind:
                 if (v := getattr(params, k)) is not None]
 
 
-_PHASE_HEATER = Heater(
-    "phase", lambda p: p.phase_rad % _TWO_PI,
-    lambda p, phase: {"phase_rad": phase})
+_PHASE_HEATER = Heater("phase", "phase_rad", lambda p: p.phase_rad % _TWO_PI,
+                       lambda p, phase: phase)
 
 
 # Ring couplers are tunable MZI couplers, so a coupling heater is a phase
@@ -364,20 +358,14 @@ _PHASE_HEATER = Heater(
 # that a detune many FSRs away still gives a finite phase.
 def _coupling_heater(name: str, key: str) -> Heater:
     return Heater(
-        name, lambda p: 2.0 * math.asin(math.sqrt(getattr(p, key))),
-        lambda p, phase: {key: _each(_kappa, phase)
-                          if isinstance(phase, np.ndarray)
-                          else math.sin(phase / 2) ** 2})
-
-
-def _kappa(phase: float) -> float:
-    return math.sin(phase / 2) ** 2
+        name, key, lambda p: 2.0 * math.asin(math.sqrt(getattr(p, key))),
+        lambda p, phase: math.sin(phase / 2) ** 2)
 
 
 _DETUNE_HEATER = Heater(
-    "detune",
+    "detune", "detune_ghz",
     lambda p: (_TWO_PI * ((p.detune_ghz % p.fsr_ghz) / p.fsr_ghz)) % _TWO_PI,
-    lambda p, phase: {"detune_ghz": p.fsr_ghz * phase / _TWO_PI})
+    lambda p, phase: p.fsr_ghz * phase / _TWO_PI)
 
 
 def _ring_adddrop_rows(p: RingParams, offsets):

@@ -10,7 +10,7 @@ concurrent use needs no locking.
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
@@ -99,25 +99,17 @@ class BlockInstance:
 
     def with_heater(self, settings: Mapping[str, float]) -> "BlockInstance":
         """Copy of this block with its heaters set to the given phases,
-        ``{heater: phase}``.  The heaters' field maps are merged into one
-        new params record, so its ``__post_init__`` checks the final
-        fields once, whatever the order of ``settings``.  A 1-D array of
-        K phases sets a heater to each of them: the params take its fields
-        as ``(K, 1)`` columns.  No settings leave the block as it is."""
+        ``{heater: phase}``.  Each heater's ``update`` gives the fields its
+        phase sets, a float or, for a 1-D array of K phases, a ``(K, 1)``
+        column; the fields are merged into one new params record, so its
+        ``__post_init__`` checks the final fields once, whatever the order
+        of ``settings``.  No settings leave the block as it is."""
         if not settings:
             return self
         params = self.params
-        fields: dict = {}
+        fields = {}
         for name, phase in settings.items():
-            h = _heater(self, name)
-            if isinstance(phase, np.ndarray):
-                # quiet where NumPy would warn, as float arithmetic is: an
-                # infinite setting wraps to NaN, a detune overflows to inf
-                with np.errstate(over="ignore", invalid="ignore"):
-                    fields.update(h.update(
-                        params, phase.reshape(-1, 1) % (2 * math.pi)))
-            else:
-                fields.update(h.update(params, phase % (2 * math.pi)))
+            fields.update(_heater(self, name).update(params, phase))
         # constructors rather than dataclasses.replace, which costs about
         # a microsecond more per record on the tuner's path
         return BlockInstance(self.id, self.kind,
@@ -291,7 +283,8 @@ class CircuitGraph:
         change, by id, with those phases applied, and K, the length of
         every array among the settings (None when all are floats).
 
-        Every name and array shape is checked first, in settings order.
+        Every name, type and array shape is checked first, in settings
+        order, and a real scalar is read as the Python float it equals.
         Then each changed block is rebuilt once, with all of its heaters,
         in evaluation order: the order of the settings changes neither
         the blocks nor the error a bad value raises."""
@@ -301,25 +294,39 @@ class CircuitGraph:
             block_id, _, heater = name.partition(".")
             if not heater or block_id not in self._by_id:
                 raise ConfigurationError(f"unknown heater {name!r}")
-            if isinstance(value, np.ndarray):
+            if isinstance(value, np.ndarray):    # the one place K is found
                 k = _batch_size(name, value, k)
+            elif type(value) is not float:    # keeps the hot float route cheap
+                value = _real(name, value)
             _heater(self._by_id[block_id], heater)
             by_block.setdefault(block_id, {})[heater] = value
         return {block_id: self._by_id[block_id].with_heater(by_block[block_id])
                 for block_id in self._order if block_id in by_block}, k
 
 
+def _real(name: str, value) -> float:
+    """Heater ``name``'s real scalar setting as the float it equals."""
+    if isinstance(value, (numbers.Real, np.bool_)):
+        return float(value)
+    raise _not_a_setting(name, type(value).__name__)
+
+
 def _batch_size(name: str, value: np.ndarray, k: int | None) -> int:
     """The length of heater ``name``'s array of settings, which must be
-    1-D, not empty, and as long as any other (``k``)."""
+    of a real dtype, 1-D, not empty, and as long as any other (``k``)."""
+    if value.dtype.kind not in "biuf":
+        raise _not_a_setting(name, f"an array of {value.dtype}")
     if value.ndim != 1 or value.size == 0:
-        raise ConfigurationError(
-            f"heater {name!r} takes a float or a 1-D array of settings, "
-            f"got an array of shape {value.shape}")
+        raise _not_a_setting(name, f"an array of shape {value.shape}")
     if k is not None and value.size != k:
         raise ConfigurationError(
             f"heater {name!r} has {value.size} settings, another has {k}")
     return value.size
+
+
+def _not_a_setting(name: str, what: str) -> ConfigurationError:
+    return ConfigurationError(f"heater {name!r} takes a float or a 1-D "
+                              f"array of settings, got {what}")
 
 
 def _walk(graph: CircuitGraph, start: Port):

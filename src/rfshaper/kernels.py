@@ -24,19 +24,20 @@ def _phase(offsets_ghz, detune_ghz: float, fsr_ghz: float) -> np.ndarray:
     one reduction.  A ``(K, 1)`` column of detunes gives ``(K, N)``
     phases, and the error names the first overflowing row."""
     f = np.asarray(offsets_ghz, dtype=np.float64)
+    # a NumPy reduction on a float detune would cost microseconds a call
     d = (float(np.abs(detune_ghz).max()) if isinstance(detune_ghz, np.ndarray)
          else abs(float(detune_ghz)))
     if (float(np.abs(f).max()) + d) * TWO_PI / float(fsr_ghz) < 1e300:
         return TWO_PI * (f - detune_ghz) / fsr_ghz
     with np.errstate(over="ignore", invalid="ignore"):
         ang = TWO_PI * (f - detune_ghz) / fsr_ghz
-    bad = np.nonzero(np.atleast_1d(~np.isfinite(ang)))
-    if bad[0].size:
-        row = (np.ravel(detune_ghz)[bad[0][0]]
-               if isinstance(detune_ghz, np.ndarray) else detune_ghz)
+    bad = np.flatnonzero(~np.isfinite(ang))
+    if bad.size:
+        at = np.unravel_index(bad[0], ang.shape)
         raise DomainError(
             f"phase 2*pi*(f - detune)/fsr overflows at offset "
-            f"{np.ravel(f)[bad[-1][0]]:g} GHz (detune {row:g} GHz, "
+            f"{np.broadcast_to(f, ang.shape)[at]:g} GHz (detune "
+            f"{np.broadcast_to(detune_ghz, ang.shape)[at]:g} GHz, "
             f"fsr {fsr_ghz:g} GHz)")
     return ang
 
@@ -55,6 +56,7 @@ def _check_pole(den: np.ndarray, offsets: np.ndarray, loop_gain: float) -> None:
     overflows; its response at every other point is one to rounding.
     With ``(K, N)`` ``den`` and a float or ``(K, 1)`` loop gain, the
     error names the first failing row's point."""
+    # a float loop gain below 1, the usual ring, costs no NumPy reduction
     if isinstance(loop_gain, np.ndarray):
         near = (np.abs(den) < _TINY) & (loop_gain >= 1.0)
     elif loop_gain >= 1.0:

@@ -202,6 +202,7 @@ class Objective:
             # one call for K candidates (1 for floats): K base rows, then
             # K flipped ones
             phase = np.atleast_1d(heaters[FLIP_HEATER])
+            # floats stay floats: the float call is the tuner's hot route
             doubled = {n: np.concatenate([v, v]) for n, v in heaters.items()
                        if isinstance(v, np.ndarray)}
             both = mag_db({**heaters, **doubled, FLIP_HEATER: np.concatenate(
@@ -222,6 +223,7 @@ def _by_rows(read: Callable[[Mapping], np.ndarray],
     points)``, so that a field holds at most ``MAX_GRID_POINTS`` points
     (``points`` is what one candidate holds per field)."""
     def fn(heaters: Mapping) -> float | np.ndarray:
+        # float settings, the tuner's hot route, take one plain call
         k = next((v.size for v in heaters.values()
                   if isinstance(v, np.ndarray)), None)
         if k is None:

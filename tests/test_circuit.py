@@ -3,6 +3,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -563,6 +564,13 @@ def test_batched_outputs_are_read_only_and_unreached_ports_are_views():
      "an array of shape ()"),
     ({"ps_bar.phase": np.zeros(3), "tc_bar.phase": np.zeros(2)},
      "heater 'tc_bar.phase' has 2 settings, another has 3"),
+    *(({"ps_bar.phase": 1.0, "ap.detune": value},
+       f"heater 'ap.detune' takes a float or a 1-D array of settings, got "
+       f"{got}")
+      for value, got in [("1", "str"), (1j, "complex"), ([1.0], "list"),
+                         (None, "NoneType"),
+                         (np.array([1j, 2.0]), "an array of complex128"),
+                         (np.array(["1"]), "an array of <U1")]),
 ])
 def test_batched_heaters_take_1d_arrays_of_one_length(heaters, message):
     graph = BIND_GRAPHS["notch_shaper"]
@@ -570,6 +578,34 @@ def test_batched_heaters_take_1d_arrays_of_one_length(heaters, message):
                  lambda h: evaluate(graph, GRID, heaters=h)):
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             call(heaters)
+
+
+def bits_or_message(fn):
+    """Each field's bytes from ``fn()``, or the type and message of the
+    ShaperError it raises."""
+    try:
+        return {port: f.tobytes() for port, f in fn().fields.items()}
+    except ShaperError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("heater", ["ps_bar.phase", "ap.detune"])
+@pytest.mark.parametrize("value", [np.float64(math.inf), np.float64(math.nan),
+                                   np.float32(7.0), np.int64(9), True,
+                                   np.bool_(True)])
+def test_a_real_scalar_setting_is_read_as_the_float_it_equals(heater, value):
+    graph = BIND_GRAPHS["notch_shaper"]
+    evaluate_at = bind(graph, GRID)
+    for call in (evaluate_at, lambda h: evaluate(graph, GRID, heaters=h)):
+        assert (bits_or_message(lambda: call({heater: value}))
+                == bits_or_message(lambda: call({heater: float(value)})))
+    if math.isfinite(value):
+        i = [b.id for b in graph.blocks].index(heater.partition(".")[0])
+        got, want = (graph.with_heaters({heater: v}).blocks[i]
+                     for v in (value, float(value)))
+        assert got == want
+        assert all(type(v) is float for v in vars(got.params).values()
+                   if v is not None)
 
 
 @pytest.mark.parametrize("heater", ["ps_bar.phase", "ad.coupling_drop",
@@ -645,3 +681,55 @@ def test_with_heater_checks_names_and_keeps_a_block_without_settings():
     assert coupler.with_heater({}) is coupler
     with pytest.raises(ConfigurationError, match="block 'c' has no heater"):
         coupler.with_heater({"phase": 1.0})
+
+
+HEATED_BLOCKS = [
+    BlockInstance("ps", "phase_shifter", PhaseShifterState(0.3)),
+    BlockInstance("tc", "tunable_coupler", PhaseShifterState(4.0)),
+    BlockInstance("ap", "ring_allpass", RingParams(
+        50.0, 0.2, round_trip_amplitude=0.9, detune_ghz=3.0)),
+    # an FSR this large makes most detune settings overflow to inf
+    BlockInstance("ad", "ring_adddrop", RingParams(1e308, 0.2, kappa_drop=0.1)),
+]
+COLUMN_SETTINGS = [0.5, -0.0, 7.0, -3.0, 5e-324, 1e308, -1e308, math.nan,
+                   math.inf, -math.inf]
+
+
+def params_or_error(fn):
+    try:
+        return fn().params
+    except ShaperError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("blk, heater", [
+    (blk, h) for blk in HEATED_BLOCKS for h in BLOCK_KINDS[blk.kind].heaters],
+    ids=lambda x: getattr(x, "kind", getattr(x, "name", None)))
+def test_with_heater_gives_a_column_whose_rows_are_the_float_calls(blk,
+                                                                   heater):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the heater's update: each row of the column is the float call's
+        (field, column), = heater.update(
+            blk.params, np.array(COLUMN_SETTINGS)).items()
+        rows = [heater.update(blk.params, v)[field] for v in COLUMN_SETTINGS]
+        assert all(type(v) is float for v in rows)
+        assert column.shape == (len(COLUMN_SETTINGS), 1)
+        assert column.tobytes() == np.array(rows).tobytes()
+        # with_heater: params with that column, or the first failing
+        # row's error
+        for value in COLUMN_SETTINGS:
+            settings = [0.5, value]
+            want = [params_or_error(lambda: blk.with_heater({heater.name: v}))
+                    for v in settings]
+            got = params_or_error(
+                lambda: blk.with_heater({heater.name: np.array(settings)}))
+            errors = [w for w in want if isinstance(w, tuple)]
+            if errors:
+                assert got == errors[0]
+                continue
+            assert getattr(got, field).shape == (2, 1)
+            assert getattr(got, field).tobytes() == np.array(
+                [getattr(w, field) for w in want]).tobytes()
+            assert {**vars(got), field: None} == {**vars(blk.params),
+                                                  field: None}

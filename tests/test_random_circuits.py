@@ -310,7 +310,10 @@ def outcome(fn):
 
 
 heater_values = st.one_of(st.floats(-10.0, 10.0),
-                          st.floats(allow_nan=True, allow_infinity=True))
+                          st.floats(allow_nan=True, allow_infinity=True),
+                          # a NumPy scalar is read as the float it equals
+                          st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]),
+                                    st.floats(-10.0, 10.0)).map(np.float64))
 
 
 @given(graph=st.one_of(graphs(), graphs(params=extreme_params)),
