@@ -302,13 +302,15 @@ class Heater:
 
     def update(self, params, phase) -> dict:
         """``{field: value}`` for ``phase`` wrapped to [0, 2*pi).  A 1-D
-        array of K phases gives a ``(K, 1)`` column, each row the float
-        call's value bit for bit: the law is applied to each entry in
-        Python floats, which are quiet where NumPy warns (an infinite
-        phase wraps to NaN, a detune overflows to inf)."""
+        array of K phases, wrapped in float64 as quietly as a float is (an
+        infinite phase wraps to NaN), gives a ``(K, 1)`` column of the law
+        applied to each entry in Python floats: the float calls' values."""
         if isinstance(phase, np.ndarray):    # the one float-or-column fork
-            return {self.field: np.array([self.law(params, v % _TWO_PI)
-                                          for v in phase.tolist()])[:, None]}
+            # Python's % per entry, as exact and faster, waits on ROADMAP item 1
+            with np.errstate(invalid="ignore"):
+                wrapped = np.remainder(phase, _TWO_PI, dtype=float).tolist()
+            return {self.field: np.array([self.law(params, v)
+                                          for v in wrapped])[:, None]}
         return {self.field: self.law(params, phase % _TWO_PI)}
 
 

@@ -98,12 +98,11 @@ class BlockInstance:
                     f"block {self.id!r}: {self.kind} needs {key}")
 
     def with_heater(self, settings: Mapping[str, float]) -> "BlockInstance":
-        """Copy of this block with its heaters set to the given phases,
-        ``{heater: phase}``.  Each heater's ``update`` gives the fields its
-        phase sets, a float or, for a 1-D array of K phases, a ``(K, 1)``
-        column; the fields are merged into one new params record, so its
-        ``__post_init__`` checks the final fields once, whatever the order
-        of ``settings``.  No settings leave the block as it is."""
+        """Copy of this block with its heaters set to ``{heater: phase}``,
+        each a Python float or a 1-D real array of K phases, as
+        ``CircuitGraph._blocks_with_heaters`` reads settings.  The heaters'
+        fields (floats or ``(K, 1)`` columns) go into one params record,
+        checked once whatever their order; no settings return ``self``."""
         if not settings:
             return self
         params = self.params
@@ -267,12 +266,10 @@ class CircuitGraph:
         """New graph with the named heater phases applied to the params.
         A graph holds one phase per heater; arrays of settings belong to a
         batched call of :func:`evaluate` or of a :func:`bind` function."""
-        arrays = sorted(n for n, v in settings.items()
-                        if isinstance(v, np.ndarray))
-        if arrays:
-            raise ConfigurationError(
-                f"with_heaters takes one phase per heater, got arrays for "
-                f"{arrays}")
+        if arrays := sorted(n for n, v in settings.items()
+                            if isinstance(v, np.ndarray)):
+            raise ConfigurationError("with_heaters takes one phase per "
+                                     f"heater, got arrays for {arrays}")
         changed, _ = self._blocks_with_heaters(settings)
         return CircuitGraph(tuple(changed.get(b.id, b) for b in self.blocks),
                             self.connections, self.inputs, self.outputs)
@@ -282,23 +279,21 @@ class CircuitGraph:
         """The blocks that ``{"<block id>.<heater>": phase}`` settings
         change, by id, with those phases applied, and K, the length of
         every array among the settings (None when all are floats).
-
         Every name, type and array shape is checked first, in settings
         order, and a real scalar is read as the Python float it equals.
-        Then each changed block is rebuilt once, with all of its heaters,
-        in evaluation order: the order of the settings changes neither
-        the blocks nor the error a bad value raises."""
+        Then each changed block is rebuilt once, in evaluation order, so
+        the order of the settings changes neither blocks nor errors."""
         by_block: dict[str, dict[str, float]] = {}
         k = None
         for name, value in settings.items():
             block_id, _, heater = name.partition(".")
             if not heater or block_id not in self._by_id:
                 raise ConfigurationError(f"unknown heater {name!r}")
+            _heater(self._by_id[block_id], heater)
             if isinstance(value, np.ndarray):    # the one place K is found
                 k = _batch_size(name, value, k)
             elif type(value) is not float:    # keeps the hot float route cheap
                 value = _real(name, value)
-            _heater(self._by_id[block_id], heater)
             by_block.setdefault(block_id, {})[heater] = value
         return {block_id: self._by_id[block_id].with_heater(by_block[block_id])
                 for block_id in self._order if block_id in by_block}, k
@@ -306,9 +301,13 @@ class CircuitGraph:
 
 def _real(name: str, value) -> float:
     """Heater ``name``'s real scalar setting as the float it equals."""
+    what = type(value).__name__
     if isinstance(value, (numbers.Real, np.bool_)):
-        return float(value)
-    raise _not_a_setting(name, type(value).__name__)
+        try:
+            return float(value)
+        except OverflowError:
+            what += " too large for a float"
+    raise _not_a_setting(name, what)
 
 
 def _batch_size(name: str, value: np.ndarray, k: int | None) -> int:

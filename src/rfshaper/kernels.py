@@ -31,13 +31,12 @@ def _phase(offsets_ghz, detune_ghz: float, fsr_ghz: float) -> np.ndarray:
         return TWO_PI * (f - detune_ghz) / fsr_ghz
     with np.errstate(over="ignore", invalid="ignore"):
         ang = TWO_PI * (f - detune_ghz) / fsr_ghz
-    bad = np.flatnonzero(~np.isfinite(ang))
-    if bad.size:
-        at = np.unravel_index(bad[0], ang.shape)
+    bad = ~np.isfinite(ang)
+    if bad.any():
+        f, d = np.broadcast_arrays(f, detune_ghz)
         raise DomainError(
             f"phase 2*pi*(f - detune)/fsr overflows at offset "
-            f"{np.broadcast_to(f, ang.shape)[at]:g} GHz (detune "
-            f"{np.broadcast_to(detune_ghz, ang.shape)[at]:g} GHz, "
+            f"{f[bad][0]:g} GHz (detune {d[bad][0]:g} GHz, "
             f"fsr {fsr_ghz:g} GHz)")
     return ang
 

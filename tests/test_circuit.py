@@ -405,11 +405,12 @@ BIND_GRAPHS = {"deinterleaver": build_deinterleaver(DeinterleaverSpec()),
                "notch_shaper": notch_shaper()}
 
 
-def fields_or_error(fn):
+def outcome(fn):
+    """``fn()``, or the type and message of the ShaperError it raises."""
     try:
-        return fn().fields
+        return fn()
     except ShaperError as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("name", sorted(BIND_GRAPHS))
@@ -424,15 +425,14 @@ def test_bind_equals_evaluate_of_rebuilt_graph(name, data):
         st.sampled_from(graph.heater_names()), st.floats(-10.0, 10.0)),
         min_size=1, max_size=4), label="calls")
     for heaters in calls:
-        got = fields_or_error(lambda: evaluate_at(heaters))
-        want = fields_or_error(
-            lambda: evaluate(graph.with_heaters(heaters), GRID))
-        if not isinstance(want, dict):
-            assert got is want
+        got = outcome(lambda: evaluate_at(heaters))
+        want = outcome(lambda: evaluate(graph.with_heaters(heaters), GRID))
+        if isinstance(want, tuple):
+            assert got == want
             continue
-        assert got.keys() == want.keys()
-        for port in want:
-            assert np.array_equal(got[port], want[port]), port
+        assert got.fields.keys() == want.fields.keys()
+        for port in want.fields:
+            assert np.array_equal(got.fields[port], want.fields[port]), port
 
 
 def test_bind_rejects_unknown_heaters():
@@ -569,8 +569,11 @@ def test_batched_outputs_are_read_only_and_unreached_ports_are_views():
        f"{got}")
       for value, got in [("1", "str"), (1j, "complex"), ([1.0], "list"),
                          (None, "NoneType"),
+                         (10**400, "int too large for a float"),
                          (np.array([1j, 2.0]), "an array of complex128"),
                          (np.array(["1"]), "an array of <U1")]),
+    # the heater's name is checked before its value
+    ({"ps_bar.bogus": "1"}, "block 'ps_bar' has no heater 'bogus'"),
 ])
 def test_batched_heaters_take_1d_arrays_of_one_length(heaters, message):
     graph = BIND_GRAPHS["notch_shaper"]
@@ -578,15 +581,6 @@ def test_batched_heaters_take_1d_arrays_of_one_length(heaters, message):
                  lambda h: evaluate(graph, GRID, heaters=h)):
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             call(heaters)
-
-
-def bits_or_message(fn):
-    """Each field's bytes from ``fn()``, or the type and message of the
-    ShaperError it raises."""
-    try:
-        return {port: f.tobytes() for port, f in fn().fields.items()}
-    except ShaperError as exc:
-        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("heater", ["ps_bar.phase", "ap.detune"])
@@ -597,8 +591,13 @@ def test_a_real_scalar_setting_is_read_as_the_float_it_equals(heater, value):
     graph = BIND_GRAPHS["notch_shaper"]
     evaluate_at = bind(graph, GRID)
     for call in (evaluate_at, lambda h: evaluate(graph, GRID, heaters=h)):
-        assert (bits_or_message(lambda: call({heater: value}))
-                == bits_or_message(lambda: call({heater: float(value)})))
+        got, want = (outcome(lambda: call({heater: v}))
+                     for v in (value, float(value)))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert ({p: f.tobytes() for p, f in got.fields.items()}
+                    == {p: f.tobytes() for p, f in want.fields.items()})
     if math.isfinite(value):
         i = [b.id for b in graph.blocks].index(heater.partition(".")[0])
         got, want = (graph.with_heaters({heater: v}).blocks[i]
@@ -606,6 +605,18 @@ def test_a_real_scalar_setting_is_read_as_the_float_it_equals(heater, value):
         assert got == want
         assert all(type(v) is float for v in vars(got.params).values()
                    if v is not None)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64, np.bool_])
+def test_an_array_of_a_real_dtype_gives_the_rows_of_its_float_calls(dtype):
+    evaluate_at = bind(BIND_GRAPHS["notch_shaper"], GRID)
+    values = np.array([7.1, 0.0, 1.0]).astype(dtype)
+    for heater in ("ps_bar.phase", "ad.coupling", "ap.detune"):
+        got = evaluate_at({heater: values}).fields
+        for i, v in enumerate(values.tolist()):
+            want = evaluate_at({heater: float(v)}).fields
+            for port in want:
+                assert got[port][i].tobytes() == want[port].tobytes(), port
 
 
 @pytest.mark.parametrize("heater", ["ps_bar.phase", "ad.coupling_drop",
@@ -695,13 +706,6 @@ COLUMN_SETTINGS = [0.5, -0.0, 7.0, -3.0, 5e-324, 1e308, -1e308, math.nan,
                    math.inf, -math.inf]
 
 
-def params_or_error(fn):
-    try:
-        return fn().params
-    except ShaperError as exc:
-        return type(exc), str(exc)
-
-
 @pytest.mark.parametrize("blk, heater", [
     (blk, h) for blk in HEATED_BLOCKS for h in BLOCK_KINDS[blk.kind].heaters],
     ids=lambda x: getattr(x, "kind", getattr(x, "name", None)))
@@ -720,10 +724,10 @@ def test_with_heater_gives_a_column_whose_rows_are_the_float_calls(blk,
         # row's error
         for value in COLUMN_SETTINGS:
             settings = [0.5, value]
-            want = [params_or_error(lambda: blk.with_heater({heater.name: v}))
+            want = [outcome(lambda: blk.with_heater({heater.name: v}).params)
                     for v in settings]
-            got = params_or_error(
-                lambda: blk.with_heater({heater.name: np.array(settings)}))
+            got = outcome(
+                lambda: blk.with_heater({heater.name: np.array(settings)}).params)
             errors = [w for w in want if isinstance(w, tuple)]
             if errors:
                 assert got == errors[0]
