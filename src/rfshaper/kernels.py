@@ -55,9 +55,14 @@ def _check_pole(den: np.ndarray, offsets: np.ndarray, loop_gain: float) -> None:
     overflows; its response at every other point is one to rounding.
     With ``(K, N)`` ``den`` and a float or ``(K, 1)`` loop gain, the
     error names the first failing row's point."""
-    # a float loop gain below 1, the usual ring, costs no NumPy reduction
+    # a loop gain below 1, the usual ring, needs no search of ``den``: a
+    # float one costs no NumPy reduction, a column one a reduction of K
+    # entries
     if isinstance(loop_gain, np.ndarray):
-        near = (np.abs(den) < _TINY) & (loop_gain >= 1.0)
+        hot = loop_gain >= 1.0
+        if not hot.any():
+            return
+        near = (np.abs(den) < _TINY) & hot
     elif loop_gain >= 1.0:
         near = np.abs(den) < _TINY
     else:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -21,23 +22,44 @@ def band_mask(offsets: np.ndarray, band: tuple[float, float]) -> np.ndarray:
     return mask
 
 
-def extinction_db(offsets_ghz: np.ndarray, power: np.ndarray,
-                  passband: tuple[float, float],
-                  stopband: tuple[float, float]) -> float:
-    """Worst-case extinction: min passband power over max stopband power.
+def band_extremes(power: np.ndarray, in_pass: np.ndarray,
+                  in_stop: np.ndarray
+                  ) -> tuple[float, float] | Iterator[tuple[float, float]]:
+    """Smallest passband and largest stopband power, as Python floats.
+
+    ``in_pass`` and ``in_stop`` are band masks over the last axis of
+    ``power``.  ``(N,)`` power gives one ``(p_pass, p_stop)`` pair, and
+    ``(K, N)`` power an iterator of K pairs, one per row, from one
+    reduction per band.
+    """
+    p_pass = power.compress(in_pass, axis=-1).min(axis=-1).tolist()
+    p_stop = power.compress(in_stop, axis=-1).max(axis=-1).tolist()
+    return (p_pass, p_stop) if power.ndim == 1 else zip(p_pass, p_stop)
+
+
+def extinction_ratio_db(p_pass: float, p_stop: float) -> float:
+    """``10*log10(p_pass/p_stop)`` of a passband minimum and a stopband
+    maximum.
 
     A passband that goes dark anywhere gives ``-inf``, whatever the
     stopband holds; a lit passband over a dark stopband gives ``inf``.
     """
-    offsets = np.asarray(offsets_ghz, dtype=float)
-    power = np.asarray(power, dtype=float)
-    p_pass = power[band_mask(offsets, passband)].min()
-    p_stop = power[band_mask(offsets, stopband)].max()
     if p_pass <= 0.0:
         return -math.inf
     if p_stop <= 0.0:
         return math.inf
     return 10.0 * math.log10(p_pass / p_stop)
+
+
+def extinction_db(offsets_ghz: np.ndarray, power: np.ndarray,
+                  passband: tuple[float, float],
+                  stopband: tuple[float, float]) -> float:
+    """Worst-case extinction: min passband power over max stopband power,
+    in dB by :func:`extinction_ratio_db` and its rules for a dark band."""
+    offsets = np.asarray(offsets_ghz, dtype=float)
+    power = np.asarray(power, dtype=float)
+    return extinction_ratio_db(*band_extremes(
+        power, band_mask(offsets, passband), band_mask(offsets, stopband)))
 
 
 def _half_level_crossings(x: np.ndarray, y: np.ndarray, level: float) -> list[float]:

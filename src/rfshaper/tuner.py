@@ -27,7 +27,7 @@ from .blocks import FrequencyGrid, h_tunable_coupler
 from .circuit import CircuitGraph, bind
 from .constants import DEFAULT_CARRIER_THZ
 from .errors import AnalysisError, ConfigurationError, DomainError
-from .metrics import extinction_db
+from .metrics import band_extremes, band_mask, extinction_ratio_db
 from .rflink import (LinkConfig, ModulationFormat, back_to_back_reference,
                      bind_tones, detector, magnitude_db)
 
@@ -155,6 +155,13 @@ class Objective:
         K values, each equal to its candidate's float call: it reads the
         candidates in calls of at most ``MAX_GRID_POINTS`` points per
         field, and reduces each row with the float call's code.
+
+        ``deinterleaver_extinction`` builds its band masks here, once.  A
+        call reduces all its rows in one pass (one ``min`` and one
+        ``max``), then turns each row's pair into dB in Python floats
+        with :func:`rfshaper.metrics.extinction_ratio_db`, as
+        :func:`rfshaper.metrics.extinction_db` does; so each row still
+        gets its float call's value.
         """
         port = self.port
         if self.kind == "deinterleaver_extinction":
@@ -162,10 +169,12 @@ class Objective:
                 FrequencyGrid.sweep(*band, GRID_STEP_GHZ).offsets_ghz
                 for band in (self.stopband, self.passband)]))
             evaluate_at = bind(graph, FrequencyGrid(DEFAULT_CARRIER_THZ, offs))
+            in_pass = band_mask(offs, self.passband)
+            in_stop = band_mask(offs, self.stopband)
             return _by_rows(
-                lambda heaters: evaluate_at(heaters).power(port),
-                lambda power: extinction_db(offs, power, self.passband,
-                                            self.stopband), offs.size)
+                lambda heaters: band_extremes(
+                    evaluate_at(heaters).power(port), in_pass, in_stop),
+                lambda extremes: extinction_ratio_db(*extremes), offs.size)
 
         if self.kind == "critical_coupling":
             evaluate_at = bind(graph, FrequencyGrid(

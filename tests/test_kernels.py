@@ -90,6 +90,31 @@ def test_lossless_uncoupled_ring_rejects_a_subnormal_distance_to_its_pole():
         kernels.ring_adddrop_grid(offsets, 0.0, 0.0, 1.0, 30.0, 1e-312)
 
 
+@pytest.mark.parametrize("ring", ["allpass", "adddrop"])
+def test_a_column_batch_names_its_hot_row_or_equals_its_float_calls(ring):
+    offsets = np.array([-0.5, 0.0, 0.5])
+
+    def rows(kappa, amplitude, detune):
+        """The ring's responses, stacked on a leading axis for add-drop."""
+        if ring == "allpass":
+            return kernels.ring_allpass_grid(
+                offsets, np.sqrt(1.0 - kappa), amplitude, 30.0, detune)
+        return np.array(kernels.ring_adddrop_grid(
+            offsets, kappa, kappa, amplitude, 30.0, detune))
+
+    def column(*values):
+        return np.array(values)[:, None]
+    kappas, detunes = (0.2, 0.0, 0.3), (1.0, 1e-312, 2.0)
+    # the second row is a lossless uncoupled ring, a subnormal detune away
+    # from its pole at 0 GHz
+    with pytest.raises(SingularityError, match="resonance at 0 GHz"):
+        rows(column(*kappas), column(0.95, 1.0, 1.0), column(*detunes))
+    amplitudes = (0.95, 0.9, 1.0)           # no row has unit loop gain
+    batch = rows(column(*kappas), column(*amplitudes), column(*detunes))
+    for i, setting in enumerate(zip(kappas, amplitudes, detunes)):
+        assert batch[..., i, :].tobytes() == rows(*setting).tobytes()
+
+
 @pytest.mark.parametrize("offsets, detune, fsr, at", [
     ([-1.0, 0.0, 1.0], 0.0, 1e-320, "-1"),            # tiny FSR
     ([-1.0, 0.0, 1.0], 1e308, 50.0, "-1"),            # huge detune

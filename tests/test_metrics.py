@@ -3,7 +3,8 @@ import pytest
 
 from rfshaper.blocks import RingParams, critical_coupling_kappa
 from rfshaper.errors import AnalysisError, DomainError
-from rfshaper.metrics import (extinction_db, notch_depth_db,
+from rfshaper.metrics import (band_extremes, band_mask, extinction_db,
+                              extinction_ratio_db, notch_depth_db,
                               passband_width_3db, peak_frequency_ghz,
                               q_and_finesse)
 from tests.reference import h_ring_adddrop, h_ring_allpass
@@ -37,6 +38,24 @@ def test_extinction_of_a_dark_stopband_under_a_lit_passband_is_inf():
     offs = np.linspace(-10.0, 10.0, 201)
     power = np.where(offs >= 0.0, 1.0, 0.0)
     assert extinction_db(offs, power, (1.0, 9.0), (-9.0, -1.0)) == np.inf
+
+
+def test_extinction_of_each_row_of_a_block_equals_its_row_call():
+    offs = np.linspace(-10.0, 10.0, 201)
+    passband, stopband = (1.0, 9.0), (-9.0, -1.0)
+    block = np.vstack([np.where(offs >= 0.0, 1.0, 0.5),
+                       np.where(offs >= 0.0, 1.0, 0.0),
+                       np.where(offs >= 0.0, 1.0, 0.01),
+                       np.random.default_rng(3).uniform(0.0, 1.0, offs.size)])
+    block[0, offs == 5.0] = 0.0            # a dark passband point
+    block[2, offs == -5.0] = np.nan
+    rows = [extinction_ratio_db(*extremes) for extremes in band_extremes(
+        block, band_mask(offs, passband), band_mask(offs, stopband))]
+    want = [extinction_db(offs, row, passband, stopband) for row in block]
+    assert rows[:2] == [-np.inf, np.inf] and np.isnan(rows[2])
+    for got, row_call in zip(rows, want):
+        assert isinstance(got, float)
+        assert got == row_call or (np.isnan(got) and np.isnan(row_call))
 
 
 def test_extinction_empty_band_rejected():

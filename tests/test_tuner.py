@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfshaper import blocks, circuit, kernels, rflink, tuner
+from rfshaper import blocks, circuit, kernels, metrics, rflink, tuner
 from rfshaper.blocks import (FrequencyGrid, PhaseShifterState, RingParams,
                              critical_coupling_kappa, h_phase_shifter,
                              h_tunable_coupler)
@@ -190,6 +190,30 @@ def test_bound_notch_depth_runs_no_ring_kernel_per_evaluation(monkeypatch):
     assert at_bind == 5                 # three de-interleaver rings, ap, ad
     assert len(calls) == at_bind
     assert np.all(np.isfinite(values))
+
+
+def test_bound_deinterleaver_extinction_builds_no_band_mask_per_call(
+        monkeypatch):
+    calls = []
+    real = metrics.band_mask
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    for module in (metrics, tuner):
+        if vars(module).get("band_mask") is real:
+            monkeypatch.setattr(module, "band_mask", counted)
+    graph = build_deinterleaver(DeinterleaverSpec())
+    extinction = Objective("deinterleaver_extinction").build(graph)
+    at_build = len(calls)
+    heaters = graph.heater_values()
+    rng = np.random.default_rng(0)
+    assert isinstance(extinction(heaters), float)
+    for k in (1, 8):
+        values = extinction({n: rng.uniform(0.0, 2 * math.pi, k)
+                             for n in heaters})
+        assert values.shape == (k,)
+    assert len(calls) == at_build
 
 
 def test_notch_depth_alternating_heater_sets_binds_once(monkeypatch):
