@@ -11,7 +11,6 @@ targets.
 from .blocks import (BLOCK_KINDS, FrequencyGrid, PhaseShifterState,
                      RingParams, WaveguideParams,
                      amplitude_from_db_loss, critical_coupling_kappa,
-                     h_coupler_3db, h_phase_shifter, h_tunable_coupler,
                      heater_phase_from_power)
 from .circuit import (BlockInstance, CircuitGraph, CircuitResponse, Port,
                       bind, evaluate)
@@ -19,6 +18,7 @@ from .csvout import format_number
 from .errors import (AnalysisError, ConfigurationError, DomainError,
                      ShaperError, SingularityError, TopologyError)
 from .experiments import ExperimentResult, run_experiment
+from .kernels import h_coupler_3db, h_phase_shifter, h_tunable_coupler
 from .metrics import extinction_db, notch_depth_db, passband_width_3db, \
     peak_frequency_ghz, q_and_finesse
 from .rflink import (LinkConfig, ModulationFormat, RfResponse, bind_tones,

@@ -1,29 +1,13 @@
-"""Complex transfer functions of the passive building blocks.
-
-Conventions used throughout the package:
-
-* Phase delays multiply the field by ``exp(-1j*phi)``; a positive phase
-  setting therefore retards the wave.
-* Frequencies are offsets from the optical carrier in GHz.  A delay
-  element of equivalent free spectral range ``fsr`` contributes
-  ``exp(-1j*2*pi*offset/fsr)``; the enormous absolute carrier phase is a
-  common factor on every path and is dropped.
-* Loss figures are power dB, so field amplitudes use a ``/20`` exponent.
+"""Parameter records, heater laws and the block-kind table.
 
 ``BLOCK_KINDS`` at the end of the module is the one place that describes
 each block kind: its ports, parameters, netlist keys, heaters and
-response.  A new kind is added there and nowhere else.  The waveguide
-and ring responses are the grid kernels of :mod:`rfshaper.kernels`; the
-phase shifter and couplers are frequency-flat, so their responses below
-are scalars.
-
-``Heater.update`` turns a float phase into params fields, and a 1-D
-array of K phases into ``(K, 1)`` columns.  Every check and response
-below takes such a column as well as a float, and gives in each row what
-the float would bit for bit: the grid kernels broadcast a column against
-the offsets, and the heater laws and the flat responses' phasor apply
-their float formula to each entry (NumPy's SIMD ``sin`` and ``cos`` may
-round differently from :mod:`math`).
+response.  A new kind is added there and nowhere else.  Each response
+calls a transfer function of :mod:`rfshaper.kernels`, whose docstring
+states the conventions.  ``Heater.update`` turns a float phase into
+params fields, and K phases into ``(K, 1)`` columns by applying each
+heater law's float formula to each entry; every check below takes a
+column as well as a float and names the row the float call would.
 """
 
 from __future__ import annotations
@@ -37,22 +21,7 @@ import numpy as np
 from . import kernels
 from .constants import DEFAULT_CARRIER_THZ, SPEED_OF_LIGHT_M_PER_S
 from .errors import ConfigurationError, DomainError
-
-_TWO_PI = 2.0 * math.pi
-
-
-def _require_finite(name: str, *values) -> None:
-    for v in values:
-        if not np.all(np.isfinite(v)):
-            raise DomainError(f"{name}: non-finite value "
-                              f"{_first_failing(v, np.isfinite(v))!r}")
-
-
-def _first_failing(value, ok):
-    """The first entry of ``value`` (a number or a column) where ``ok``
-    fails, as a plain number: an error names the row the float call
-    would name, and ``nan`` rather than ``np.float64(nan)``."""
-    return np.ravel(value)[~np.ravel(ok)][0].item()
+from .kernels import TWO_PI, _first_failing, _require_finite
 
 
 def _require_unit_interval(name: str, x) -> None:
@@ -199,7 +168,7 @@ class FrequencyGrid:
 
 
 # ---------------------------------------------------------------------------
-# frequency-flat responses and design formulas
+# design formulas
 # ---------------------------------------------------------------------------
 
 
@@ -209,44 +178,6 @@ def amplitude_from_db_loss(loss_db_per_cm: float, length_cm: float) -> float:
     if loss_db_per_cm < 0 or length_cm < 0:
         raise DomainError("loss and length must be >= 0")
     return 10.0 ** (-loss_db_per_cm * length_cm / 20.0)
-
-
-def _unit_phasor(phase_rad: float) -> complex:
-    """``exp(-1j*phi)`` by :mod:`math`; a column entry by entry, since
-    NumPy's SIMD ``sin`` and ``cos`` may round differently."""
-    if isinstance(phase_rad, np.ndarray):
-        return np.array([_unit_phasor(v) for v in phase_rad.ravel().tolist()]
-                        ).reshape(phase_rad.shape)
-    return complex(math.cos(phase_rad), -math.sin(phase_rad))
-
-
-def h_phase_shifter(phase_rad: float) -> complex:
-    """Pure phase delay ``exp(-1j*phi)``."""
-    _require_finite("h_phase_shifter", phase_rad)
-    return _unit_phasor(phase_rad)
-
-
-def h_coupler_3db() -> tuple:
-    """Ideal 3-dB directional coupler, as transfer-matrix rows: entry
-    ``[i][j]`` maps input port j to output port i."""
-    a = math.sqrt(0.5)
-    return ((a, -1j * a), (-1j * a, a))
-
-
-def h_tunable_coupler(phase_rad: float) -> tuple:
-    """Balanced-MZI tunable coupler: two 3-dB couplers around a phase arm,
-    as rows ``((bar, cross), (cross, -bar))``.
-
-    Bar amplitude is ``0.5*(1 - exp(-1j*phi))`` (power ``sin^2(phi/2)``)
-    and carries a phase ``pi/2 - phi/2`` that rotates with the setting;
-    this parasitic rotation is deliberate and must be compensated
-    downstream when pure amplitude control is wanted.
-    """
-    _require_finite("h_tunable_coupler", phase_rad)
-    e = _unit_phasor(phase_rad)
-    bar = 0.5 * (1.0 - e)
-    cross = -0.5j * (1.0 + e)
-    return ((bar, cross), (cross, -bar))
 
 
 def heater_phase_from_power(power_mw: float, p_pi_mw: float) -> float:
@@ -308,10 +239,10 @@ class Heater:
         if isinstance(phase, np.ndarray):    # the one float-or-column fork
             # Python's % per entry, as exact and faster, waits on ROADMAP item 1
             with np.errstate(invalid="ignore"):
-                wrapped = np.remainder(phase, _TWO_PI, dtype=float).tolist()
+                wrapped = np.remainder(phase, TWO_PI, dtype=float).tolist()
             return {self.field: np.array([self.law(params, v)
                                           for v in wrapped])[:, None]}
-        return {self.field: self.law(params, phase % _TWO_PI)}
+        return {self.field: self.law(params, phase % TWO_PI)}
 
 
 @dataclass(frozen=True)
@@ -340,8 +271,6 @@ class BlockKind:
 
     def make_params(self, values: Mapping[str, float]):
         """Params from netlist key values; absent keys take their defaults."""
-        if self.params_type is type(None):
-            return None
         return self.params_type(**values)
 
     def param_items(self, params) -> list[tuple[str, float]]:
@@ -350,7 +279,7 @@ class BlockKind:
                 if (v := getattr(params, k)) is not None]
 
 
-_PHASE_HEATER = Heater("phase", "phase_rad", lambda p: p.phase_rad % _TWO_PI,
+_PHASE_HEATER = Heater("phase", "phase_rad", lambda p: p.phase_rad % TWO_PI,
                        lambda p, phase: phase)
 
 
@@ -366,8 +295,8 @@ def _coupling_heater(name: str, key: str) -> Heater:
 
 _DETUNE_HEATER = Heater(
     "detune", "detune_ghz",
-    lambda p: (_TWO_PI * ((p.detune_ghz % p.fsr_ghz) / p.fsr_ghz)) % _TWO_PI,
-    lambda p, phase: p.fsr_ghz * phase / _TWO_PI)
+    lambda p: (TWO_PI * ((p.detune_ghz % p.fsr_ghz) / p.fsr_ghz)) % TWO_PI,
+    lambda p, phase: p.fsr_ghz * phase / TWO_PI)
 
 
 def _ring_adddrop_rows(p: RingParams, offsets):
@@ -377,7 +306,7 @@ def _ring_adddrop_rows(p: RingParams, offsets):
     return ((through_in, drop), (drop, through_add))
 
 
-_COUPLER_3DB_ROWS = h_coupler_3db()
+_COUPLER_3DB_ROWS = kernels.h_coupler_3db()
 _RING_KEYS = ("kappa", "fsr_ghz", "round_trip_amplitude", "detune_ghz")
 _ONE_PORT = {"inputs": ("in",), "outputs": ("out",)}
 _TWO_PORT = {"inputs": ("in0", "in1"), "outputs": ("out0", "out1")}
@@ -394,7 +323,8 @@ BLOCK_KINDS: dict[str, BlockKind] = {
         **_ONE_PORT, params_type=PhaseShifterState,
         keys=("phase_rad",), required=("phase_rad",),
         heaters=(_PHASE_HEATER,),
-        response=lambda p, offsets: ((h_phase_shifter(p.phase_rad),),),
+        response=lambda p, offsets: ((kernels.h_phase_shifter(
+            p.phase_rad),),),
         cli_ports=("out",)),
     "ring_allpass": BlockKind(
         **_ONE_PORT, params_type=RingParams,
@@ -412,7 +342,7 @@ BLOCK_KINDS: dict[str, BlockKind] = {
         **_TWO_PORT, params_type=PhaseShifterState,
         keys=("phase_rad",), required=("phase_rad",),
         heaters=(_PHASE_HEATER,),
-        response=lambda p, offsets: h_tunable_coupler(p.phase_rad),
+        response=lambda p, offsets: kernels.h_tunable_coupler(p.phase_rad),
         cli_ports=("bar", "cross")),
     # in0 input bus, in1 add bus, out0 through, out1 drop
     "ring_adddrop": BlockKind(

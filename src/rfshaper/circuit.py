@@ -30,9 +30,9 @@ class Port(NamedTuple):
 
 class WiringRules:
     """A circuit's wiring rules, applied one statement at a time: block
-    ids are unique, a named port exists on its block's kind in that
-    direction, and each port (a kind's input and output names differ) is
-    used at most once.  A failing operation raises and changes nothing; a
+    ids are unique and free of '.', a named port exists on its block's
+    kind in that direction, and each port (a kind's input and output
+    names differ) is used at most once.  A failing operation raises and changes nothing; a
     duplicate's message quotes the first use's ``where`` (" on line 3")."""
 
     def __init__(self):
@@ -41,6 +41,9 @@ class WiringRules:
 
     def declare(self, block_id: str, kind: str, where: str = ""):
         """Reserve ``block_id`` for ``kind``; returns its BLOCK_KINDS entry."""
+        if "." in block_id:
+            raise TopologyError(f"block id {block_id!r} contains '.', which "
+                                "separates <block>.<port> and <block>.<heater>")
         if block_id in self.kinds:
             raise TopologyError(
                 f"duplicate block id {block_id!r}{self.kinds[block_id][1]}")
@@ -171,16 +174,17 @@ class CircuitGraph:
         object.__setattr__(self, "inputs", dict(self.inputs))
         object.__setattr__(self, "outputs", dict(self.outputs))
         object.__setattr__(self, "_by_id", {b.id: b for b in self.blocks})
-        object.__setattr__(self, "_wiring", self._validate())
+        self._validate()
         object.__setattr__(self, "_order", self._topological_order())
 
     # -- validation --------------------------------------------------------
 
     def block(self, block_id: str) -> BlockInstance:
-        self._wiring.kind(block_id)          # an unknown id raises
+        if block_id not in self._by_id:
+            raise TopologyError(f"unknown block id {block_id!r}")
         return self._by_id[block_id]
 
-    def _validate(self) -> WiringRules:
+    def _validate(self) -> None:
         rules = WiringRules()
         for b in self.blocks:
             rules.declare(b.id, b.kind)
@@ -194,7 +198,6 @@ class CircuitGraph:
             for o in BLOCK_KINDS[b.kind].outputs:
                 if Port(b.id, o) not in rules.claimed:
                     raise TopologyError(f"dangling output port {b.id}.{o}")
-        return rules
 
     def _topological_order(self) -> tuple[str, ...]:
         """Block ids in evaluation order.  The same walk marks the blocks

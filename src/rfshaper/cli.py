@@ -17,12 +17,13 @@ import math
 import sys
 from pathlib import Path
 
-from .blocks import BLOCK_KINDS, FrequencyGrid, h_tunable_coupler
+from .blocks import BLOCK_KINDS, FrequencyGrid
 from .circuit import CircuitGraph, Port, evaluate
 from .csvout import (format_summary_value, write_optical_csv, write_rf_csv,
                      write_summary, write_table_csv)
 from .errors import ConfigurationError, ShaperError, TopologyError
 from .experiments import run_experiment
+from .kernels import h_tunable_coupler
 from .netlist import (document_to_text, load_experiment_config, make_block,
                       parse_netlist, parse_numbers)
 from .topologies import DeinterleaverSpec, build_deinterleaver, build_shaper

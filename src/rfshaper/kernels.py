@@ -1,12 +1,26 @@
-"""Frequency-sweep kernels: one block response over a whole offset grid.
+"""Transfer functions of the building blocks: the only implementations
+of the waveguide, phase-shifter, coupler, ring and beat responses.
+``blocks.BLOCK_KINDS`` reaches them through each kind's ``response``,
+and ``tests/reference.py`` holds the scalar closed forms they are tested
+against.  Conventions used throughout the package:
 
-These are the only implementations of the waveguide, ring and beat
-responses; ``blocks.BLOCK_KINDS`` reaches them through each kind's
-``response``.  The scalar closed forms in ``tests/reference.py`` are
-the reference they are tested against.
+* Phase delays multiply the field by ``exp(-1j*phi)``; a positive phase
+  setting therefore retards the wave.
+* Frequencies are offsets from the optical carrier in GHz.  A delay of
+  equivalent free spectral range ``fsr`` contributes
+  ``exp(-1j*2*pi*offset/fsr)``; the absolute carrier phase is common to
+  every path and is dropped.
+* Loss figures are power dB, so field amplitudes use a ``/20`` exponent.
+* A response takes a parameter as a float or as a ``(K, 1)`` column of K
+  settings, and gives in each row what the float would bit for bit: the
+  grid kernels broadcast a column against the offsets, and the flat
+  responses' phasor ``_unit_phasor`` applies :mod:`math` to each entry,
+  since NumPy's SIMD ``sin`` and ``cos`` may round differently.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -14,6 +28,20 @@ from .errors import DomainError, SingularityError
 
 TWO_PI = 2.0 * np.pi
 _TINY = np.finfo(np.float64).tiny
+
+
+def _require_finite(name: str, *values) -> None:
+    for v in values:
+        if not np.all(np.isfinite(v)):
+            raise DomainError(f"{name}: non-finite value "
+                              f"{_first_failing(v, np.isfinite(v))!r}")
+
+
+def _first_failing(value, ok):
+    """The first entry of ``value`` (a number or a column) where ``ok``
+    fails, as a plain number: an error names the row the float call
+    would name, and ``nan`` rather than ``np.float64(nan)``."""
+    return np.ravel(value)[~np.ravel(ok)][0].item()
 
 
 def _phase(offsets_ghz, detune_ghz: float, fsr_ghz: float) -> np.ndarray:
@@ -46,6 +74,43 @@ def waveguide_grid(offsets_ghz: np.ndarray, gamma: float,
     """``gamma * exp(-1j*2*pi*f/fsr)`` over the grid."""
     ang = _phase(offsets_ghz, 0.0, fsr_equivalent_ghz)
     return gamma * (np.cos(ang) - 1j * np.sin(ang))
+
+
+def _unit_phasor(phase_rad: float) -> complex:
+    """``exp(-1j*phi)`` by :mod:`math`, a column entry by entry."""
+    if isinstance(phase_rad, np.ndarray):
+        return np.array([_unit_phasor(v) for v in phase_rad.ravel().tolist()]
+                        ).reshape(phase_rad.shape)
+    return complex(math.cos(phase_rad), -math.sin(phase_rad))
+
+
+def h_phase_shifter(phase_rad: float) -> complex:
+    """Pure phase delay ``exp(-1j*phi)``."""
+    _require_finite("h_phase_shifter", phase_rad)
+    return _unit_phasor(phase_rad)
+
+
+def h_coupler_3db() -> tuple:
+    """Ideal 3-dB directional coupler, as transfer-matrix rows: entry
+    ``[i][j]`` maps input port j to output port i."""
+    a = math.sqrt(0.5)
+    return ((a, -1j * a), (-1j * a, a))
+
+
+def h_tunable_coupler(phase_rad: float) -> tuple:
+    """Balanced-MZI tunable coupler: two 3-dB couplers around a phase arm,
+    as rows ``((bar, cross), (cross, -bar))``.
+
+    Bar amplitude is ``0.5*(1 - exp(-1j*phi))`` (power ``sin^2(phi/2)``)
+    and carries a phase ``pi/2 - phi/2`` that rotates with the setting;
+    this parasitic rotation is deliberate and must be compensated
+    downstream when pure amplitude control is wanted.
+    """
+    _require_finite("h_tunable_coupler", phase_rad)
+    e = _unit_phasor(phase_rad)
+    bar = 0.5 * (1.0 - e)
+    cross = -0.5j * (1.0 + e)
+    return ((bar, cross), (cross, -bar))
 
 
 def _check_pole(den: np.ndarray, offsets: np.ndarray, loop_gain: float) -> None:

@@ -290,7 +290,7 @@ class ExperimentConfig:
     def overrides(self) -> dict[str, object]:
         out: dict[str, object] = dict(self.options)
         if self.heaters:
-            out["heaters"] = dict(self.heaters)
+            out.setdefault("heaters", dict(self.heaters))
         return out
 
 

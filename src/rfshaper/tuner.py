@@ -23,10 +23,11 @@ from typing import Callable, Generator, Mapping, Sequence
 import numpy as np
 
 from . import blocks
-from .blocks import FrequencyGrid, h_tunable_coupler
+from .blocks import FrequencyGrid
 from .circuit import CircuitGraph, bind
 from .constants import DEFAULT_CARRIER_THZ
 from .errors import AnalysisError, ConfigurationError, DomainError
+from .kernels import h_tunable_coupler
 from .metrics import band_extremes, band_mask, extinction_ratio_db
 from .rflink import (LinkConfig, ModulationFormat, back_to_back_reference,
                      bind_tones, detector, magnitude_db)

@@ -11,14 +11,13 @@ import time
 import numpy as np
 
 from rfshaper.blocks import (BLOCK_KINDS, FrequencyGrid,
-                             critical_coupling_kappa, RingParams,
-                             h_tunable_coupler)
+                             critical_coupling_kappa, RingParams)
 from rfshaper.circuit import evaluate
 from rfshaper.cli import main as cli_main
 from rfshaper.constants import DEFAULT_RESPONSIVITY_A_PER_W
 from rfshaper.csvout import write_rf_csv
 from rfshaper.experiments import run_experiment
-from rfshaper.kernels import beat_phasor_grid
+from rfshaper.kernels import beat_phasor_grid, h_tunable_coupler
 from rfshaper.metrics import (extinction_db, passband_width_3db,
                               q_and_finesse)
 from rfshaper.netlist import document_to_text, parse_netlist

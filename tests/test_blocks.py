@@ -6,11 +6,11 @@ import pytest
 
 from rfshaper.blocks import (BLOCK_KINDS, FrequencyGrid, RingParams,
                              WaveguideParams, amplitude_from_db_loss,
-                             critical_coupling_kappa, h_coupler_3db,
-                             h_phase_shifter, h_tunable_coupler,
-                             heater_phase_from_power)
+                             critical_coupling_kappa, heater_phase_from_power)
 from rfshaper.circuit import BlockInstance
 from rfshaper.errors import ConfigurationError, DomainError
+from rfshaper.kernels import (h_coupler_3db, h_phase_shifter,
+                              h_tunable_coupler)
 from tests.reference import unitarity_defect
 
 

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from rfshaper import circuit
 from rfshaper.blocks import (BLOCK_KINDS, FrequencyGrid, PhaseShifterState,
-                             RingParams, WaveguideParams, h_phase_shifter)
+                             RingParams, WaveguideParams)
 from rfshaper.circuit import BlockInstance, CircuitGraph, Port, bind, evaluate
 from rfshaper.errors import (ConfigurationError, DomainError, ShaperError,
                              SingularityError, TopologyError)
 from rfshaper.experiments import _notch_shaper
+from rfshaper.kernels import h_phase_shifter
 from rfshaper.netlist import NetlistDocument, document_to_text, parse_netlist
 from rfshaper.topologies import DeinterleaverSpec, build_deinterleaver
 from rfshaper.tuner import (Objective, OptimizerConfig, optimize,
@@ -165,6 +166,10 @@ WIRING_MISTAKES = {
     "duplicate_id": (
         (A, _shifter("a")), (), {}, {"o": Port("a", "out")},
         "duplicate block id 'a'"),
+    "dotted_id": (
+        (_shifter("a.b"),), (), {}, {},
+        "block id 'a.b' contains '.', which separates <block>.<port> and "
+        "<block>.<heater>"),
     "unknown_id": (
         (A,), ((Port("a", "out"), Port("q", "in")),), {}, {},
         "unknown block id 'q'"),

@@ -444,6 +444,13 @@ ERROR_CASES = {
         "error: line 2, col 1: expected: block <id> <kind> key=value ...\n"
         "error: line 4, col 1: expected: connect <id>.<port> <id>.<port>\n"
         "error: line 5, col 1: expected: input <name> <id>.<port>\n"),
+    "sweep_netlist_dotted_block_id": (
+        {"d.nl": "format 1\nblock a.b phase_shifter phase_rad=0\n"
+                 "output o a.b.out\n"},
+        ["sweep", "d.nl", OFFSET_SWEEP, "--out", "x.csv"], 3,
+        "error: line 2, col 7: block id 'a.b' contains '.', which separates "
+        "<block>.<port> and <block>.<heater> near 'a.b'\n"
+        "error: line 3, col 10: unknown block id 'a' near 'a.b.out'\n"),
     "sweep_netlist_format_arity": (
         {"f.nl": "format\nformat 1 2\n"},
         ["sweep", "f.nl", OFFSET_SWEEP, "--out", "x.csv"], 3,
@@ -486,6 +493,11 @@ ERROR_CASES = {
         "error: unknown output port 'detector'; available: bar, cross\n"),
     "experiment_set_heaters_number": (
         {"e.cfg": "experiment ssb_notch\nset heaters 1\n"},
+        ["experiment", "e.cfg"], 3,
+        "error: option 'heaters' takes heater names and values, got 1.0\n"),
+    "experiment_set_heaters_number_with_heater": (
+        {"e.cfg": "experiment ssb_notch\nset heaters 1\n"
+                  "heater ps_bar.phase 0.3\n"},
         ["experiment", "e.cfg"], 3,
         "error: option 'heaters' takes heater names and values, got 1.0\n"),
     "experiment_im2pm_anchor_overflow": (

@@ -115,6 +115,23 @@ def test_a_column_batch_names_its_hot_row_or_equals_its_float_calls(ring):
         assert batch[..., i, :].tobytes() == rows(*setting).tobytes()
 
 
+@pytest.mark.parametrize("response", [kernels.h_phase_shifter,
+                                      kernels.h_tunable_coupler])
+def test_a_flat_column_names_its_nan_row_or_equals_its_float_calls(response):
+    two_pi = kernels.TWO_PI
+    phases = [0.0, 5e-324, 1e-9, 1.0, math.nextafter(math.pi, 0.0), math.pi,
+              math.nextafter(math.pi, 4.0), 4.5, math.nextafter(two_pi, 0.0),
+              two_pi]
+    batch = np.array(response(np.array(phases)[:, None]))
+    for i, phase in enumerate(phases):
+        assert batch[..., i, :].tobytes() == np.array(response(phase)).tobytes()
+    with pytest.raises(DomainError) as float_error:
+        response(math.nan)
+    message = f"^{re.escape(str(float_error.value))}$"
+    with pytest.raises(DomainError, match=message):
+        response(np.array([[0.5], [math.nan], [math.inf]]))
+
+
 @pytest.mark.parametrize("offsets, detune, fsr, at", [
     ([-1.0, 0.0, 1.0], 0.0, 1e-320, "-1"),            # tiny FSR
     ([-1.0, 0.0, 1.0], 1e308, 50.0, "-1"),            # huge detune

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from rfshaper import blocks, circuit, kernels, metrics, rflink, tuner
 from rfshaper.blocks import (FrequencyGrid, PhaseShifterState, RingParams,
-                             critical_coupling_kappa, h_phase_shifter,
-                             h_tunable_coupler)
+                             critical_coupling_kappa)
 from rfshaper.circuit import BlockInstance, CircuitGraph, Port
 from rfshaper.errors import AnalysisError, ConfigurationError, DomainError
 from rfshaper.experiments import _notch_shaper
+from rfshaper.kernels import h_phase_shifter, h_tunable_coupler
 from rfshaper.topologies import (DeinterleaverSpec, FITTED_RING_AMPLITUDE,
                                  ShaperConfig, build_deinterleaver,
                                  build_shaper)
