@@ -8,6 +8,8 @@ states the conventions.  ``Heater.update`` turns a float phase into
 params fields, and K phases into ``(K, 1)`` columns by applying each
 heater law's float formula to each entry; every check below takes a
 column as well as a float and names the row the float call would.
+``coupling_phase`` and ``detune_phase`` are the ring heaters' phases,
+for callers that set a coupling or detune through its heater.
 """
 
 from __future__ import annotations
@@ -226,7 +228,6 @@ class Heater:
     be merged and applied in one new params record.
     """
 
-    name: str
     field: str
     get: Callable[[object], float]
     law: Callable[[object, float], float]
@@ -251,11 +252,13 @@ class BlockKind:
 
     ``keys`` are the netlist keys in write order; they are also the
     parameter fields they set.  A netlist must give the ``required``
-    keys, and a block's params may not leave them None.
-    ``response(params, offsets)`` gives the transfer-matrix rows over the
-    grid: row i holds the weights of each input port in output port i, as
-    scalars or grid arrays; params whose heater fields are ``(K, 1)``
-    columns give ``(K, 1)`` columns or ``(K, N)`` arrays instead.
+    keys, and a block's params may not leave them None.  ``heaters``
+    maps each heater name (``<block id>.<name>`` in a circuit) to its
+    :class:`Heater`.  ``response(params, offsets)`` gives the
+    transfer-matrix rows over the grid: row i holds the weights of each
+    input port in output port i, as scalars or grid arrays; params whose
+    heater fields are ``(K, 1)`` columns give ``(K, 1)`` columns or
+    ``(K, N)`` arrays instead.
     ``cli_ports`` name the outputs of a single-block ``rfshaper block``
     sweep.
     """
@@ -265,38 +268,38 @@ class BlockKind:
     params_type: type
     keys: tuple[str, ...]
     required: tuple[str, ...]
-    heaters: tuple[Heater, ...]
+    heaters: Mapping[str, Heater]
     response: Callable[[object, np.ndarray], tuple]
     cli_ports: tuple[str, ...]
-
-    def make_params(self, values: Mapping[str, float]):
-        """Params from netlist key values; absent keys take their defaults."""
-        return self.params_type(**values)
-
-    def param_items(self, params) -> list[tuple[str, float]]:
-        """(key, value) pairs in write order, leaving out unset keys."""
-        return [(k, v) for k in self.keys
-                if (v := getattr(params, k)) is not None]
-
-
-_PHASE_HEATER = Heater("phase", "phase_rad", lambda p: p.phase_rad % TWO_PI,
-                       lambda p, phase: phase)
 
 
 # Ring couplers are tunable MZI couplers, so a coupling heater is a phase
 # with ``kappa = sin^2(phase/2)``; the detune heater shifts the resonance
-# by ``fsr * phase / (2*pi)``, and reads the detune modulo the FSR so
-# that a detune many FSRs away still gives a finite phase.
-def _coupling_heater(name: str, key: str) -> Heater:
-    return Heater(
-        name, key, lambda p: 2.0 * math.asin(math.sqrt(getattr(p, key))),
-        lambda p, phase: math.sin(phase / 2) ** 2)
+# by ``fsr * phase / (2*pi)``.
+def coupling_phase(power: float) -> float:
+    """The coupling heater phase that gives power coupling ``power``."""
+    return 2.0 * math.asin(math.sqrt(power))
 
 
-_DETUNE_HEATER = Heater(
-    "detune", "detune_ghz",
-    lambda p: (TWO_PI * ((p.detune_ghz % p.fsr_ghz) / p.fsr_ghz)) % TWO_PI,
-    lambda p, phase: p.fsr_ghz * phase / TWO_PI)
+def detune_phase(detune_ghz: float, fsr_ghz: float) -> float:
+    """The detune heater phase, in [0, 2*pi), that shifts a ring of FSR
+    ``fsr_ghz`` by ``detune_ghz``.  The detune is read modulo the FSR, so
+    that a detune many FSRs away still gives a finite phase."""
+    return (TWO_PI * ((detune_ghz % fsr_ghz) / fsr_ghz)) % TWO_PI
+
+
+_PHASE_HEATER = Heater("phase_rad", lambda p: p.phase_rad % TWO_PI,
+                       lambda p, phase: phase)
+
+
+def _coupling_heater(key: str) -> Heater:
+    return Heater(key, lambda p: coupling_phase(getattr(p, key)),
+                  lambda p, phase: math.sin(phase / 2) ** 2)
+
+
+_DETUNE_HEATER = Heater("detune_ghz",
+                        lambda p: detune_phase(p.detune_ghz, p.fsr_ghz),
+                        lambda p, phase: p.fsr_ghz * phase / TWO_PI)
 
 
 def _ring_adddrop_rows(p: RingParams, offsets):
@@ -315,33 +318,34 @@ BLOCK_KINDS: dict[str, BlockKind] = {
     "waveguide": BlockKind(
         **_ONE_PORT, params_type=WaveguideParams,
         keys=("optical_path_length", "loss_db_per_cm", "physical_length_cm"),
-        required=("optical_path_length",), heaters=(),
+        required=("optical_path_length",), heaters={},
         response=lambda p, offsets: ((kernels.waveguide_grid(
             offsets, p.gamma, p.fsr_equivalent_ghz),),),
         cli_ports=("out",)),
     "phase_shifter": BlockKind(
         **_ONE_PORT, params_type=PhaseShifterState,
         keys=("phase_rad",), required=("phase_rad",),
-        heaters=(_PHASE_HEATER,),
+        heaters={"phase": _PHASE_HEATER},
         response=lambda p, offsets: ((kernels.h_phase_shifter(
             p.phase_rad),),),
         cli_ports=("out",)),
     "ring_allpass": BlockKind(
         **_ONE_PORT, params_type=RingParams,
         keys=_RING_KEYS, required=("kappa", "fsr_ghz"),
-        heaters=(_coupling_heater("coupling", "kappa"), _DETUNE_HEATER),
+        heaters={"coupling": _coupling_heater("kappa"),
+                 "detune": _DETUNE_HEATER},
         response=lambda p, offsets: ((kernels.ring_allpass_grid(
             offsets, p.self_coupling, p.round_trip_amplitude, p.fsr_ghz,
             p.detune_ghz),),),
         cli_ports=("out",)),
     "coupler_3db": BlockKind(
-        **_TWO_PORT, params_type=type(None), keys=(), required=(), heaters=(),
+        **_TWO_PORT, params_type=type(None), keys=(), required=(), heaters={},
         response=lambda p, offsets: _COUPLER_3DB_ROWS,
         cli_ports=("bar", "cross")),
     "tunable_coupler": BlockKind(
         **_TWO_PORT, params_type=PhaseShifterState,
         keys=("phase_rad",), required=("phase_rad",),
-        heaters=(_PHASE_HEATER,),
+        heaters={"phase": _PHASE_HEATER},
         response=lambda p, offsets: kernels.h_tunable_coupler(p.phase_rad),
         cli_ports=("bar", "cross")),
     # in0 input bus, in1 add bus, out0 through, out1 drop
@@ -349,9 +353,9 @@ BLOCK_KINDS: dict[str, BlockKind] = {
         **_TWO_PORT, params_type=RingParams,
         keys=("kappa", "kappa_drop") + _RING_KEYS[1:],
         required=("kappa", "kappa_drop", "fsr_ghz"),
-        heaters=(_coupling_heater("coupling", "kappa"),
-                 _coupling_heater("coupling_drop", "kappa_drop"),
-                 _DETUNE_HEATER),
+        heaters={"coupling": _coupling_heater("kappa"),
+                 "coupling_drop": _coupling_heater("kappa_drop"),
+                 "detune": _DETUNE_HEATER},
         response=_ring_adddrop_rows,
         cli_ports=("through", "drop")),
 }

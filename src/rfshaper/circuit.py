@@ -39,19 +39,17 @@ class WiringRules:
         self.kinds: dict[str, tuple[str, str]] = {}   # id -> (kind, where)
         self.claimed: dict[Port, str] = {}             # used port -> where
 
-    def declare(self, block_id: str, kind: str, where: str = ""):
-        """Reserve ``block_id`` for ``kind``; returns its BLOCK_KINDS entry."""
+    def declare(self, block_id: str, kind: str, where: str = "") -> None:
+        """Reserve ``block_id`` for ``kind``."""
         if "." in block_id:
             raise TopologyError(f"block id {block_id!r} contains '.', which "
                                 "separates <block>.<port> and <block>.<heater>")
         if block_id in self.kinds:
             raise TopologyError(
                 f"duplicate block id {block_id!r}{self.kinds[block_id][1]}")
-        spec = BLOCK_KINDS.get(kind)
-        if spec is None:
+        if kind not in BLOCK_KINDS:
             raise ConfigurationError(f"unknown block kind {kind!r}")
         self.kinds[block_id] = (kind, where)
-        return spec
 
     def kind(self, block_id: str) -> str:
         if block_id not in self.kinds:
@@ -118,13 +116,9 @@ class BlockInstance:
                              type(params)(**{**vars(params), **fields}))
 
 
-_HEATERS = {kind: {h.name: h for h in spec.heaters}
-            for kind, spec in BLOCK_KINDS.items()}
-
-
 def _heater(blk: BlockInstance, name: str):
     """The heater ``name`` of ``blk``'s kind."""
-    h = _HEATERS[blk.kind].get(name)
+    h = BLOCK_KINDS[blk.kind].heaters.get(name)
     if h is None:
         raise ConfigurationError(f"block {blk.id!r} has no heater {name!r}")
     return h
@@ -257,13 +251,13 @@ class CircuitGraph:
 
     def heater_names(self) -> tuple[str, ...]:
         """``"<block id>.<heater>"`` of every tunable phase, sorted."""
-        return tuple(sorted(f"{b.id}.{h.name}" for b in self.blocks
-                            for h in BLOCK_KINDS[b.kind].heaters))
+        return tuple(sorted(f"{b.id}.{name}" for b in self.blocks
+                            for name in BLOCK_KINDS[b.kind].heaters))
 
     def heater_values(self) -> dict[str, float]:
         """Each heater's phase as the block parameters imply it."""
-        return {f"{b.id}.{h.name}": h.get(b.params) for b in self.blocks
-                for h in BLOCK_KINDS[b.kind].heaters}
+        return {f"{b.id}.{name}": h.get(b.params) for b in self.blocks
+                for name, h in BLOCK_KINDS[b.kind].heaters.items()}
 
     def with_heaters(self, settings: Mapping[str, float]) -> "CircuitGraph":
         """New graph with the named heater phases applied to the params.

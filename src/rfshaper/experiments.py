@@ -14,11 +14,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .blocks import (FrequencyGrid, RingParams, critical_coupling_kappa,
+from .blocks import (FrequencyGrid, RingParams, coupling_phase,
+                     critical_coupling_kappa, detune_phase,
                      heater_phase_from_power, require_grid_size)
 from .circuit import BlockInstance, CircuitGraph, CircuitResponse, Port, bind
 from .constants import DEFAULT_CARRIER_THZ, DEFAULT_P_PI_MW, FILTER_RING_FSR_GHZ
 from .errors import ConfigurationError, DomainError
+from .kernels import TWO_PI
 from .metrics import (band_mask, notch_depth_db, peak_frequency_ghz,
                       require_notch_in_sweep)
 from .rflink import (LinkConfig, ModulationFormat, RfResponse, bind_tones,
@@ -28,8 +30,6 @@ from .topologies import (FITTED_RING_AMPLITUDE, DeinterleaverSpec, ShaperConfig,
                          ring_kappa_for_rejection)
 from .tuner import (Objective, OptimizerConfig, optimize,
                     synthesize_cancellation_settings)
-
-_TWO_PI = 2.0 * math.pi
 
 #: Presets park the carrier this far inside a channel (crossover shift),
 #: keeping it off the isolated-sideband path; the sign picks the channel.
@@ -121,7 +121,7 @@ def _beat_vs_phase(tones, fmt: ModulationFormat, heater: str,
     RF frequency.  The swept phase element appears exactly once in any
     path, so each tone's response is affine in its phasor: H(phi) = even
     + exp(-1j*phi) * odd, found from the responses at 0 and pi."""
-    phis = np.linspace(0.0, _TWO_PI, 4096, endpoint=False)
+    phis = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
     r0, rpi = (tones({**(base_heaters or {}), heater: phase})
                for phase in (0.0, math.pi))
     u = np.exp(-1j * phis)
@@ -291,9 +291,8 @@ def bandpass_tune(overrides: Mapping[str, object], seed: int = 0) -> ExperimentR
     summary: dict[str, object] = {"detunes_ghz": ",".join(labels)}
     worst = 0.0
     for d, label in zip(detunes, labels):
-        heater = _TWO_PI * (((-d) % FILTER_RING_FSR_GHZ) / FILTER_RING_FSR_GHZ)
-        trace = rf_transmission_sweep(link, lo, hi, step,
-                                      heaters={"ad.detune": heater})
+        trace = rf_transmission_sweep(link, lo, hi, step, heaters={
+            "ad.detune": detune_phase(-d, FILTER_RING_FSR_GHZ)})
         peak = peak_frequency_ghz(trace.rf_freqs_ghz, trace.mag_db)
         traces[f"detune_{label}"] = trace
         summary[f"peak_freq_ghz_{label}"] = peak
@@ -376,12 +375,12 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
     # scalars, as a call per power would give them (NumPy's array abs and
     # powers may round differently from its scalar ones)
     phi_tc = heater_phase_from_power(powers, DEFAULT_P_PI_MW)
-    tc_wrapped = phi_tc % _TWO_PI
+    tc_wrapped = phi_tc % TWO_PI
 
     def sweep_table(compensated: bool) -> Rows:
         phi_ps = phi_base + ((phi_anchor - phi_tc) / 2.0 if compensated else 0.0)
         hms, h0s, hps = tones({"tc_bar.phase": tc_wrapped,
-                               "ps_bar.phase": phi_ps % _TWO_PI})
+                               "ps_bar.phase": phi_ps})
         return [(float(p), phi, abs(hp * e_plus) ** 2, abs(hm * e_minus) ** 2,
                  abs(h0 * e_carrier) ** 2, abs(beat(hm, h0, hp)))
                 for p, phi, (hm,), (h0,), (hp,)
@@ -427,7 +426,7 @@ def coupling_sweep(overrides: Mapping[str, object], seed: int = 0
     evaluate_at = bind(graph, FrequencyGrid(DEFAULT_CARRIER_THZ, offsets))
 
     batch = evaluate_at({"ring.coupling": np.array(
-        [2.0 * math.asin(math.sqrt(kappa)) for kappa in kappas])})
+        [coupling_phase(kappa) for kappa in kappas])})
     optical: dict[str, CircuitResponse] = {}
     summary: dict[str, object] = {"critical_kappa": kappa_crit,
                                   "round_trip_amplitude": gamma}

@@ -154,7 +154,7 @@ def make_block(block_id: str, kind: str, tokens) -> tuple[BlockInstance | None,
     if errors:
         return None, errors
     try:
-        return BlockInstance(block_id, kind, spec.make_params(values)), []
+        return BlockInstance(block_id, kind, spec.params_type(**values)), []
     except (ShaperError, ValueError) as exc:
         return None, [ParamError(None, str(exc), kind)]
 
@@ -254,9 +254,9 @@ def _format_value(v: float) -> str:
 
 
 def _block_line(block: BlockInstance) -> str:
-    items = BLOCK_KINDS[block.kind].param_items(block.params)
-    return " ".join([f"block {block.id} {block.kind}"]
-                    + [f"{k}={_format_value(v)}" for k, v in items])
+    items = [f"{k}={_format_value(v)}" for k in BLOCK_KINDS[block.kind].keys
+             if (v := getattr(block.params, k)) is not None]
+    return " ".join([f"block {block.id} {block.kind}"] + items)
 
 
 def document_to_text(doc: NetlistDocument | CircuitGraph) -> str:

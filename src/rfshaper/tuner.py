@@ -27,12 +27,10 @@ from .blocks import FrequencyGrid
 from .circuit import CircuitGraph, bind
 from .constants import DEFAULT_CARRIER_THZ
 from .errors import AnalysisError, ConfigurationError, DomainError
-from .kernels import h_tunable_coupler
+from .kernels import TWO_PI, h_tunable_coupler
 from .metrics import band_extremes, band_mask, extinction_ratio_db
 from .rflink import (LinkConfig, ModulationFormat, back_to_back_reference,
                      bind_tones, detector, magnitude_db)
-
-_TWO_PI = 2.0 * math.pi
 
 #: A restart has converged once its best value rose by less than
 #: CONVERGENCE_TOL over the last CONVERGENCE_WINDOW evaluations.
@@ -345,6 +343,9 @@ def optimize(graph_template: CircuitGraph, objective: Objective,
     and once the earlier restarts end, ``optimize`` raises the error of
     the lowest-numbered restart that failed.
     """
+    if isinstance(heater_names, str):
+        raise ConfigurationError("heater_names takes a sequence of heater "
+                                 f"names, got a str: {heater_names!r}")
     names = sorted(heater_names if heater_names is not None
                    else graph_template.heater_names())
     if not names:
@@ -369,8 +370,8 @@ def optimize(graph_template: CircuitGraph, objective: Objective,
         """Wrapped heater phases: floats for one candidate, a 1-D array
         per heater for several."""
         if len(xs) == 1:
-            return {n: float(v) % _TWO_PI for n, v in zip(names, xs[0])}
-        return {n: np.array([float(x[i]) % _TWO_PI for x in xs])
+            return {n: float(v) % TWO_PI for n, v in zip(names, xs[0])}
+        return {n: np.array([float(x[i]) % TWO_PI for x in xs])
                 for i, n in enumerate(names)}
 
     def evaluate(xs: list[np.ndarray]) -> tuple[list[float], Exception | None]:
@@ -393,7 +394,7 @@ def optimize(graph_template: CircuitGraph, objective: Objective,
     start_list: list[np.ndarray] = [np.array([current[n] for n in names])]
     rng = np.random.default_rng(config.seed)
     while len(start_list) < config.restarts:
-        start_list.append(rng.uniform(0.0, _TWO_PI, size=len(names)))
+        start_list.append(rng.uniform(0.0, TWO_PI, size=len(names)))
 
     # restarts start in order as live ones end, at most MAX_LIVE_RESTARTS
     # at a time, so the simplices held stay bounded however many there are
@@ -435,14 +436,14 @@ def optimize(graph_template: CircuitGraph, objective: Objective,
         total += ev
         all_converged = all_converged and conv
         traces.append(RestartTrace(
-            {n: float(v) % _TWO_PI for n, v in zip(names, x0)}, bv, ev, conv))
+            {n: float(v) % TWO_PI for n, v in zip(names, x0)}, bv, ev, conv))
         if bv > best_v:
             best_x, best_v = bx, bv
     if best_x is None:
         raise AnalysisError(
             f"objective gave no comparable value in {total} evaluations "
             "(every value was NaN or -inf)")
-    best = {n: float(v) % _TWO_PI for n, v in zip(names, best_x)}
+    best = {n: float(v) % TWO_PI for n, v in zip(names, best_x)}
     return TuningResult(best, best_v, total, all_converged, tuple(traces))
 
 
@@ -460,7 +461,7 @@ def compensate_coupler_phase(target_bar_power: float) -> tuple[float, float]:
         raise DomainError("target bar power must be in [0, 1]")
     if target_bar_power == 0.0:
         return 0.0, 0.0
-    phi = 2.0 * math.asin(math.sqrt(target_bar_power))
+    phi = blocks.coupling_phase(target_bar_power)
     (bar, _), _ = h_tunable_coupler(phi)
     compensation = -math.atan2(bar.imag, bar.real)
     return phi, compensation
@@ -490,5 +491,5 @@ def synthesize_cancellation_settings(optical_notch_depth_db: float
     phi, compensation = compensate_coupler_phase(amplitude ** 2)
     # phase shifter multiplies by exp(-1j*phase): total bar-path rotation
     # of pi needs phase = -(compensation) - pi.
-    shifter = (-compensation - math.pi) % _TWO_PI
+    shifter = (-compensation - math.pi) % TWO_PI
     return CancellationSettings(amplitude, phi, shifter)

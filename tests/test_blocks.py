@@ -296,3 +296,20 @@ def test_frequency_grid_may_span_more_than_the_largest_float():
     assert len(FrequencyGrid(193.4, offsets)) == 2
     with pytest.raises(DomainError, match="strictly increasing"):
         FrequencyGrid(193.4, offsets[::-1])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: WaveguideParams(1.0, loss_db_per_cm=-0.1),
+     "loss and length must be >= 0"),
+    (lambda: WaveguideParams(1.0, physical_length_cm=-1.0),
+     "loss and length must be >= 0"),
+    (lambda: RingParams(fsr_ghz=0.0, kappa=0.1), "fsr_ghz must be > 0"),
+    (lambda: FrequencyGrid(193.4, np.array([])),
+     "offsets_ghz must be a non-empty 1-D array"),
+    (lambda: FrequencyGrid(193.4, np.zeros((2, 2))),
+     "offsets_ghz must be a non-empty 1-D array"),
+], ids=["negative_loss", "negative_length", "zero_fsr", "empty_grid",
+        "2d_grid"])
+def test_records_name_the_field_out_of_range(make, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        make()

@@ -198,6 +198,21 @@ def test_graph_wiring_mistake_is_named(mistake):
         CircuitGraph(*wiring)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: BlockInstance("x", "nope"), ConfigurationError,
+     "unknown block kind 'nope'"),
+    (lambda: BlockInstance("x", "ring_allpass", PhaseShifterState(1.0)),
+     ConfigurationError, "block 'x' of kind ring_allpass needs RingParams "
+     "params, got PhaseShifterState"),
+    (lambda: chain_graph([A]).block("q"), TopologyError,
+     "unknown block id 'q'"),
+], ids=["unknown_kind", "wrong_params", "unknown_id"])
+def test_a_block_names_its_unknown_kind_or_params_and_a_graph_its_ids(
+        call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 @pytest.mark.parametrize("mistake", sorted(WIRING_MISTAKES))
 def test_wiring_mistake_gets_one_message_from_graph_and_netlist(mistake):
     # the netlist of the same blocks, connections and external ports
@@ -711,11 +726,12 @@ COLUMN_SETTINGS = [0.5, -0.0, 7.0, -3.0, 5e-324, 1e308, -1e308, math.nan,
                    math.inf, -math.inf]
 
 
-@pytest.mark.parametrize("blk, heater", [
-    (blk, h) for blk in HEATED_BLOCKS for h in BLOCK_KINDS[blk.kind].heaters],
-    ids=lambda x: getattr(x, "kind", getattr(x, "name", None)))
-def test_with_heater_gives_a_column_whose_rows_are_the_float_calls(blk,
-                                                                   heater):
+@pytest.mark.parametrize("blk, name", [
+    (blk, name) for blk in HEATED_BLOCKS
+    for name in BLOCK_KINDS[blk.kind].heaters],
+    ids=lambda x: getattr(x, "kind", x))
+def test_with_heater_gives_a_column_whose_rows_are_the_float_calls(blk, name):
+    heater = BLOCK_KINDS[blk.kind].heaters[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # the heater's update: each row of the column is the float call's
@@ -729,10 +745,10 @@ def test_with_heater_gives_a_column_whose_rows_are_the_float_calls(blk,
         # row's error
         for value in COLUMN_SETTINGS:
             settings = [0.5, value]
-            want = [outcome(lambda: blk.with_heater({heater.name: v}).params)
+            want = [outcome(lambda: blk.with_heater({name: v}).params)
                     for v in settings]
             got = outcome(
-                lambda: blk.with_heater({heater.name: np.array(settings)}).params)
+                lambda: blk.with_heater({name: np.array(settings)}).params)
             errors = [w for w in want if isinstance(w, tuple)]
             if errors:
                 assert got == errors[0]

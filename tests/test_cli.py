@@ -530,3 +530,34 @@ def test_preset_range_beyond_the_point_limit_exits_4(tmp_path, capsys,
     assert run(["experiment", str(cfg), "--out-dir", str(tmp_path)]) == 4
     assert "limit of 1e+07" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["experiment", "adir"], "cannot read config adir: "),
+    (["optimize", "preset:shaper", "--objective", "notch_depth", "--heaters",
+      "ps_bar.phase", "--max-evals", "20", "--restarts", "1", "--out", "adir"],
+     "cannot write netlist adir: "),
+], ids=["config", "netlist"])
+def test_a_directory_in_place_of_a_file_exit_4(tmp_path, capsys, monkeypatch,
+                                                argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    assert run(argv) == 4
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+
+def test_a_file_made_at_the_out_dir_while_the_preset_runs_exit_4(
+        tmp_path, capsys, monkeypatch):
+    cfg, outdir = tmp_path / "exp.cfg", tmp_path / "out"
+    cfg.write_text("experiment ssb_notch\nsweep 8 12 0.5\n")
+    preset = cli.run_experiment
+
+    def preset_then_file(*args, **kwargs):
+        result = preset(*args, **kwargs)
+        outdir.write_text("")
+        return result
+    monkeypatch.setattr(cli, "run_experiment", preset_then_file)
+    assert run(["experiment", str(cfg), "--out-dir", str(outdir)]) == 4
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot create output directory {outdir}: ")

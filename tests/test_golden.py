@@ -456,6 +456,21 @@ ERROR_CASES = {
         ["sweep", "f.nl", OFFSET_SWEEP, "--out", "x.csv"], 3,
         "error: line 1, col 1: expected: format 1\n"
         "error: line 2, col 1: expected: format 1\n"),
+    "sweep_netlist_connect_without_ports": (
+        {"c.nl": "format 1\nblock a phase_shifter phase_rad=0\n"
+                 "block b phase_shifter phase_rad=0\nconnect a b\n"
+                 "input i a.in\noutput o b.out\n"},
+        ["sweep", "c.nl", OFFSET_SWEEP, "--out", "x.csv"], 3,
+        "error: line 4, col 9: expected <block>.<port> near 'a'\n"
+        "error: line 4, col 11: expected <block>.<port> near 'b'\n"),
+    "sweep_unknown_preset": (
+        {}, ["sweep", "preset:nope", OFFSET_SWEEP, "--out", "x.csv"], 3,
+        "error: unknown preset netlist 'nope' (have: deinterleaver, "
+        "shaper)\n"),
+    "block_without_sweep": (
+        {}, ["block", "ring_allpass", "kappa=0.1", "fsr_ghz=50", "--out",
+             "b.csv"], 3,
+        "error: --sweep lo:hi:step is required\n"),
     "optimize_passband_reversed": (
         {}, OPTIMIZE_ERROR + ["--passband", "5:3"], 3,
         "error: passband must be finite with hi > lo, got (5.0, 3.0)\n"),

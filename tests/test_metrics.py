@@ -141,3 +141,36 @@ def test_peak_frequency_parabolic_refinement():
     freqs = np.arange(0.0, 20.0, 0.1)
     mag = -((freqs - 7.03) ** 2)
     assert peak_frequency_ghz(freqs, mag) == pytest.approx(7.03, abs=1e-6)
+
+
+OFFS = np.linspace(-10.0, 10.0, 401)
+DIP = np.abs(h_ring_allpass(OFFS, RingParams(
+    fsr_ghz=50.0, kappa=0.1, round_trip_amplitude=0.95))) ** 2
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: band_mask(OFFS, (1.0, 1.0)), DomainError,
+     r"band limits must satisfy hi > lo, got \(1.0, 1.0\)"),
+    (lambda: q_and_finesse(OFFS[:4], DIP[:4], 0.0, 50.0), AnalysisError,
+     "response grid too coarse for linewidth analysis"),
+    # a ramp's minimum is the window's first point
+    (lambda: q_and_finesse(OFFS, OFFS, 0.0, 50.0), AnalysisError,
+     "resonance is not resolved on both sides"),
+    # a descending grid puts the left crossing above the right one
+    (lambda: q_and_finesse(OFFS[::-1], DIP[::-1], 0.0, 50.0), AnalysisError,
+     "degenerate linewidth"),
+    (lambda: passband_width_3db(OFFS, DIP, 0.0), AnalysisError,
+     "band center is not inside a passband"),
+    (lambda: passband_width_3db(OFFS, np.ones_like(OFFS), 0.0), AnalysisError,
+     "passband edges not bracketed by the grid"),
+], ids=["empty_band", "coarse_grid", "one_sided", "descending_grid",
+        "center_in_a_dip", "flat_passband"])
+def test_figures_of_merit_name_what_they_cannot_measure(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("mag, want", [([0.0, 1.0, 2.0], 3.0),
+                                       ([2.0, 1.0, 0.0], 1.0)])
+def test_a_peak_at_the_sweep_edge_is_not_interpolated(mag, want):
+    assert peak_frequency_ghz([1.0, 2.0, 3.0], mag) == want

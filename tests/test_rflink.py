@@ -15,8 +15,8 @@ from rfshaper.circuit import BlockInstance, CircuitGraph, Port, evaluate
 from rfshaper.constants import (DEFAULT_CARRIER_THZ,
                                 DEFAULT_RESPONSIVITY_A_PER_W as R)
 from rfshaper.errors import ConfigurationError, DomainError
-from rfshaper.rflink import (LinkConfig, ModulationFormat, bind_tones,
-                             detector, rf_transmission_sweep)
+from rfshaper.rflink import (LinkConfig, ModulationFormat, RfResponse,
+                             bind_tones, detector, rf_transmission_sweep)
 from rfshaper.topologies import build_shaper
 
 from tests.reference import time_domain_oracle
@@ -286,3 +286,11 @@ def test_sweep_rejects_bad_ranges():
         rf_transmission_sweep(link, 10.0, 1.0, 0.1)
     with pytest.raises(DomainError):
         rf_transmission_sweep(link, 1.0, 10.0, -0.1)
+
+
+@pytest.mark.parametrize("mag, phase", [([0.0], [0.0, 0.0]),
+                                        ([0.0, 0.0], [0.0])])
+def test_an_rf_response_needs_one_shape(mag, phase):
+    with pytest.raises(DomainError, match="^rf_freqs, mag_db, phase_rad must "
+                       "share a shape$"):
+        RfResponse(np.array([1.0, 2.0]), np.array(mag), np.array(phase))

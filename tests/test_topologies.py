@@ -168,3 +168,18 @@ def test_ring_kappa_for_rejection_closed_form():
         h = BLOCK_KINDS["ring_allpass"].response(ring, np.array([0.0]))[0][0]
         floor_db = -20.0 * math.log10(abs(h[0]))
         assert floor_db == pytest.approx(depth, abs=1e-9)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DeinterleaverSpec(ring_kappas=(0.5, 0.5)),
+     "exactly three rings are expected"),
+    (lambda: DeinterleaverSpec(ring_detunes_ghz=(0.0, 10.0, 20.0, 30.0)),
+     "exactly three rings are expected"),
+    (lambda: ring_kappa_for_rejection(0.9, -1.0), "rejection_db must be >= 0"),
+    # a gain above one asks for a self-coupling above one
+    (lambda: ring_kappa_for_rejection(1.5, 3.0),
+     "rejection 3.0 dB unreachable at amplitude 1.5"),
+], ids=["two_kappas", "four_detunes", "negative_rejection", "gain"])
+def test_design_helpers_reject_what_they_cannot_build(call, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        call()

@@ -149,6 +149,26 @@ def test_optimize_rejects_repeated_heater_names():
                  heater_names=["ps_trim.phase", "ps_trim.phase"])
 
 
+def test_optimize_rejects_a_bare_string_of_heater_names():
+    # a str is a sequence of characters, which would name heaters 'p', 's'...
+    with pytest.raises(ConfigurationError, match=r"^heater_names takes a "
+                       r"sequence of heater names, got a str: 'ps\.phase'$"):
+        optimize(single_heater_graph(), quadratic_objective(1.0),
+                 OptimizerConfig(max_evals=50, restarts=1),
+                 heater_names="ps.phase")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Objective("nope"), ConfigurationError,
+     "unknown objective kind 'nope'"),
+    (lambda: synthesize_cancellation_settings(-1.0), DomainError,
+     "optical notch depth must be >= 0 dB"),
+], ids=["unknown_objective", "negative_notch_depth"])
+def test_tuner_inputs_out_of_range_are_named(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_optimize_requires_heaters():
     wg = BlockInstance("c", "coupler_3db", None)
     g = CircuitGraph((wg,), (), {"in": Port("c", "in0")},
