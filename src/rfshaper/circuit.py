@@ -262,7 +262,10 @@ class CircuitGraph:
     def with_heaters(self, settings: Mapping[str, float]) -> "CircuitGraph":
         """New graph with the named heater phases applied to the params.
         A graph holds one phase per heater; arrays of settings belong to a
-        batched call of :func:`evaluate` or of a :func:`bind` function."""
+        batched call of :func:`evaluate` or of a :func:`bind` function.
+        No settings return ``self``."""
+        if not settings:
+            return self
         if arrays := sorted(n for n, v in settings.items()
                             if isinstance(v, np.ndarray)):
             raise ConfigurationError("with_heaters takes one phase per "

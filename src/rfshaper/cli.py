@@ -117,11 +117,19 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _require_directory(path: Path, failure: str) -> None:
+def _require_directory(path: Path, failure: str, nearest: bool = False) -> None:
     """Raise OSError ``<failure>: <path> is not a directory`` unless it
-    is one, before the work whose output goes there."""
-    if not path.is_dir():
-        raise OSError(f"{failure}: {path} is not a directory")
+    (with ``nearest``, the first of it and its parents that exists) is
+    one, before the work whose output goes there.  An error of the probe
+    itself, such as a name too long to look up, gets the same context."""
+    try:
+        if nearest:
+            path = next(p for p in (path, *path.parents) if p.exists())
+        if path.is_dir():
+            return
+    except OSError as exc:
+        raise OSError(f"{failure}: {exc}") from exc
+    raise OSError(f"{failure}: {path} is not a directory")
 
 
 def _require_csv_directory(out: str) -> None:
@@ -141,9 +149,9 @@ def cmd_experiment(args) -> int:
     outdir = Path(args.out_dir or cfg.outdir or ".")
     # fail before the preset runs where a file stands in the way, but make
     # no directory until the preset has succeeded
-    existing = next(p for p in (outdir, *outdir.parents) if p.exists())
-    _require_directory(existing, f"cannot create output directory {outdir}")
-    result = run_experiment(cfg.experiment, cfg.overrides(), seed=seed)
+    _require_directory(outdir, f"cannot create output directory {outdir}",
+                       nearest=True)
+    result = run_experiment(cfg.experiment, cfg.options, seed=seed)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

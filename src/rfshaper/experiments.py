@@ -17,7 +17,8 @@ import numpy as np
 from .blocks import (FrequencyGrid, RingParams, coupling_phase,
                      critical_coupling_kappa, detune_phase,
                      heater_phase_from_power, require_grid_size)
-from .circuit import BlockInstance, CircuitGraph, CircuitResponse, Port, bind
+from .circuit import (BlockInstance, CircuitGraph, CircuitResponse, Port,
+                      evaluate)
 from .constants import DEFAULT_CARRIER_THZ, DEFAULT_P_PI_MW, FILTER_RING_FSR_GHZ
 from .errors import ConfigurationError, DomainError
 from .kernels import TWO_PI
@@ -73,16 +74,21 @@ def _get(overrides: Mapping[str, object], key: str, default):
 
 def _options(name: str, overrides: Mapping[str, object],
              defaults: Mapping[str, object]) -> list:
-    """Preset ``name``'s option values, in the order of ``defaults``.
-
-    Rejects a key that is not an option of the preset (``heaters`` is
-    always accepted), then reads each option with :func:`_get`.
+    """Preset ``name``'s option values, in the order of ``defaults``, then
+    the ``heaters`` settings it builds its circuit with (none when unset).
+    Rejects a key that is neither an option of the preset nor ``heaters``,
+    then reads each option with :func:`_get`, and ``heaters`` last.
     """
     unknown = set(overrides) - set(defaults) - {"heaters"}
     if unknown:
         raise ConfigurationError(
             f"preset {name!r} does not accept option(s) {sorted(unknown)}")
-    return [_get(overrides, key, default) for key, default in defaults.items()]
+    values = [_get(overrides, key, default) for key, default in defaults.items()]
+    heaters = overrides.get("heaters", {})
+    if not isinstance(heaters, Mapping):
+        raise ConfigurationError(
+            f"option 'heaters' takes heater names and values, got {heaters!r}")
+    return [*values, heaters]
 
 
 def _labels(key: str, values, label) -> list[str]:
@@ -94,17 +100,6 @@ def _labels(key: str, values, label) -> list[str]:
             raise ConfigurationError(
                 f"option {key!r} gives two values the label {lab!r}")
     return labels
-
-
-def _apply_user_heaters(graph: CircuitGraph,
-                        overrides: Mapping[str, object]) -> CircuitGraph:
-    """User heater overrides rebase the circuit before the preset runs;
-    heaters the preset itself drives are still swept on top."""
-    heaters = overrides.get("heaters", {})
-    if not isinstance(heaters, Mapping):
-        raise ConfigurationError(
-            f"option 'heaters' takes heater names and values, got {heaters!r}")
-    return graph.with_heaters(heaters) if heaters else graph
 
 
 def _parked_adddrop() -> RingParams:
@@ -132,7 +127,7 @@ def _beat_vs_phase(tones, fmt: ModulationFormat, heater: str,
 def _conversion_preset(name: str, fmt_kind: str,
                        overrides: Mapping[str, object],
                        seed: int) -> ExperimentResult:
-    (lo, hi, step), m, f_anchor, band = _options(name, overrides, {
+    (lo, hi, step), m, f_anchor, band, heaters = _options(name, overrides, {
         "sweep": (1.0, 30.0, 0.05), "modulation_index": 0.1,
         "anchor_freq_ghz": 20.0, "band": (15.0, 25.0)})
 
@@ -140,7 +135,7 @@ def _conversion_preset(name: str, fmt_kind: str,
     # the two paths stays mirror-symmetric, so one shifter phase cancels
     # the beats across the whole band.
     cfg = ShaperConfig(adddrop=_parked_adddrop())
-    graph = _apply_user_heaters(build_shaper(cfg), overrides)
+    graph = build_shaper(cfg).with_heaters(heaters)
     fmt = ModulationFormat(fmt_kind, m)
     link = LinkConfig(fmt, graph)
 
@@ -199,13 +194,12 @@ def _notch_shaper(notch_freq_ghz: float, rejection_db: float,
 def ssb_notch(overrides: Mapping[str, object], seed: int = 0) -> ExperimentResult:
     """Single-sideband notch: bar path blocked, the all-pass ring notches
     the surviving lower sideband; RF rejection equals the optical one."""
-    (lo, hi, step), f0, rej, m = _options("ssb_notch", overrides, {
+    (lo, hi, step), f0, rej, m, heaters = _options("ssb_notch", overrides, {
         "sweep": (2.0, 28.0, 0.01), "notch_freq_ghz": 10.0,
         "optical_rejection_db": 7.0, "modulation_index": 0.1})
 
-    graph = _apply_user_heaters(
-        _notch_shaper(f0, rej, bar_coupler_rad=0.0, bar_phase_rad=0.0),
-        overrides)
+    graph = _notch_shaper(f0, rej, bar_coupler_rad=0.0,
+                          bar_phase_rad=0.0).with_heaters(heaters)
     link = LinkConfig(ModulationFormat("IM", m), graph)
     trace = rf_transmission_sweep(link, lo, hi, step)
     depth, f_min = notch_depth_db(trace.rf_freqs_ghz, trace.mag_db, f0)
@@ -224,16 +218,16 @@ def cancel_notch(overrides: Mapping[str, object], seed: int = 0) -> ExperimentRe
     heaters on the actual circuit (the split carrier also feels the phase
     shifter, which the closed form ignores).
     """
-    (lo, hi, step), f0, rej, m, polish_evals = _options(
+    (lo, hi, step), f0, rej, m, polish_evals, heaters = _options(
         "cancel_notch", overrides, {
             "sweep": (2.0, 28.0, 0.01), "notch_freq_ghz": 10.0,
             "optical_rejection_db": 7.0, "modulation_index": 0.1,
             "polish_evals": 600})
 
     settings = synthesize_cancellation_settings(rej)
-    graph = _apply_user_heaters(
-        _notch_shaper(f0, rej, bar_coupler_rad=settings.coupler_phase_rad,
-                      bar_phase_rad=settings.shifter_phase_rad), overrides)
+    graph = _notch_shaper(f0, rej, bar_coupler_rad=settings.coupler_phase_rad,
+                          bar_phase_rad=settings.shifter_phase_rad
+                          ).with_heaters(heaters)
     fmt = ModulationFormat("IM", m)
     objective = Objective("notch_depth", rf_freq_ghz=f0, fmt=fmt)
     require_notch_in_sweep(FrequencyGrid.sweep(lo, hi, step).offsets_ghz, f0)
@@ -270,9 +264,10 @@ def bandpass_tune(overrides: Mapping[str, object], seed: int = 0) -> ExperimentR
     the lower sideband is filtered by the add-drop ring's drop port."""
     # start above the crossover guard: below it the lower sideband is
     # still inside the bar channel and leaks past the open coupler.
-    (lo, hi, step), detunes, m, kappa = _options("bandpass_tune", overrides, {
-        "sweep": (5.0, 27.0, 0.1), "detunes_ghz": [8.0, 12.0, 16.0, 20.0],
-        "modulation_index": 0.1, "drop_kappa": 0.1})
+    (lo, hi, step), detunes, m, kappa, heaters = _options(
+        "bandpass_tune", overrides, {
+            "sweep": (5.0, 27.0, 0.1), "detunes_ghz": [8.0, 12.0, 16.0, 20.0],
+            "modulation_index": 0.1, "drop_kappa": 0.1})
     labels = _labels("detunes_ghz", detunes, lambda d: f"{d:g}")
 
     # carrier parked inside the bar channel here: the coupler path
@@ -284,7 +279,7 @@ def bandpass_tune(overrides: Mapping[str, object], seed: int = 0) -> ExperimentR
                            round_trip_amplitude=FITTED_RING_AMPLITUDE,
                            detune_ghz=25.0),
         adddrop_route="drop")
-    graph = _apply_user_heaters(build_shaper(cfg), overrides)
+    graph = build_shaper(cfg).with_heaters(heaters)
     link = LinkConfig(ModulationFormat("SSB_lower", m), graph)
 
     traces: dict[str, RfResponse] = {}
@@ -307,7 +302,7 @@ def deint_phase_probe(overrides: Mapping[str, object], seed: int = 0
     """Single-sideband probe of the de-interleaver: dividing the detected
     beat by the back-to-back one extracts the port's complex response
     relative to the carrier."""
-    (lo, hi, step), m = _options("deint_phase_probe", overrides, {
+    (lo, hi, step), m, heaters = _options("deint_phase_probe", overrides, {
         "sweep": (0.5, 29.5, 0.05), "modulation_index": 0.1})
 
     # per-port carrier placement: just inside the probed channel's start,
@@ -315,9 +310,8 @@ def deint_phase_probe(overrides: Mapping[str, object], seed: int = 0
     fmt = ModulationFormat("SSB_upper", m)
     traces = {}
     for port, crossover in (("bar", -1.0), ("cross", 29.0)):
-        graph = _apply_user_heaters(
-            build_deinterleaver(DeinterleaverSpec.designed(
-                crossover_offset_ghz=crossover)), overrides)
+        graph = build_deinterleaver(DeinterleaverSpec.designed(
+            crossover_offset_ghz=crossover)).with_heaters(heaters)
         traces[port] = rf_transmission_sweep(
             LinkConfig(fmt, graph, output_port=port), lo, hi, step)
     bar = traces["bar"]
@@ -340,7 +334,7 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
     from the sideband-power balance point; co-tuning the phase shifter
     pins them together.
     """
-    f0, p_max, p_step, m, att_db, p_anchor = _options(
+    f0, p_max, p_step, m, att_db, p_anchor, heaters = _options(
         "amplitude_tuning", overrides, {
             "rf_freq_ghz": 20.0, "power_max_mw": DEFAULT_P_PI_MW,
             "power_step_mw": 0.25, "modulation_index": 0.1,
@@ -351,9 +345,8 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
     require_grid_size("amplitude_tuning power_max_mw over power_step_mw",
                       p_max, p_step)
 
-    graph = _apply_user_heaters(
-        _notch_shaper(f0, att_db, bar_coupler_rad=math.pi, bar_phase_rad=0.0),
-        overrides)
+    graph = _notch_shaper(f0, att_db, bar_coupler_rad=math.pi,
+                          bar_phase_rad=0.0).with_heaters(heaters)
     fmt = ModulationFormat("PM", m)
 
     # Anti-phase reference: fix the shifter so the sideband beats cancel
@@ -407,7 +400,7 @@ def coupling_sweep(overrides: Mapping[str, object], seed: int = 0
     """All-pass ring through under-, critical and over-coupling."""
     gamma = FITTED_RING_AMPLITUDE
     kappa_crit = critical_coupling_kappa(gamma)
-    kappas, span, step = _options("coupling_sweep", overrides, {
+    kappas, span, step, heaters = _options("coupling_sweep", overrides, {
         "kappas": [0.05, 0.10, kappa_crit, 0.25, 0.40], "span_ghz": 5.0,
         "step_ghz": 0.01})
     if not (step > 0 and span >= 0 and all(0.0 <= k <= 1.0 for k in kappas)):
@@ -419,14 +412,13 @@ def coupling_sweep(overrides: Mapping[str, object], seed: int = 0
     ring = BlockInstance("ring", "ring_allpass",
                          RingParams(FILTER_RING_FSR_GHZ, kappas[0],
                                     round_trip_amplitude=gamma))
-    graph = _apply_user_heaters(
-        CircuitGraph((ring,), (), inputs={"in": Port("ring", "in")},
-                     outputs={"out": Port("ring", "out")}), overrides)
+    graph = CircuitGraph((ring,), (), inputs={"in": Port("ring", "in")},
+                         outputs={"out": Port("ring", "out")}
+                         ).with_heaters(heaters)
     offsets = np.arange(-span, span + 1e-9, step)
-    evaluate_at = bind(graph, FrequencyGrid(DEFAULT_CARRIER_THZ, offsets))
-
-    batch = evaluate_at({"ring.coupling": np.array(
-        [coupling_phase(kappa) for kappa in kappas])})
+    batch = evaluate(graph, FrequencyGrid(DEFAULT_CARRIER_THZ, offsets),
+                     heaters={"ring.coupling": np.array(
+                         [coupling_phase(kappa) for kappa in kappas])})
     optical: dict[str, CircuitResponse] = {}
     summary: dict[str, object] = {"critical_kappa": kappa_crit,
                                   "round_trip_amplitude": gamma}

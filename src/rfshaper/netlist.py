@@ -282,16 +282,9 @@ class ExperimentConfig:
     """Settings resolved from an experiment config file."""
 
     experiment: str
-    heaters: dict[str, float] = field(default_factory=dict)
     options: dict[str, object] = field(default_factory=dict)
     seed: int = 0
     outdir: str | None = None
-
-    def overrides(self) -> dict[str, object]:
-        out: dict[str, object] = dict(self.options)
-        if self.heaters:
-            out.setdefault("heaters", dict(self.heaters))
-        return out
 
 
 #: config statement -> its arguments, as the usage message shows them
@@ -312,10 +305,12 @@ def load_experiment_config(text: str) -> tuple[ExperimentConfig | None,
     Statements: ``experiment <name>``, ``sweep <lo> <hi> <step>``,
     ``heater <name> <value>``, ``seed <int>``, ``outdir <path>``,
     ``set <key> <value>`` for preset options (comma lists allowed).
-    Each setting may be given once; ``sweep`` sets the ``sweep`` option.
+    Each setting may be given once; ``sweep`` sets the ``sweep`` option,
+    and ``heater`` lines the ``heaters`` option (a ``set heaters`` wins).
     """
     errors: list[ParseError] = []
     cfg = ExperimentConfig("")
+    heaters: dict[str, float] = {}
     seen: set[str] = set()
     for ln, toks in _statements(text, _CONFIG_USAGE, errors):
         kw, col = toks[0]
@@ -341,7 +336,7 @@ def load_experiment_config(text: str) -> tuple[ExperimentConfig | None,
                 errors.append(ParseError(ln, col, "invalid sweep numbers"))
         elif kw == "heater":
             try:
-                cfg.heaters[toks[1][0]] = parse_number(toks[2][0])
+                heaters[toks[1][0]] = parse_number(toks[2][0])
             except ValueError:
                 errors.append(ParseError(ln, toks[2][1], "invalid number",
                                          toks[2][0]))
@@ -362,6 +357,7 @@ def load_experiment_config(text: str) -> tuple[ExperimentConfig | None,
                     cfg.options[key] = parse_number(val)
             except ValueError:
                 errors.append(ParseError(ln, toks[2][1], "invalid number", val))
+    cfg.options.setdefault("heaters", heaters)
     if "experiment" not in seen:
         errors.append(ParseError(1, 1, "missing required 'experiment' statement"))
         return None, errors

@@ -661,6 +661,11 @@ def test_with_heaters_takes_one_phase_per_heater():
                             "tc_bar.phase": 1.0})
 
 
+def test_with_no_heater_settings_is_the_graph_itself():
+    graph = BIND_GRAPHS["notch_shaper"]
+    assert graph.with_heaters({}) is graph
+
+
 def test_the_order_of_a_blocks_settings_does_not_change_its_error():
     # kappa NaN and a detune that overflows to inf: both fields fail, and
     # the params record checks them in field order whatever the settings'

@@ -252,6 +252,33 @@ def test_experiment_out_dir_blocked_by_a_file_fails_before_the_preset(
         f"{afile} is not a directory\n")
 
 
+@pytest.mark.parametrize("argv, option, context", [
+    (["sweep", "preset:deinterleaver", "--sweep=-1:1:1"], "--out",
+     "cannot write CSV to"),
+    (["block", "ring_allpass", "kappa=0.163", "fsr_ghz=50", "--sweep=-1:1:1"],
+     "--out", "cannot write CSV to"),
+    (["optimize", "preset:deinterleaver", "--objective",
+      "deinterleaver_extinction"], "--out", "cannot write netlist"),
+    (["optimize", "preset:deinterleaver", "--objective",
+      "deinterleaver_extinction", "--out", "t.nl"], "--summary",
+     "cannot write summary to"),
+    (["experiment", "exp.cfg"], "--out-dir", "cannot create output directory"),
+], ids=["sweep", "block", "optimize_out", "optimize_summary", "experiment"])
+def test_an_over_long_output_path_is_named_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, option, context):
+    # a name over 255 bytes: on some Pythons pathlib's probe raises
+    # ENAMETOOLONG, on others it reads the path as missing
+    for name in ("evaluate", "optimize", "run_experiment"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text("experiment ssb_notch\n")
+    long = tmp_path / ("d" * 300)
+    dest = long if option == "--out-dir" else long / "x"
+    assert run(argv + [option, str(dest)]) == 4
+    assert capsys.readouterr().err.startswith(f"error: {context} {dest}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
 def test_experiment_failed_preset_makes_no_out_dir(tmp_path, capsys):
     cfg, outdir = tmp_path / "exp.cfg", tmp_path / "new" / "dir"
     cfg.write_text("experiment ssb_notch\nsweep 8 12 -0.5\n")

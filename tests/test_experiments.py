@@ -137,6 +137,12 @@ def test_heaters_option_must_be_a_mapping(heaters):
         run_experiment("ssb_notch", {"heaters": heaters})
 
 
+def test_heaters_option_is_read_before_a_presets_range_checks():
+    with pytest.raises(ConfigurationError, match="option 'heaters'"):
+        run_experiment("amplitude_tuning",
+                       {"power_step_mw": 0.0, "heaters": 1.0})
+
+
 def test_heater_override_accepted():
     result = run_experiment("ssb_notch", {"sweep": (8.0, 12.0, 0.01),
                                           "heaters": {"ps_bar.phase": 0.3}})
@@ -144,14 +150,13 @@ def test_heater_override_accepted():
 
 
 def test_amplitude_tuning_binds_its_circuit_once(monkeypatch):
-    from rfshaper import circuit, experiments, rflink
+    from rfshaper import circuit, rflink
     grids = []
 
     def counting_bind(graph, grid, input_name=None):
         grids.append(grid.offsets_ghz.tolist())
         return circuit.bind(graph, grid, input_name)
-    for module in (experiments, rflink):
-        monkeypatch.setattr(module, "bind", counting_bind)
+    monkeypatch.setattr(rflink, "bind", counting_bind)
     run_experiment("amplitude_tuning", {"power_step_mw": 5.0})
     assert grids == [[-20.0, 0.0, 20.0]]
 

@@ -1,5 +1,6 @@
 import os
 import tempfile
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -233,16 +234,33 @@ def test_experiment_config_happy_path():
     assert errors == []
     assert cfg.experiment == "cancel_notch"
     assert cfg.options["sweep"] == (1.0, 30.0, 0.01)
-    assert cfg.heaters == {"ps_bar.phase": 1.5708}
+    assert cfg.options["heaters"] == {"ps_bar.phase": 1.5708}
     assert cfg.seed == 3
-    assert cfg.overrides()["notch_freq_ghz"] == 12.0
+    assert cfg.options["notch_freq_ghz"] == 12.0
 
 
 def test_experiment_config_list_option():
     cfg, errors = load_experiment_config(
         "experiment bandpass_tune\nset detunes_ghz 8,12,16,20\n")
     assert not errors
-    assert cfg.overrides()["detunes_ghz"] == (8.0, 12.0, 16.0, 20.0)
+    assert cfg.options["detunes_ghz"] == (8.0, 12.0, 16.0, 20.0)
+
+
+@pytest.mark.parametrize("before, after, want", [
+    ("", "", {"ps_bar.phase": 0.3, "tc_bar.phase": 1.0}),
+    ("set heaters 1\n", "", 1.0),
+    ("", "set heaters 1\n", 1.0),
+], ids=["heater", "set_before", "set_after"])
+def test_heater_statements_are_the_heaters_option(before, after, want):
+    # a `set heaters` line wins in either order, and the preset then
+    # rejects its number; the config keeps no heater table of its own
+    cfg, errors = load_experiment_config(
+        "experiment ssb_notch\n" + before
+        + "heater ps_bar.phase 0.3\nheater tc_bar.phase 1\n" + after)
+    assert not errors
+    assert cfg.options == {"heaters": want}
+    assert [f.name for f in fields(cfg)] == [
+        "experiment", "options", "seed", "outdir"]
 
 
 def test_experiment_config_requires_name():
