@@ -21,7 +21,7 @@ from .blocks import BLOCK_KINDS, FrequencyGrid
 from .circuit import CircuitGraph, Port, evaluate
 from .csvout import (format_summary_value, write_optical_csv, write_rf_csv,
                      write_summary, write_table_csv)
-from .errors import ConfigurationError, ShaperError, TopologyError
+from .errors import ConfigurationError, ShaperError, TopologyError, io_context
 from .experiments import run_experiment
 from .kernels import h_tunable_coupler
 from .netlist import (document_to_text, load_experiment_config, make_block,
@@ -60,10 +60,8 @@ def _load_graph(path: str) -> CircuitGraph:
             return build_shaper()
         raise ConfigurationError(
             f"unknown preset netlist {name!r} (have: deinterleaver, shaper)")
-    try:
+    with io_context(f"cannot read netlist {path}"):
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot read netlist {path}: {exc}") from exc
     doc, errors = parse_netlist(text)
     if errors:
         raise _ParseFailure(errors)
@@ -122,13 +120,11 @@ def _require_directory(path: Path, failure: str, nearest: bool = False) -> None:
     (with ``nearest``, the first of it and its parents that exists) is
     one, before the work whose output goes there.  An error of the probe
     itself, such as a name too long to look up, gets the same context."""
-    try:
+    with io_context(failure):
         if nearest:
             path = next(p for p in (path, *path.parents) if p.exists())
         if path.is_dir():
             return
-    except OSError as exc:
-        raise OSError(f"{failure}: {exc}") from exc
     raise OSError(f"{failure}: {path} is not a directory")
 
 
@@ -138,10 +134,8 @@ def _require_csv_directory(out: str) -> None:
 
 
 def cmd_experiment(args) -> int:
-    try:
+    with io_context(f"cannot read config {args.config}"):
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot read config {args.config}: {exc}") from exc
     cfg, errors = load_experiment_config(text)
     if errors:
         raise _ParseFailure(errors)
@@ -152,10 +146,8 @@ def cmd_experiment(args) -> int:
     _require_directory(outdir, f"cannot create output directory {outdir}",
                        nearest=True)
     result = run_experiment(cfg.experiment, cfg.options, seed=seed)
-    try:
+    with io_context(f"cannot create output directory {outdir}"):
         outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory {outdir}: {exc}") from exc
 
     written = []
     for name, trace in sorted(result.traces.items()):
@@ -205,10 +197,8 @@ def cmd_optimize(args) -> int:
     result = optimize(graph, objective, config, heater_names=heaters)
     tuned = graph.with_heaters(result.best)
     text = document_to_text(tuned)
-    try:
+    with io_context(f"cannot write netlist {args.out}"):
         Path(args.out).write_text(text, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise OSError(f"cannot write netlist {args.out}: {exc}") from exc
 
     summary = {
         "objective": args.objective,
@@ -287,15 +277,10 @@ def main(argv=None) -> int:
         for err in exc.errors:
             print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except (ConfigurationError, TopologyError) as exc:
+    except (ShaperError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ShaperError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        parse = isinstance(exc, (ConfigurationError, TopologyError))
+        return EXIT_PARSE if parse else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

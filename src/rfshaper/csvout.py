@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import CircuitResponse
-from .errors import AnalysisError
+from .errors import AnalysisError, io_context
 from .rflink import RfResponse
 
 RF_HEADER = "freq_ghz,mag_db,phase_rad"
@@ -140,11 +140,8 @@ def _table_text(header: str, columns: Sequence[np.ndarray]) -> list[bytes]:
 
 def _write_text(dest, text: list[bytes], what: str = "CSV") -> None:
     path = Path(dest)
-    try:
-        with open(path, "wb") as fh:
-            fh.writelines(text)
-    except OSError as exc:
-        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+    with io_context(f"cannot write {what} to {path}"), open(path, "wb") as fh:
+        fh.writelines(text)
 
 
 def write_rf_csv(response: RfResponse, dest) -> Path:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class ShaperError(Exception):
     """Base class for all rfshaper errors."""
@@ -23,3 +25,12 @@ class TopologyError(ShaperError, ValueError):
 
 class AnalysisError(ShaperError, RuntimeError):
     """A measurement routine could not extract the requested feature."""
+
+
+@contextmanager
+def io_context(failure: str):
+    """Re-raise an ``OSError`` of the block as ``<failure>: <error>``."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"{failure}: {exc}") from exc

@@ -177,7 +177,10 @@ def pm2im(overrides: Mapping[str, object], seed: int = 0) -> ExperimentResult:
 
 
 def _notch_shaper(notch_freq_ghz: float, rejection_db: float,
-                  bar_coupler_rad: float, bar_phase_rad: float) -> CircuitGraph:
+                  bar_coupler_rad: float = 0.0,
+                  bar_phase_rad: float = 0.0) -> CircuitGraph:
+    """The shaper whose all-pass ring notches ``notch_freq_ghz``; the
+    default bar-path settings block the bar path (the SSB notch)."""
     kappa = ring_kappa_for_rejection(FITTED_RING_AMPLITUDE, rejection_db)
     cfg = ShaperConfig(
         deinterleaver=DeinterleaverSpec.designed(
@@ -198,8 +201,7 @@ def ssb_notch(overrides: Mapping[str, object], seed: int = 0) -> ExperimentResul
         "sweep": (2.0, 28.0, 0.01), "notch_freq_ghz": 10.0,
         "optical_rejection_db": 7.0, "modulation_index": 0.1})
 
-    graph = _notch_shaper(f0, rej, bar_coupler_rad=0.0,
-                          bar_phase_rad=0.0).with_heaters(heaters)
+    graph = _notch_shaper(f0, rej).with_heaters(heaters)
     link = LinkConfig(ModulationFormat("IM", m), graph)
     trace = rf_transmission_sweep(link, lo, hi, step)
     depth, f_min = notch_depth_db(trace.rf_freqs_ghz, trace.mag_db, f0)
@@ -243,13 +245,12 @@ def cancel_notch(overrides: Mapping[str, object], seed: int = 0) -> ExperimentRe
     trace = rf_transmission_sweep(link, lo, hi, step, heaters=result.best)
     depth, f_min = notch_depth_db(trace.rf_freqs_ghz, trace.mag_db, f0)
 
-    reference = ssb_notch({"sweep": (lo, hi, step), "notch_freq_ghz": f0,
-                           "optical_rejection_db": rej,
-                           "modulation_index": m})
-    ssb_depth = reference.summary["notch_depth_db"]
+    # the SSB reference is this circuit with its bar path blocked
+    reference = rf_transmission_sweep(link, lo, hi, step, heaters={
+        "tc_bar.phase": 0.0, "ps_bar.phase": 0.0})
+    ssb_depth, _ = notch_depth_db(reference.rf_freqs_ghz, reference.mag_db, f0)
     return ExperimentResult(
-        "cancel_notch",
-        traces={"cancel": trace, "ssb_reference": reference.traces["ssb"]},
+        "cancel_notch", traces={"cancel": trace, "ssb_reference": reference},
         summary={"notch_depth_db": depth, "notch_freq_ghz": f_min,
                  "ssb_depth_db": ssb_depth,
                  "enhancement_db": depth - ssb_depth,
@@ -345,8 +346,7 @@ def amplitude_tuning(overrides: Mapping[str, object], seed: int = 0
     require_grid_size("amplitude_tuning power_max_mw over power_step_mw",
                       p_max, p_step)
 
-    graph = _notch_shaper(f0, att_db, bar_coupler_rad=math.pi,
-                          bar_phase_rad=0.0).with_heaters(heaters)
+    graph = _notch_shaper(f0, att_db).with_heaters(heaters)
     fmt = ModulationFormat("PM", m)
 
     # Anti-phase reference: fix the shifter so the sideband beats cancel

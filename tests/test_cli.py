@@ -564,7 +564,9 @@ def test_preset_range_beyond_the_point_limit_exits_4(tmp_path, capsys,
     (["optimize", "preset:shaper", "--objective", "notch_depth", "--heaters",
       "ps_bar.phase", "--max-evals", "20", "--restarts", "1", "--out", "adir"],
      "cannot write netlist adir: "),
-], ids=["config", "netlist"])
+    (["sweep", "adir", "--sweep=-1:1:1", "--out", "x.csv"],
+     "cannot read netlist adir: "),
+], ids=["config", "netlist", "sweep"])
 def test_a_directory_in_place_of_a_file_exit_4(tmp_path, capsys, monkeypatch,
                                                 argv, message):
     monkeypatch.chdir(tmp_path)

@@ -63,6 +63,43 @@ def test_cancel_notch_outside_the_sweep_fails_before_the_polish(monkeypatch):
                                         "notch_freq_ghz": 29.0})
 
 
+@pytest.mark.parametrize("heaters", [
+    {"ap.detune": 0.5}, {"ap.detune": 0.5, "tc_bar.phase": 1.0}])
+def test_cancel_notch_reference_is_its_own_circuit_with_the_bar_path_blocked(
+        heaters):
+    # the reference keeps every heater but the two bar-path ones it blocks
+    sweep = (8.0, 12.0, 0.01)
+    ssb = run_experiment("ssb_notch",
+                         {"sweep": sweep, "heaters": {"ap.detune": 0.5}})
+    result = run_experiment("cancel_notch",
+                            {"sweep": sweep, "heaters": heaters})
+    assert result.summary["ssb_depth_db"] == ssb.summary["notch_depth_db"]
+    assert result.summary["ssb_depth_db"] == pytest.approx(0.0772, abs=1e-4)
+    reference = result.traces["ssb_reference"]
+    np.testing.assert_array_equal(reference.mag_db, ssb.traces["ssb"].mag_db)
+    np.testing.assert_array_equal(reference.phase_rad,
+                                  ssb.traces["ssb"].phase_rad)
+
+
+def test_cancel_notch_builds_one_circuit_and_runs_no_other_preset(
+        monkeypatch):
+    from rfshaper import circuit, experiments
+    built = []
+
+    def counting_post_init(graph):
+        built.append(graph)
+        post_init(graph)
+    post_init = circuit.CircuitGraph.__post_init__
+    monkeypatch.setattr(circuit.CircuitGraph, "__post_init__",
+                        counting_post_init)
+
+    def no_preset(*args, **kwargs):
+        raise AssertionError("ran another preset")
+    monkeypatch.setattr(experiments, "ssb_notch", no_preset)
+    run_experiment("cancel_notch", {"sweep": (8.0, 12.0, 0.01)})
+    assert len(built) == 1
+
+
 def test_bandpass_peaks_match_detunes():
     result = run_experiment("bandpass_tune")
     step = result.summary["sweep_step_ghz"]
