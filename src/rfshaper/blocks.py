@@ -278,6 +278,7 @@ class BlockKind:
 # by ``fsr * phase / (2*pi)``.
 def coupling_phase(power: float) -> float:
     """The coupling heater phase that gives power coupling ``power``."""
+    _require_unit_interval("coupling_phase power", power)
     return 2.0 * math.asin(math.sqrt(power))
 
 
@@ -285,6 +286,9 @@ def detune_phase(detune_ghz: float, fsr_ghz: float) -> float:
     """The detune heater phase, in [0, 2*pi), that shifts a ring of FSR
     ``fsr_ghz`` by ``detune_ghz``.  The detune is read modulo the FSR, so
     that a detune many FSRs away still gives a finite phase."""
+    _require_finite("detune_phase", detune_ghz, fsr_ghz)
+    if not fsr_ghz > 0:
+        raise DomainError(f"detune_phase: fsr_ghz must be > 0, got {fsr_ghz!r}")
     return (TWO_PI * ((detune_ghz % fsr_ghz) / fsr_ghz)) % TWO_PI
 
 

@@ -62,15 +62,19 @@ def extinction_db(offsets_ghz: np.ndarray, power: np.ndarray,
         power, band_mask(offsets, passband), band_mask(offsets, stopband)))
 
 
-def _half_level_crossings(x: np.ndarray, y: np.ndarray, level: float) -> list[float]:
-    """Linear-interpolated x positions where y crosses the level."""
+def _crossing_width(x: np.ndarray, y: np.ndarray, i: int, level: float,
+                    message: str) -> float:
+    """Distance between the linear-interpolated crossings of the level
+    nearest index ``i`` on its left and on its right; AnalysisError with
+    ``message`` unless y crosses the level on both sides."""
     s = y - level
-    idx = np.nonzero(np.diff(np.signbit(s)))[0]
-    out = []
-    for i in idx:
-        x0, x1, y0, y1 = x[i], x[i + 1], s[i], s[i + 1]
-        out.append(float(x0 + (x1 - x0) * (-y0) / (y1 - y0)))
-    return out
+    changes = np.nonzero(np.diff(np.signbit(s)))[0]
+    left, right = changes[changes < i], changes[changes >= i]
+    if not left.size or not right.size:
+        raise AnalysisError(message)
+    j = np.array([left[-1], right[0]])
+    at = x[j] + (x[j + 1] - x[j]) * (-s[j]) / (s[j + 1] - s[j])
+    return float(at[1] - at[0])
 
 
 def q_and_finesse(offsets_ghz: np.ndarray, power: np.ndarray,
@@ -100,11 +104,8 @@ def q_and_finesse(offsets_ghz: np.ndarray, power: np.ndarray,
     if baseline - floor < 1e-6 * max(abs(baseline), 1e-300):
         raise AnalysisError("no resolvable resonance near the requested offset")
     half = 0.5 * (baseline + floor)
-    left = _half_level_crossings(x[: i_min + 1], y[: i_min + 1], half)
-    right = _half_level_crossings(x[i_min:], y[i_min:], half)
-    if not left or not right:
-        raise AnalysisError("resonance is not resolved on both sides")
-    fwhm = right[0] - left[-1]
+    fwhm = _crossing_width(x, y, i_min, half,
+                           "resonance is not resolved on both sides")
     if fwhm <= 0:
         raise AnalysisError("degenerate linewidth")
     q = DEFAULT_CARRIER_THZ * 1e3 / fwhm
@@ -121,11 +122,8 @@ def passband_width_3db(offsets_ghz: np.ndarray, power: np.ndarray,
     level = 0.5 * power.max()
     if power[i_c] < level:
         raise AnalysisError("band center is not inside a passband")
-    left = _half_level_crossings(offsets[: i_c + 1], power[: i_c + 1], level)
-    right = _half_level_crossings(offsets[i_c:], power[i_c:], level)
-    if not left or not right:
-        raise AnalysisError("passband edges not bracketed by the grid")
-    return right[0] - left[-1]
+    return _crossing_width(offsets, power, i_c, level,
+                           "passband edges not bracketed by the grid")
 
 
 def require_notch_in_sweep(freqs_ghz: np.ndarray, notch_freq_ghz: float) -> None:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from .blocks import PhaseShifterState, RingParams, WaveguideParams
 from .circuit import BlockInstance, CircuitGraph, Port
 from .constants import DEINTERLEAVER_PASSBAND_GHZ, FILTER_RING_FSR_GHZ
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 
 # Equiripple half-band coefficients for the three interleaver rings
 # (ring self-couplings; derived from a 7th-order elliptic prototype with
@@ -231,13 +231,10 @@ def ring_kappa_for_rejection(round_trip_amplitude: float,
 
 def fit_round_trip_amplitude(target_finesse: float) -> float:
     """Round-trip amplitude whose critically coupled ring has the target
-    finesse, found by 1-D root finding on the closed-form linewidth over
-    amplitudes 0.5 to 0.999."""
-    from scipy.optimize import brentq
-
-    def finesse(g: float) -> float:
-        cos_half = 2.0 - (1.0 + g ** 4) / (2.0 * g * g)
-        return math.pi / math.acos(cos_half)
-
-    return float(brentq(lambda g: finesse(g) - target_finesse, 0.5, 0.999,
-                        xtol=1e-14))
+    finesse: the linewidth law ``cos(pi/F) = 2 - (1+g^4)/(2g^2)`` solved
+    for g, which is ``sqrt(1 + s*s) - s`` with ``s = sin(pi/(2F))``."""
+    if not (math.isfinite(target_finesse) and target_finesse > 1.0):
+        raise DomainError("target_finesse must be a finite number > 1, "
+                          f"got {target_finesse!r}")
+    s = math.sin(math.pi / (2.0 * target_finesse))
+    return math.sqrt(1.0 + s * s) - s

@@ -6,7 +6,8 @@ import pytest
 
 from rfshaper.blocks import (BLOCK_KINDS, FrequencyGrid, RingParams,
                              WaveguideParams, amplitude_from_db_loss,
-                             critical_coupling_kappa, heater_phase_from_power)
+                             coupling_phase, critical_coupling_kappa,
+                             detune_phase, heater_phase_from_power)
 from rfshaper.circuit import BlockInstance
 from rfshaper.errors import ConfigurationError, DomainError
 from rfshaper.kernels import (h_coupler_3db, h_phase_shifter,
@@ -236,6 +237,21 @@ def test_heater_phase_rejects_a_non_finite_phase():
         heater_phase_from_power(1e308, 35.0)
     with pytest.raises(DomainError, match="power_mw 1 gives"):
         heater_phase_from_power(1.0, 1e-320)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: coupling_phase(1.5), r"power out of range \[0,1\]: 1.5"),
+    (lambda: coupling_phase(-0.1), r"power out of range \[0,1\]: -0.1"),
+    (lambda: coupling_phase(math.nan), r"power out of range \[0,1\]: nan"),
+    (lambda: detune_phase(1.0, 0.0), "fsr_ghz must be > 0, got 0.0"),
+    (lambda: detune_phase(1.0, -50.0), "fsr_ghz must be > 0, got -50.0"),
+    (lambda: detune_phase(math.inf, 50.0), "non-finite value inf"),
+    (lambda: detune_phase(1.0, math.nan), "non-finite value nan"),
+], ids=["coupling_above_1", "coupling_below_0", "coupling_nan", "zero_fsr",
+        "negative_fsr", "infinite_detune", "nan_fsr"])
+def test_inverse_heater_laws_reject_values_outside_their_domain(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 def test_heater_phases_of_an_array_equal_the_float_calls():

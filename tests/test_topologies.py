@@ -1,16 +1,24 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rfshaper.blocks import FrequencyGrid, RingParams
 from rfshaper.circuit import evaluate
-from rfshaper.errors import ConfigurationError
+from rfshaper.errors import ConfigurationError, DomainError
 from rfshaper.metrics import extinction_db, passband_width_3db
-from rfshaper.topologies import (DeinterleaverSpec, ShaperConfig,
-                                 build_deinterleaver, build_shaper,
-                                 fit_round_trip_amplitude,
+from rfshaper.topologies import (FITTED_RING_AMPLITUDE, DeinterleaverSpec,
+                                 ShaperConfig, build_deinterleaver,
+                                 build_shaper, fit_round_trip_amplitude,
                                  ring_kappa_for_rejection)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_deinterleaver_outputs_complementary_untuned():
@@ -156,7 +164,45 @@ def test_build_shaper_needs_the_drop_coupling_of_its_adddrop_ring():
 
 def test_fit_round_trip_amplitude_matches_target():
     g = fit_round_trip_amplitude(17.6)
-    assert g == pytest.approx(0.91483, abs=1e-4)
+    assert g == pytest.approx(FITTED_RING_AMPLITUDE, rel=1e-14, abs=0.0)
+
+
+def finesse_of_amplitude(g: float) -> float:
+    """The critically coupled ring's linewidth law, solved for F in a
+    form that keeps its digits as g nears 1."""
+    return math.pi / (2.0 * math.asin((1.0 - g * g) / (2.0 * g)))
+
+
+@given(st.floats(1.001, 1e4, exclude_min=True))
+@example(2000.0)    # g = 0.99921, near 1
+@settings(max_examples=300, deadline=None)
+def test_fit_round_trip_amplitude_inverts_the_linewidth_law(finesse):
+    g = fit_round_trip_amplitude(finesse)
+    assert finesse_of_amplitude(g) == pytest.approx(finesse, rel=1e-10)
+
+
+@pytest.mark.parametrize("finesse", [1.0, 0.5, -3, math.nan, math.inf])
+def test_fit_round_trip_amplitude_needs_a_finite_finesse_above_1(finesse):
+    with pytest.raises(DomainError, match="finite number > 1, got"):
+        fit_round_trip_amplitude(finesse)
+
+
+def test_the_package_runs_without_scipy(tmp_path):
+    # a None entry in sys.modules makes any import of scipy fail
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import rfshaper\n"
+        "for m in pkgutil.iter_modules(rfshaper.__path__):\n"
+        "    importlib.import_module('rfshaper.' + m.name)\n"
+        "from rfshaper.topologies import fit_round_trip_amplitude\n"
+        "print(fit_round_trip_amplitude(17.6))\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) == pytest.approx(FITTED_RING_AMPLITUDE, rel=1e-14)
 
 
 def test_ring_kappa_for_rejection_closed_form():
